@@ -5,7 +5,7 @@ from .errors import (ConfigError, DataError, FaultLabError, NumericError,
                      UndefinedMetricError)
 from .series import (EventWindow, GroundTruthLabels, Modality, PrecipRecord,
                      Series, validate_events)
-from .preprocess import median_filter, smooth_pairs
+from .preprocess import smooth_pairs
 from .events import (event_sample_indices, events_from_precipitation,
                      first_half_hour_indices, per_event_indices)
 from .detect import (DetectionResult, LlseModel, NeighborFit, NoiseModel,

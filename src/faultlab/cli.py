@@ -16,38 +16,19 @@ import json
 import sys
 from pathlib import Path
 
+from .config import load_config, modality_of, number, section, seed_of
 from .detect import (LlseModel, NoiseModel, ShortParams, fit_llse_model,
                      llse_detect, load_model, noise_detect, noise_train,
                      save_model, short_detect)
 from .detect import DetectionResult
 from .errors import ConfigError, DataError, FaultLabError, NumericError
-from .inject import InjectionPlan, inject_noise, inject_short, merge_labels, \
-    save_labels, load_labels
+from .inject import save_labels, load_labels
 from .io import (ingest_csv, read_detection_csv, read_events_csv,
                  write_detection_csv, write_events_csv, write_series_csv)
 from .metrics import assemble_report, save_report
-from .pipeline import (build_synth_config, run_sweep_points, sweep_rows,
-                       SWEEP_HEADER)
-from .series import GroundTruthLabels, Modality, Series
-
-CONFIG_VERSION = 1
-
-
-def load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    p = Path(path)
-    try:
-        doc = json.loads(p.read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {p}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{p}: not valid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{p}: config must be a JSON object")
-    if doc.get("version", CONFIG_VERSION) != CONFIG_VERSION:
-        raise ConfigError(f"{p}: unsupported config version {doc.get('version')!r}")
-    return doc
+from .pipeline import (build_synth_config, inject_from_config, run_sweep_points,
+                       select_series, sweep_rows, SWEEP_HEADER)
+from .series import Modality, Series
 
 
 def resolve_config(args) -> dict:
@@ -57,23 +38,6 @@ def resolve_config(args) -> dict:
     if getattr(args, "modality", None):
         cfg["modality"] = args.modality
     return cfg
-
-
-def _seed(cfg: dict) -> int:
-    seed = cfg.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
-    return seed
-
-
-def _modality(cfg: dict, default: str | None = None) -> Modality:
-    raw = cfg.get("modality", default)
-    if raw is None:
-        raise ConfigError("modality is required (--modality or config key)")
-    try:
-        return Modality(raw)
-    except ValueError:
-        raise ConfigError(f"unknown modality {raw!r}") from None
 
 
 def _out_dir(args) -> Path:
@@ -100,28 +64,21 @@ def _say(path: Path) -> None:
     print(f"wrote {path}")
 
 
-def _pick_series(path: str, node: str | None, modality: Modality | None,
-                 allow_split: bool = False) -> list[Series]:
-    """Series pieces for one (node, modality) out of a sensor CSV."""
-    report = ingest_csv(path)
-    nodes = sorted({s.node_id for s in report.series})
-    if node is None:
-        if len(nodes) != 1:
-            raise ConfigError(f"{path} holds nodes {nodes}; pick one with --node")
-        node = nodes[0]
-    mods = sorted({s.modality for s in report.series if s.node_id == node})
-    if modality is None:
-        if len(mods) != 1:
-            raise ConfigError(f"{path} node {node!r} holds several modalities; "
-                              f"pick one with --modality")
-        modality = mods[0]
-    pieces = report.find(node, modality)
-    if not pieces:
-        raise DataError(f"{path}: no series for node {node!r} "
-                        f"modality {modality.value!r}")
-    if len(pieces) > 1 and not allow_split:
-        raise DataError(f"{path}: series for node {node!r} is split by long gaps")
-    return pieces
+def _input_series(args, modality: Modality | None) -> Series:
+    """The series of `--in` for `--node` and `modality`."""
+    return select_series(ingest_csv(args.infile).series, args.node, modality, args.infile)
+
+
+def _llse_series(path: str, target: str, modality: Modality | None,
+                 neighbor_ids=None) -> tuple[Series, list[Series]]:
+    """The llse target and its neighbors (by default every other node of the
+    target's modality) out of a sensor CSV."""
+    series = ingest_csv(path).series
+    s = select_series(series, target, modality, path)
+    if neighbor_ids is None:
+        neighbor_ids = sorted({x.node_id for x in series if x.modality == s.modality}
+                              - {target})
+    return s, [select_series(series, node, s.modality, path) for node in neighbor_ids]
 
 
 # --------------------------------------------------------------------------
@@ -130,11 +87,10 @@ def _pick_series(path: str, node: str | None, modality: Modality | None,
 
 def cmd_synth(args) -> int:
     cfg = resolve_config(args)
-    seed = _seed(cfg)
-    synth_cfg = dict(cfg.get("synth", {}))
-    series, events, schedule, _ = build_synth_config(synth_cfg, seed)
-    if cfg.get("modality"):
-        keep = Modality(cfg["modality"])
+    seed = seed_of(cfg)
+    series, events, schedule, _ = build_synth_config(section(cfg, "synth"), seed)
+    keep = modality_of(cfg)
+    if keep is not None:
         series = [s for s in series if s.modality == keep]
     out = _out_dir(args)
 
@@ -158,32 +114,12 @@ def cmd_synth(args) -> int:
 
 def cmd_inject(args) -> int:
     cfg = resolve_config(args)
-    seed = _seed(cfg)
-    inject_cfg = cfg.get("inject", {})
-    kind = args.kind or inject_cfg.get("kind")
-    if kind not in ("short", "noise", "both"):
-        raise ConfigError("inject needs kind short, noise, or both "
-                          "(--kind or config inject.kind)")
-    modality = Modality(cfg["modality"]) if cfg.get("modality") else None
-    s = _pick_series(args.infile, args.node, modality)[0]
-
-    plan_keys = {"short_intensity", "short_fraction", "noise_multiplier",
-                 "noise_burst_lengths", "noise_total_fraction"}
-    kwargs = {k: v for k, v in inject_cfg.items() if k in plan_keys}
-    if "noise_burst_lengths" in kwargs:
-        kwargs["noise_burst_lengths"] = tuple(int(x) for x in kwargs["noise_burst_lengths"])
-    plan = InjectionPlan(seed=seed, **kwargs)
-
-    labels = GroundTruthLabels()
-    if kind in ("noise", "both"):
-        base_sigma = inject_cfg.get("base_sigma")
-        if base_sigma is None:
-            raise ConfigError("noise injection needs config inject.base_sigma")
-        s, noise_labels = inject_noise(s, plan, float(base_sigma))
-        labels = merge_labels(labels, noise_labels)
-    if kind in ("short", "both"):
-        s, short_labels = inject_short(s, plan)
-        labels = merge_labels(labels, short_labels)
+    seed = seed_of(cfg)
+    inject_cfg = section(cfg, "inject")
+    if args.kind:
+        inject_cfg = inject_cfg | {"kind": args.kind}
+    s = _input_series(args, modality_of(cfg))
+    s, labels, plan = inject_from_config(s, inject_cfg, seed, None)
 
     out = _out_dir(args)
     faulted_path = out / "faulted.csv"
@@ -198,7 +134,7 @@ def cmd_inject(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
-    modality = Modality(cfg["modality"]) if cfg.get("modality") else None
+    modality = modality_of(cfg)
     out = _out_dir(args)
     model_path = out / "model.json"
 
@@ -206,47 +142,36 @@ def cmd_train(args) -> int:
         delta = args.delta if args.delta is not None else cfg.get("delta")
         if delta is None:
             raise ConfigError("short detector needs --delta or config key 'delta'")
-        model = ShortParams(float(delta))
+        model = ShortParams(number(delta, "delta"))
     elif args.detector == "noise":
-        s = _pick_series(args.infile, args.node, modality)[0]
-        window_len = int(cfg.get("noise_window_len", 18))
-        model = noise_train(s, window_len)
-    elif args.detector == "llse":
+        s = _input_series(args, modality)
+        model = noise_train(s, number(cfg.get("noise_window_len", 18), "noise_window_len", int))
+    else:
         if not args.target:
             raise ConfigError("llse training needs --target <node id>")
-        report = ingest_csv(args.infile)
-        if modality is None:
-            mods = sorted({s.modality for s in report.series})
-            if len(mods) != 1:
-                raise ConfigError(f"{args.infile} holds several modalities; "
-                                  f"pick one with --modality")
-            modality = mods[0]
-        target_pieces = report.find(args.target, modality)
-        if len(target_pieces) != 1:
-            raise DataError(f"{args.infile}: need one unbroken series for "
-                            f"target {args.target!r}")
-        neighbor_ids = sorted({s.node_id for s in report.series
-                               if s.modality == modality} - {args.target})
-        neighbors = []
-        for node in neighbor_ids:
-            pieces = report.find(node, modality)
-            if len(pieces) != 1:
-                raise DataError(f"{args.infile}: neighbor {node!r} is split by long gaps")
-            neighbors.append(pieces[0])
-        llse_cfg = cfg.get("llse", {})
-        model = fit_llse_model(target_pieces[0], neighbors,
-                               percentile_p=float(llse_cfg.get("percentile_p", 95.0)),
-                               vote_q=int(llse_cfg.get("vote_q", 2)),
+        s, neighbors = _llse_series(args.infile, args.target, modality)
+        llse_cfg = section(cfg, "llse")
+        model = fit_llse_model(s, neighbors,
+                               percentile_p=number(llse_cfg.get("percentile_p", 95.0),
+                                                   "llse.percentile_p"),
+                               vote_q=number(llse_cfg.get("vote_q", 2), "llse.vote_q", int),
                                signed=bool(llse_cfg.get("signed", False)))
-    else:
-        raise ConfigError(f"unknown detector {args.detector!r}")
 
     save_model(model_path, model, config_echo=_echo("train", cfg))
     _say(model_path)
     return 0
 
 
-def _detect_with(args, cfg: dict, s: Series, neighbors: dict[str, Series] | None):
+def _detect(args, cfg: dict) -> DetectionResult:
+    modality = modality_of(cfg)
+    if args.detector == "llse":
+        model = load_model(args.model) if args.model else None
+        if not isinstance(model, LlseModel):
+            raise ConfigError("llse detection needs --model with an llse model")
+        s, neighbors = _llse_series(args.infile, model.target, modality,
+                                    [fit.node_id for fit in model.neighbors])
+        return llse_detect(s, neighbors, model)
+    s = _input_series(args, modality)
     if args.detector == "short":
         delta = args.delta if args.delta is not None else cfg.get("delta")
         if delta is None and args.model:
@@ -256,60 +181,21 @@ def _detect_with(args, cfg: dict, s: Series, neighbors: dict[str, Series] | None
             delta = model.delta
         if delta is None:
             raise ConfigError("short detection needs --delta, config 'delta', or --model")
-        return short_detect(s, ShortParams(float(delta)))
-    if args.detector == "noise":
-        if not args.model:
-            raise ConfigError("noise detection needs --model")
-        model = load_model(args.model)
-        if not isinstance(model, NoiseModel):
-            raise ConfigError(f"{args.model} is not a noise model")
-        multiplier = args.multiplier if args.multiplier is not None \
-            else cfg.get("multiplier")
-        if multiplier is None:
-            raise ConfigError("noise detection needs --multiplier or config 'multiplier'")
-        return noise_detect(s, model, float(multiplier))
-    if args.detector == "llse":
-        if not args.model:
-            raise ConfigError("llse detection needs --model")
-        model = load_model(args.model)
-        if not isinstance(model, LlseModel):
-            raise ConfigError(f"{args.model} is not an llse model")
-        return llse_detect(s, neighbors or {}, model)
-    raise ConfigError(f"unknown detector {args.detector!r}")
+        return short_detect(s, ShortParams(number(delta, "delta")))
+    if not args.model:
+        raise ConfigError("noise detection needs --model")
+    model = load_model(args.model)
+    if not isinstance(model, NoiseModel):
+        raise ConfigError(f"{args.model} is not a noise model")
+    multiplier = args.multiplier if args.multiplier is not None else cfg.get("multiplier")
+    if multiplier is None:
+        raise ConfigError("noise detection needs --multiplier or config 'multiplier'")
+    return noise_detect(s, model, number(multiplier, "multiplier"))
 
 
 def cmd_detect(args) -> int:
     cfg = resolve_config(args)
-    modality = Modality(cfg["modality"]) if cfg.get("modality") else None
-
-    if args.detector == "llse":
-        model = load_model(args.model) if args.model else None
-        if not isinstance(model, LlseModel):
-            raise ConfigError("llse detection needs --model with an llse model")
-        report = ingest_csv(args.infile)
-        if modality is None:
-            mods = sorted({s.modality for s in report.series})
-            if len(mods) != 1:
-                raise ConfigError(f"{args.infile} holds several modalities; "
-                                  f"pick one with --modality")
-            modality = mods[0]
-        target_pieces = report.find(model.target, modality)
-        if len(target_pieces) != 1:
-            raise DataError(f"{args.infile}: need one unbroken series for "
-                            f"target {model.target!r}")
-        s = target_pieces[0]
-        neighbors = {}
-        for fit in model.neighbors:
-            pieces = report.find(fit.node_id, modality)
-            if len(pieces) != 1:
-                raise DataError(f"{args.infile}: neighbor {fit.node_id!r} is "
-                                f"split by long gaps")
-            neighbors[fit.node_id] = pieces[0]
-        result = _detect_with(args, cfg, s, neighbors)
-    else:
-        s = _pick_series(args.infile, args.node, modality)[0]
-        result = _detect_with(args, cfg, s, None)
-
+    result = _detect(args, cfg)
     out = _out_dir(args)
     flags_path = out / "flags.csv"
     write_detection_csv(flags_path, result.to_flags())
@@ -320,8 +206,7 @@ def cmd_detect(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = resolve_config(args)
-    modality = Modality(cfg["modality"]) if cfg.get("modality") else None
-    s = _pick_series(args.infile, args.node, modality)[0]
+    s = _input_series(args, modality_of(cfg))
     events = read_events_csv(args.events)
     by_source = read_detection_csv(args.flags)
     if len(by_source) != 1:
@@ -343,8 +228,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = resolve_config(args)
-    seed = _seed(cfg)
-    modality = _modality(cfg, default=Modality.BOX_TEMP.value)
+    seed = seed_of(cfg)
+    modality = modality_of(cfg, Modality.BOX_TEMP)
     out = _out_dir(args)
     written: list[Path] = []
     try:

@@ -22,6 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
+from .io import read_json
 from .series import Series
 
 __all__ = [
@@ -362,10 +363,4 @@ def save_model(path: str | Path, model, config_echo: dict | None = None) -> None
 
 
 def load_model(path: str | Path):
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read ({exc.strerror or exc})") from None
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: not valid JSON ({exc})") from None
-    return model_from_dict(doc)
+    return model_from_dict(read_json(path))

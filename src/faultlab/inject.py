@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .io import read_json
 from .series import GroundTruthLabels, Series
 
 __all__ = [
@@ -159,7 +160,7 @@ def labels_from_dict(doc: dict) -> GroundTruthLabels:
     try:
         short = tuple(int(i) for i in doc.get("short", []))
         noise = tuple((int(w["start"]), int(w["len"])) for w in doc.get("noise", []))
-    except (KeyError, TypeError, ValueError):
+    except (AttributeError, KeyError, TypeError, ValueError):
         raise DataError("malformed labels document") from None
     return GroundTruthLabels(short_indices=short, noise_windows=noise)
 
@@ -170,10 +171,4 @@ def save_labels(path: str | Path, labels: GroundTruthLabels, plan: InjectionPlan
 
 
 def load_labels(path: str | Path) -> GroundTruthLabels:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read ({exc.strerror or exc})") from None
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: not valid JSON ({exc})") from None
-    return labels_from_dict(doc)
+    return labels_from_dict(read_json(path))

@@ -1,4 +1,5 @@
-"""File formats: sensor-data CSV ingestion, precipitation/event/detection CSVs.
+"""File formats: sensor-data CSV ingestion, precipitation/event/detection CSVs,
+JSON documents.
 
 Timestamps are accepted as ISO-8601 (UTC assumed when no zone is given) or as
 epoch seconds; written files always use epoch seconds so that byte-identical
@@ -8,6 +9,7 @@ reruns are possible.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -29,6 +31,7 @@ __all__ = [
     "write_events_csv",
     "write_detection_csv",
     "read_detection_csv",
+    "read_json",
 ]
 
 # Longest run of consecutive missing samples repaired by interpolation;
@@ -313,3 +316,13 @@ def read_detection_csv(path: str | Path) -> dict[str, np.ndarray]:
             by_source.setdefault(src, []).append(idx)
     return {src: np.unique(np.array(idxs, dtype=np.int64))
             for src, idxs in by_source.items()}
+
+
+def read_json(path: str | Path, error: type[Exception] = DataError):
+    """The JSON document at `path`; an unreadable or malformed file raises `error`."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise error(f"{path}: cannot read ({exc.strerror or exc})") from None
+    except ValueError as exc:
+        raise error(f"{path}: not valid JSON ({exc})") from None

@@ -19,6 +19,7 @@ import numpy as np
 from .detect import DetectionResult
 from .errors import ConfigError, DataError, UndefinedMetricError
 from .events import first_half_hour_indices, per_event_indices
+from .io import read_json
 from .series import EventWindow, GroundTruthLabels, Series, validate_events
 
 __all__ = [
@@ -156,12 +157,19 @@ def assemble_report(s: Series, result: DetectionResult,
 
     mu and mu_first_half_hour cover the event windows; the false-negative
     ratio covers the labeled faults of `kind` (inferred when the labels hold
-    a single kind). Metrics without a denominator come back as None.
+    a single kind). Metrics without a denominator come back as None. Flags
+    and labels must index into `s`.
     """
     ordered = sorted(events, key=lambda e: e.start)
     validate_events(ordered)
+    if truth is not None:
+        truth.check_bounds(len(s))
+    flag_idx = result.sample_indices()
+    if flag_idx.size and (flag_idx[0] < 0 or flag_idx[-1] >= len(s)):
+        raise DataError(f"flagged indices {flag_idx[0]}..{flag_idx[-1]} fall outside "
+                        f"[0, {len(s)})")
     flagged = np.zeros(len(s), dtype=bool)
-    flagged[result.sample_indices()] = True
+    flagged[flag_idx] = True
 
     stats = []
     opening = first_half_hour_indices(s, ordered)
@@ -240,10 +248,4 @@ def save_report(path: str | Path, report: EvalReport) -> None:
 
 
 def load_report(path: str | Path) -> EvalReport:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read ({exc.strerror or exc})") from None
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: not valid JSON ({exc})") from None
-    return report_from_dict(doc)
+    return report_from_dict(read_json(path))

@@ -9,19 +9,19 @@ and score a parameter grid against the event windows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
+from .config import (injection_plan, json_numbers, nodes_from_config, number,
+                     section)
 from .detect import NoiseModel, ShortParams, noise_detect, noise_train, short_detect
 from .errors import ConfigError, DataError
-from .events import FIRST_HALF_HOUR_S  # noqa: F401  (re-exported convenience)
-from .inject import InjectionPlan, inject_noise, inject_short, merge_labels
+from .inject import InjectionPlan, inject_noise, inject_short, load_labels, merge_labels
 from .io import ingest_csv, read_events_csv
 from .metrics import EvalReport, assemble_report
 from .preprocess import smooth_pairs
 from .series import EventWindow, GroundTruthLabels, Modality, Series
-from .synth import (BoxTempProfile, DeploymentSpec, ScheduledEvent,
-                    SoilMoistureProfile, gen_deployment, make_event_schedule)
+from .synth import (BoxTempProfile, DeploymentSpec, SoilMoistureProfile,
+                    gen_deployment, make_event_schedule)
 
 __all__ = [
     "SweepPoint",
@@ -46,40 +46,11 @@ class SweepResult:
     points: list[SweepPoint]
 
 
-def _mk_profile(cls, cfg: dict | None, what: str):
-    try:
-        return cls(**(cfg or {}))
-    except TypeError:
-        raise ConfigError(f"unknown keys in {what} profile: {sorted(cfg)}") from None
+SCHEDULE_KEYS = ("min_duration_s", "max_duration_s", "min_rain_mm", "max_rain_mm")
 
 
-def profiles_from_config(synth_cfg: dict) -> tuple[BoxTempProfile, SoilMoistureProfile]:
-    box = _mk_profile(BoxTempProfile, synth_cfg.get("box"), "box")
-    soil = _mk_profile(SoilMoistureProfile, synth_cfg.get("soil"), "soil")
-    return box, soil
-
-
-def nodes_from_config(synth_cfg: dict) -> tuple[tuple[str, ...], tuple[float, ...], tuple[float, ...]]:
-    nodes = synth_cfg.get("nodes") or [{"id": "node1"}]
-    try:
-        ids = tuple(str(nd["id"]) for nd in nodes)
-        scales = tuple(float(nd.get("response_scale", 1.0)) for nd in nodes)
-        lags = tuple(float(nd.get("lag_s", 0.0)) for nd in nodes)
-    except (KeyError, TypeError, ValueError):
-        raise ConfigError("each synth node needs an 'id' and optional "
-                          "'response_scale'/'lag_s'") from None
-    return ids, scales, lags
-
-
-def schedule_from_config(days: int, n_events: int, seed,
-                         sched_cfg: dict | None,
-                         span_start_s: float = 0.0) -> tuple[ScheduledEvent, ...]:
-    cfg = dict(sched_cfg or {})
-    allowed = {"min_duration_s", "max_duration_s", "min_rain_mm", "max_rain_mm"}
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ConfigError(f"unknown schedule keys: {sorted(unknown)}")
-    return make_event_schedule(days, n_events, seed, span_start_s=span_start_s, **cfg)
+def _profile(cls, raw, what: str):
+    return cls(**json_numbers(raw, cls.__dataclass_fields__, what))
 
 
 def build_synth_config(synth_cfg: dict, seed: int):
@@ -90,23 +61,25 @@ def build_synth_config(synth_cfg: dict, seed: int):
     `n_events` test events after it; only the latter are returned as the
     evaluation windows.
     """
-    train_days = int(synth_cfg.get("train_days", 0))
-    test_days = int(synth_cfg.get("test_days", synth_cfg.get("days", 90)))
-    interval_s = float(synth_cfg.get("interval_s", 600.0))
-    n_events = int(synth_cfg.get("n_events", 21))
-    train_events = int(synth_cfg.get("train_events", 0))
+    train_days = number(synth_cfg.get("train_days", 0), "synth.train_days", int)
+    test_days = number(synth_cfg.get("test_days", synth_cfg.get("days", 90)),
+                       "synth.test_days", int)
+    interval_s = number(synth_cfg.get("interval_s", 600.0), "synth.interval_s")
+    n_events = number(synth_cfg.get("n_events", 21), "synth.n_events", int)
+    train_events = number(synth_cfg.get("train_events", 0), "synth.train_events", int)
     if train_days < 0 or test_days < 1:
         raise ConfigError("synth needs train_days >= 0 and test_days >= 1")
 
-    sched_cfg = synth_cfg.get("schedule")
-    train_sched = schedule_from_config(train_days, train_events, [seed, 2], sched_cfg) \
+    bounds = json_numbers(synth_cfg.get("schedule"), SCHEDULE_KEYS, "synth.schedule")
+    train_sched = make_event_schedule(train_days, train_events, [seed, 2], **bounds) \
         if train_events else ()
-    test_sched = schedule_from_config(test_days, n_events, [seed, 3], sched_cfg,
-                                      span_start_s=train_days * 86400.0)
+    test_sched = make_event_schedule(test_days, n_events, [seed, 3],
+                                     span_start_s=train_days * 86400.0, **bounds)
     schedule = tuple(train_sched) + tuple(test_sched)
 
     ids, scales, lags = nodes_from_config(synth_cfg)
-    box, soil = profiles_from_config(synth_cfg)
+    box = _profile(BoxTempProfile, synth_cfg.get("box"), "synth.box")
+    soil = _profile(SoilMoistureProfile, synth_cfg.get("soil"), "synth.soil")
     spec = DeploymentSpec(node_ids=ids, response_scales=scales, lags_s=lags,
                           schedule=schedule, seed=seed,
                           days=train_days + test_days, interval_s=interval_s)
@@ -115,18 +88,30 @@ def build_synth_config(synth_cfg: dict, seed: int):
     return series, test_windows, schedule, train_days
 
 
-def _single_series(report_or_list, node_id: str, modality: Modality, origin: str) -> Series:
-    if isinstance(report_or_list, list):
-        pieces = [s for s in report_or_list
-                  if s.node_id == node_id and s.modality == modality]
-    else:
-        pieces = report_or_list.find(node_id, modality)
+def select_series(series: Sequence[Series], node: str | None,
+                  modality: Modality | None, origin: str) -> Series:
+    """The one unbroken series for (node, modality) among `series`.
+
+    A node or modality left as None is inferred when `series` (for the
+    modality: the node's series) holds exactly one.
+    """
+    if node is None:
+        nodes = sorted({s.node_id for s in series})
+        if len(nodes) != 1:
+            raise ConfigError(f"{origin} holds nodes {nodes}; pick one with --node")
+        node = nodes[0]
+    if modality is None:
+        mods = sorted({s.modality for s in series if s.node_id == node})
+        if len(mods) != 1:
+            raise ConfigError(f"{origin} node {node!r} holds several modalities; "
+                              f"pick one with --modality")
+        modality = mods[0]
+    pieces = [s for s in series if s.node_id == node and s.modality == modality]
     if not pieces:
-        raise DataError(f"{origin}: no series for node {node_id!r} "
+        raise DataError(f"{origin}: no series for node {node!r} "
                         f"modality {modality.value!r}")
     if len(pieces) > 1:
-        raise DataError(f"{origin}: series for node {node_id!r} is split by "
-                        f"long gaps; repair it before running a sweep")
+        raise DataError(f"{origin}: series for node {node!r} is split by long gaps")
     return pieces[0]
 
 
@@ -148,17 +133,16 @@ class MaterializedRun:
     plan: InjectionPlan | None
 
 
-def _inject_from_config(test: Series, inject_cfg: dict, seed: int,
-                        noise_model: NoiseModel | None):
+def inject_from_config(test: Series, inject_cfg: dict, seed: int,
+                       noise_model: NoiseModel | None):
+    """Inject the faults of an `inject` block; returns (series, labels, plan).
+
+    Noise bursts take `base_sigma`, or else the trained model's sigma_train.
+    """
     kind = inject_cfg.get("kind")
     if kind not in ("short", "noise", "both"):
         raise ConfigError(f"inject.kind must be short, noise, or both, got {kind!r}")
-    plan_keys = {"short_intensity", "short_fraction", "noise_multiplier",
-                 "noise_burst_lengths", "noise_total_fraction"}
-    kwargs = {k: v for k, v in inject_cfg.items() if k in plan_keys}
-    if "noise_burst_lengths" in kwargs:
-        kwargs["noise_burst_lengths"] = tuple(int(x) for x in kwargs["noise_burst_lengths"])
-    plan = InjectionPlan(seed=seed, **kwargs)
+    plan = injection_plan(inject_cfg, seed)
 
     labels = GroundTruthLabels()
     if kind in ("noise", "both"):
@@ -168,7 +152,7 @@ def _inject_from_config(test: Series, inject_cfg: dict, seed: int,
                 raise ConfigError("noise injection needs inject.base_sigma or a "
                                   "trained noise model to take sigma_train from")
             base_sigma = noise_model.sigma_train
-        test, noise_labels = inject_noise(test, plan, float(base_sigma))
+        test, noise_labels = inject_noise(test, plan, number(base_sigma, "inject.base_sigma"))
         labels = merge_labels(labels, noise_labels)
     if kind in ("short", "both"):
         # Spikes go in second so they land on the already-noised series.
@@ -180,7 +164,7 @@ def _inject_from_config(test: Series, inject_cfg: dict, seed: int,
 def materialize(config: dict, seed: int, modality: Modality) -> MaterializedRun:
     """Build train/test series, events, labels, and the noise model for a sweep."""
     smooth = bool(config.get("smooth", True))
-    window_len = int(config.get("noise_window_len", 18))
+    window_len = number(config.get("noise_window_len", 18), "noise_window_len", int)
     detector = config.get("detector")
 
     if ("synth" in config) == ("data" in config):
@@ -188,40 +172,46 @@ def materialize(config: dict, seed: int, modality: Modality) -> MaterializedRun:
 
     labels: GroundTruthLabels | None = None
     if "synth" in config:
-        synth_cfg = config["synth"]
-        if int(synth_cfg.get("train_days", 0)) < 1:
+        synth_cfg = section(config, "synth")
+        if number(synth_cfg.get("train_days", 0), "synth.train_days", int) < 1:
             raise ConfigError("synth sweeps need train_days >= 1")
         target = synth_cfg.get("target") or nodes_from_config(synth_cfg)[0][0]
         series, events, _, train_days = build_synth_config(synth_cfg, seed)
-        full = _single_series(series, target, modality, "synth")
+        full = select_series(series, target, modality, "synth")
         if smooth:
             full = smooth_pairs(full)
         train, test = split_series(full, train_days * 86400.0)
     else:
-        data_cfg = config["data"]
-        try:
-            node = str(data_cfg.get("node_id", ""))
-            train_rep = ingest_csv(data_cfg["train_csv"])
-            test_rep = ingest_csv(data_cfg["test_csv"])
-            events = read_events_csv(data_cfg["events_csv"])
-        except KeyError as exc:
-            raise ConfigError(f"data config needs {exc.args[0]!r}") from None
+        data_cfg = section(config, "data")
+        for key in ("train_csv", "test_csv", "events_csv"):
+            if not isinstance(data_cfg.get(key), str):
+                raise ConfigError(f"data config needs {key!r} (a path)")
+        node = str(data_cfg.get("node_id", ""))
         if not node:
             raise ConfigError("data config needs node_id")
-        train = _single_series(train_rep, node, modality, data_cfg["train_csv"])
-        test = _single_series(test_rep, node, modality, data_cfg["test_csv"])
+        labels_json = data_cfg.get("labels_json")
+        if labels_json and not isinstance(labels_json, str):
+            raise ConfigError(f"data.labels_json must be a path, got {labels_json!r}")
+        if labels_json and smooth:
+            raise ConfigError('data.labels_json needs "smooth": false, since labels '
+                              'index the unsmoothed test file')
+        train = select_series(ingest_csv(data_cfg["train_csv"]).series, node, modality,
+                              data_cfg["train_csv"])
+        test = select_series(ingest_csv(data_cfg["test_csv"]).series, node, modality,
+                             data_cfg["test_csv"])
+        events = read_events_csv(data_cfg["events_csv"])
         if smooth:
             train = smooth_pairs(train)
             test = smooth_pairs(test)
-        if data_cfg.get("labels_json"):
-            from .inject import load_labels
-            labels = load_labels(data_cfg["labels_json"])
+        if labels_json:
+            labels = load_labels(labels_json)
 
     noise_model = noise_train(train, window_len) if detector == "noise" else None
 
     plan = None
     if "inject" in config:
-        test, labels, plan = _inject_from_config(test, config["inject"], seed, noise_model)
+        test, labels, plan = inject_from_config(test, section(config, "inject"), seed,
+                                                noise_model)
     return MaterializedRun(train=train, test=test, events=events, labels=labels,
                            noise_model=noise_model, plan=plan)
 
@@ -234,21 +224,18 @@ def run_sweep_points(config: dict, seed: int, modality: Modality) -> SweepResult
     grid = config.get("grid")
     if not isinstance(grid, Sequence) or isinstance(grid, (str, bytes)) or len(grid) == 0:
         raise ConfigError("sweep needs a non-empty numeric 'grid'")
+    grid = [number(raw, "grid") for raw in grid]
     run = materialize(config, seed, modality)
 
     points = []
-    for raw in grid:
-        param = float(raw)
+    for param in grid:
         if detector == "short":
             result = short_detect(run.test, ShortParams(param))
-            kind = "short"
         else:
             result = noise_detect(run.test, run.noise_model, param)
-            kind = "noise"
-        truth = run.labels if run.labels is not None else None
-        scored_kind = kind if (truth is not None) else None
+        scored_kind = detector if run.labels is not None else None
         report = assemble_report(
-            run.test, result, run.events, truth=truth, kind=scored_kind,
+            run.test, result, run.events, truth=run.labels, kind=scored_kind,
             parameters={"detector": detector, "param": param,
                         "seed": seed, "modality": modality.value})
         points.append(SweepPoint(param=param, report=report))

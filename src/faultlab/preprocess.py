@@ -1,13 +1,11 @@
-"""Series conditioning: pair averaging and sliding-median cleaning."""
+"""Series conditioning: pair averaging."""
 
 from __future__ import annotations
 
-import numpy as np
-
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .series import Series
 
-__all__ = ["smooth_pairs", "median_filter"]
+__all__ = ["smooth_pairs"]
 
 
 def smooth_pairs(s: Series) -> Series:
@@ -23,29 +21,3 @@ def smooth_pairs(s: Series) -> Series:
     out = (v[0:n:2] + v[1:n:2]) / 2.0
     return Series(s.node_id, s.modality, s.start_time, s.sample_interval * 2.0, out)
 
-
-def median_filter(s: Series, width: int = 5) -> Series:
-    """Centered sliding median with shrunken windows at the edges.
-
-    Output index k takes the median of the samples within the centered window
-    of `width` samples, clipped to the series bounds; even-sized edge windows
-    use the mean of the two middle order statistics. Output length equals
-    input length.
-
-    Args:
-        s: input series (must hold at least `width` samples).
-        width: odd window width >= 3.
-    """
-    if width % 2 == 0 or width < 3:
-        raise ConfigError(f"median filter width must be odd and >= 3, got {width}")
-    n = len(s)
-    if n < width:
-        raise ConfigError(f"median filter width {width} exceeds series length {n}")
-    half = width // 2
-    v = s.values
-    out = np.empty(n, dtype=np.float64)
-    for k in range(n):
-        lo = max(0, k - half)
-        hi = min(n, k + half + 1)
-        out[k] = np.median(v[lo:hi])
-    return s.with_values(out)

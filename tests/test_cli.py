@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 import faultlab.cli as cli
 from faultlab.cli import main
@@ -283,3 +284,88 @@ def test_schedule_json_lists_all_events(tmp_path):
     assert len(events_lines) == 3
     for ev in doc["schedule"]:
         assert ev["start"] < ev["end"] and ev["rain_mm"] > 0
+
+
+def write_site(tmp_path, n=144):
+    """Three soil-moisture nodes of `n` samples, one event, one short flag."""
+    rng = np.random.default_rng(5)
+    series = tmp_path / "site.csv"
+    write_series_csv(series, [
+        Series(node, Modality.SOIL_MOISTURE, 0.0, 600.0, rng.normal(0.2, 0.01, size=n))
+        for node in ("n1", "n2", "n3")])
+    events = tmp_path / "events.csv"
+    events.write_text("start,end\n3600,7200\n")
+    flags = tmp_path / "flags.csv"
+    flags.write_text("index,flag_source\n7,short\n")
+    return str(series), str(events), str(flags)
+
+
+@pytest.mark.parametrize("index", [144, -1])
+def test_evaluate_rejects_flags_outside_the_series(tmp_path, capsys, index):
+    series, events, _ = write_site(tmp_path)
+    flags = tmp_path / "bad_flags.csv"
+    flags.write_text(f"index,flag_source\n{index},short\n")
+    out = tmp_path / "out"
+    assert main(["evaluate", "--in", series, "--node", "n1", "--flags", str(flags),
+                 "--events", events, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("data error:")
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("doc", [{"short": [5000], "noise": []}, [5000]])
+def test_evaluate_rejects_labels_outside_the_series(tmp_path, capsys, doc):
+    series, events, flags = write_site(tmp_path)
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["evaluate", "--in", series, "--node", "n1", "--flags", flags,
+                 "--events", events, "--labels", str(labels), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("data error:")
+    assert not (out / "report.json").exists()
+
+
+def test_sweep_rejects_labels_on_smoothed_data(tmp_path, capsys):
+    series, events, _ = write_site(tmp_path)
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps({"short": [100], "noise": []}))
+    data = {"train_csv": series, "test_csv": series, "events_csv": events,
+            "labels_json": str(labels), "node_id": "n1"}
+    cfg = {"detector": "short", "grid": [0.01], "data": data, "modality": "soil_moisture"}
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", write_cfg(tmp_path / "smooth.json", cfg),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    # Unsmoothed, the same labels fit the series and the sweep scores them.
+    assert main(["sweep", "--config", write_cfg(tmp_path / "raw.json", cfg | {"smooth": False}),
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "report_000.json").read_text())["fault_kind"] == "short"
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("inject", {"modality": "bogus", "inject": {"kind": "short"}}),
+    ("evaluate", {"modality": "bogus"}),
+    ("synth", {"seed": True, "synth": SYNTH_SMALL}),
+    ("sweep", {"seed": True, "synth": SYNTH_SMALL, "detector": "short", "grid": [0.1]}),
+    ("inject", {"inject": []}),
+    ("inject", {"inject": {"kind": "short", "short_fraction": "x"}}),
+    ("sweep", {"synth": {"train_days": "x"}, "detector": "short", "grid": [0.1]}),
+    ("train noise", {"noise_window_len": "x"}),
+    ("train llse", {"llse": {"vote_q": "x"}}),
+])
+def test_malformed_config_values_exit_2(tmp_path, capsys, command, cfg):
+    series, events, flags = write_site(tmp_path)
+    node = ["--in", series, "--node", "n1"]
+    argv = {
+        "synth": ["synth"],
+        "sweep": ["sweep"],
+        "inject": ["inject", *node],
+        "evaluate": ["evaluate", *node, "--flags", flags, "--events", events],
+        "train noise": ["train", "--detector", "noise", *node],
+        "train llse": ["train", "--detector", "llse", "--in", series, "--target", "n1"],
+    }[command]
+    out = tmp_path / "out"
+    assert main([*argv, "--config", write_cfg(tmp_path / "cfg.json", cfg),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert not out.exists() or list(out.iterdir()) == []

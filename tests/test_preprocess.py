@@ -1,9 +1,9 @@
-"""Pair smoothing and median filtering against brute-force oracles."""
+"""Pair smoothing against brute-force oracles."""
 
 import numpy as np
 import pytest
 
-from faultlab import ConfigError, DataError, Modality, Series, median_filter, smooth_pairs
+from faultlab import DataError, Modality, Series, smooth_pairs
 
 
 def mk(values, interval=600.0, start=0.0):
@@ -46,52 +46,3 @@ def test_smooth_pairs_halves_length_and_preserves_mean():
         consumed = vals[: 2 * (n // 2)]
         assert np.mean(out.values) == np.mean(consumed)
 
-
-def brute_median(values, width):
-    half = width // 2
-    n = len(values)
-    out = np.empty(n)
-    for k in range(n):
-        lo, hi = max(0, k - half), min(n, k + half + 1)
-        out[k] = np.median(values[lo:hi])
-    return out
-
-
-def test_median_filter_edge_rule_frozen():
-    out = median_filter(mk([0, 100, 0, 0, 0]), width=3)
-    assert np.array_equal(out.values, [50.0, 0.0, 0.0, 0.0, 0.0])
-    assert np.array_equal(out.values, brute_median(np.array([0, 100, 0, 0, 0.0]), 3))
-
-
-def test_median_filter_constant_and_monotone():
-    const = mk([3.3] * 9)
-    assert np.array_equal(median_filter(const, 5).values, const.values)
-    # idempotent on constants
-    assert np.array_equal(median_filter(median_filter(const, 5), 5).values, const.values)
-
-    mono = mk(np.arange(10, dtype=float))
-    out = median_filter(mono, 3)
-    assert np.array_equal(out.values[1:-1], mono.values[1:-1])
-
-
-def test_median_filter_matches_brute_force():
-    rng = np.random.default_rng(11)
-    for _ in range(40):
-        n = int(rng.integers(7, 80))
-        vals = rng.normal(size=n)
-        for width in (3, 5, 7):
-            out = median_filter(mk(vals), width)
-            assert len(out) == n
-            assert np.array_equal(out.values, brute_median(vals, width))
-            assert out.values.min() >= vals.min()
-            assert out.values.max() <= vals.max()
-
-
-def test_median_filter_parameter_errors():
-    s = mk([1.0, 2.0, 3.0, 4.0, 5.0])
-    with pytest.raises(ConfigError):
-        median_filter(s, 4)
-    with pytest.raises(ConfigError):
-        median_filter(s, 1)
-    with pytest.raises(ConfigError):
-        median_filter(s, 7)  # wider than the series
