@@ -1,12 +1,11 @@
 """faultlab: fault detection, fault injection, and event-misclassification
 analysis for environmental sensor time series."""
 
-from .errors import (ConfigError, DataError, FaultLabError, NumericError,
-                     UndefinedMetricError)
+from .errors import ConfigError, DataError, FaultLabError, NumericError
 from .series import (EventWindow, GroundTruthLabels, Modality, PrecipRecord,
                      Series, validate_events)
 from .preprocess import smooth_pairs
-from .events import (event_sample_indices, events_from_precipitation,
+from .events import (event_ranges, event_sample_indices, events_from_precipitation,
                      first_half_hour_indices, per_event_indices)
 from .detect import (DetectionResult, LlseModel, NeighborFit, NoiseModel,
                      ShortParams, fit_llse_model, llse_detect, llse_fit,
@@ -14,9 +13,8 @@ from .detect import (DetectionResult, LlseModel, NeighborFit, NoiseModel,
                      noise_train, save_model, short_detect)
 from .inject import (InjectionPlan, inject_noise, inject_short, load_labels,
                      merge_labels, save_labels)
-from .metrics import (EvalReport, PerEventStat, assemble_report,
-                      false_negative_ratio, load_report, mu_duration,
-                      mu_samples, noise_fn_per_sample, save_report)
+from .metrics import (EvalReport, PerEventStat, assemble_report, load_report,
+                      save_report)
 from .synth import (BoxTempProfile, DeploymentSpec, ScheduledEvent,
                     SoilMoistureProfile, gen_box_temperature, gen_deployment,
                     gen_soil_moisture, make_event_schedule)

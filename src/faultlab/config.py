@@ -5,7 +5,8 @@ value of the wrong type stops as a ConfigError (exit 2) instead of escaping
 as a TypeError further down. `number` converts with int() or float(), so
 `"30"` and `30.0` still read as 30 where they always have; the injection
 plan and the synth profiles take JSON numbers only and keep them as
-written, because the plan is echoed into label files.
+written, because the plan is echoed into label files. Neither reads a
+boolean as a number.
 """
 
 from __future__ import annotations
@@ -41,11 +42,13 @@ def section(block: dict, key: str) -> dict:
 
 
 def number(raw, what: str, kind=float):
-    """`raw` converted with `kind` (int or float)."""
-    try:
-        return kind(raw)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{what} must be a number, got {raw!r}") from None
+    """`raw` converted with `kind` (int or float); booleans are refused."""
+    if not isinstance(raw, bool):
+        try:
+            return kind(raw)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"{what} must be a number, got {raw!r}")
 
 
 def json_numbers(raw, keys, what: str) -> dict:
@@ -58,7 +61,7 @@ def json_numbers(raw, keys, what: str) -> dict:
     if unknown:
         raise ConfigError(f"unknown keys in {what}: {sorted(unknown)}")
     for key, value in block.items():
-        if not isinstance(value, (int, float)):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{what}.{key} must be a number, got {value!r}")
         number(value, f"{what}.{key}")  # an integer past the float range
     return block

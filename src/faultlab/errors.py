@@ -21,7 +21,3 @@ class DataError(FaultLabError):
 
 class NumericError(FaultLabError):
     """A computation failed numerically (singular system, non-finite result)."""
-
-
-class UndefinedMetricError(DataError):
-    """A metric's denominator is empty; the value does not exist."""

@@ -11,6 +11,7 @@ from .series import EventWindow, PrecipRecord, Series, validate_events
 
 __all__ = [
     "events_from_precipitation",
+    "event_ranges",
     "event_sample_indices",
     "per_event_indices",
     "first_half_hour_indices",
@@ -85,23 +86,36 @@ def events_from_precipitation(
     return out
 
 
+def event_ranges(s: Series, events: Sequence[EventWindow],
+                 opening_s: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Sample range [lo[i], hi[i]) of each window, in window order.
+
+    Sample k lies in window i iff start <= t_k < end on `s.times()`; since
+    those times never decrease, a binary search for each bound gives exactly
+    that set. With `opening_s`, window i ends at min(end, start + opening_s).
+    """
+    starts = np.array([ev.start for ev in events], dtype=np.float64)
+    ends = np.array([ev.end for ev in events], dtype=np.float64)
+    if opening_s is not None:
+        ends = np.minimum(ends, starts + opening_s)
+    t = s.times()
+    return np.searchsorted(t, starts, "left"), np.searchsorted(t, ends, "left")
+
+
 def event_sample_indices(s: Series, events: Sequence[EventWindow]) -> np.ndarray:
     """Sorted indices of samples whose timestamps fall inside any window.
 
     Membership is half-open: start <= t < end.
     """
-    validate_events(sorted(events, key=lambda e: e.start))
-    mask = np.zeros(len(s), dtype=bool)
-    t = s.times()
-    for ev in events:
-        mask |= (t >= ev.start) & (t < ev.end)
-    return np.nonzero(mask)[0]
+    ordered = sorted(events, key=lambda e: e.start)
+    validate_events(ordered)
+    return np.concatenate([np.empty(0, dtype=np.int64),
+                           *map(np.arange, *event_ranges(s, ordered))])
 
 
 def per_event_indices(s: Series, events: Sequence[EventWindow]) -> list[np.ndarray]:
     """Sample indices inside each window, one array per event."""
-    t = s.times()
-    return [np.nonzero((t >= ev.start) & (t < ev.end))[0] for ev in events]
+    return list(map(np.arange, *event_ranges(s, events)))
 
 
 def first_half_hour_indices(
@@ -114,9 +128,4 @@ def first_half_hour_indices(
     The opening stretch is [start, min(end, start + duration_s)), measured
     from the event start regardless of where the series begins.
     """
-    t = s.times()
-    out = []
-    for ev in events:
-        cut = min(ev.end, ev.start + duration_s)
-        out.append(np.nonzero((t >= ev.start) & (t < cut))[0])
-    return out
+    return list(map(np.arange, *event_ranges(s, events, duration_s)))

@@ -77,12 +77,16 @@ class IngestReport:
 
 
 def parse_timestamp(text: str) -> float:
-    """Epoch seconds from an ISO-8601 string or a numeric literal."""
+    """Epoch seconds from an ISO-8601 string or a finite numeric literal."""
     raw = text.strip()
     try:
-        return float(raw)
+        t = float(raw)
     except ValueError:
         pass
+    else:
+        if not math.isfinite(t):
+            raise DataError(f"non-finite timestamp {text!r}")
+        return t
     iso = raw.replace("Z", "+00:00")
     try:
         dt = datetime.fromisoformat(iso)

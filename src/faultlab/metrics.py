@@ -1,10 +1,12 @@
 """Event-misclassification and detection-quality metrics.
 
 The central quantity is mu, the fraction of event samples flagged as faulty.
-It is computed per-sample (jump/estimation detectors) or as flagged-window
-overlap per unit event duration (window detector); on an evenly sampled grid
-both reduce to the same per-sample ratio. Undefined metrics (empty
-denominators) are reported as absent, never as 0.
+`assemble_report` scores every detector the same way: its flags, windows
+expanded to samples, become one mask over the series, and one prefix sum of
+that mask counts the flagged samples in any index range. Event windows map
+to index ranges through `events.event_ranges`, so mu, its first-half-hour
+variant and the false-negative ratios are all differences of that sum.
+Undefined metrics (empty denominators) are reported as absent, never as 0.
 """
 
 from __future__ import annotations
@@ -17,16 +19,12 @@ from typing import Sequence
 import numpy as np
 
 from .detect import DetectionResult
-from .errors import ConfigError, DataError, UndefinedMetricError
-from .events import first_half_hour_indices, per_event_indices
+from .errors import ConfigError, DataError
+from .events import FIRST_HALF_HOUR_S, event_ranges
 from .io import read_json
 from .series import EventWindow, GroundTruthLabels, Series, validate_events
 
 __all__ = [
-    "mu_samples",
-    "mu_duration",
-    "false_negative_ratio",
-    "noise_fn_per_sample",
     "PerEventStat",
     "EvalReport",
     "assemble_report",
@@ -35,78 +33,6 @@ __all__ = [
 ]
 
 REPORT_FORMAT_VERSION = 1
-
-
-def mu_samples(flagged_indices, event_indices) -> float:
-    """Fraction of event samples that were flagged.
-
-    Raises UndefinedMetricError when there are no event samples.
-    """
-    ev = np.unique(np.asarray(list(event_indices), dtype=np.int64))
-    if ev.size == 0:
-        raise UndefinedMetricError("mu is undefined without event samples")
-    flags = np.unique(np.asarray(list(flagged_indices), dtype=np.int64))
-    hit = np.intersect1d(flags, ev, assume_unique=True).size
-    return hit / ev.size
-
-
-def mu_duration(flagged_windows, events: Sequence[EventWindow], s: Series) -> float:
-    """Flagged share of total event duration, on the series' sample grid.
-
-    Each (start, length) window is expanded to sample indices; for event i,
-    D_i counts its samples covered by flagged windows and E_i its samples in
-    total. Returns sum(D_i) / sum(E_i).
-    """
-    validate_events(sorted(events, key=lambda e: e.start))
-    flagged = np.zeros(len(s), dtype=bool)
-    for start, length in flagged_windows:
-        if start < 0 or start + length > len(s):
-            raise ConfigError(f"flagged window ({start}, {length}) out of bounds")
-        flagged[start:start + length] = True
-    total = 0
-    hit = 0
-    for idx in per_event_indices(s, events):
-        total += idx.size
-        hit += int(flagged[idx].sum())
-    if total == 0:
-        raise UndefinedMetricError("mu is undefined without event samples")
-    return hit / total
-
-
-def false_negative_ratio(result: DetectionResult, truth: GroundTruthLabels,
-                         kind: str) -> float:
-    """Fraction of injected faults the detector missed.
-
-    kind "short": per labeled index; a fault is missed when its sample is
-    not flagged. kind "noise": per labeled burst; a burst counts as detected
-    when the flags overlap it by at least one sample.
-    """
-    flagged = result.sample_indices()
-    if kind == "short":
-        if not truth.short_indices:
-            raise UndefinedMetricError("no short faults labeled")
-        labeled = np.array(truth.short_indices, dtype=np.int64)
-        missed = int(np.isin(labeled, flagged, invert=True).sum())
-        return missed / labeled.size
-    if kind == "noise":
-        if not truth.noise_windows:
-            raise UndefinedMetricError("no noise bursts labeled")
-        missed = 0
-        for start, length in truth.noise_windows:
-            inside = flagged[(flagged >= start) & (flagged < start + length)]
-            if inside.size == 0:
-                missed += 1
-        return missed / len(truth.noise_windows)
-    raise ConfigError(f"unknown fault kind {kind!r}")
-
-
-def noise_fn_per_sample(result: DetectionResult, truth: GroundTruthLabels) -> float:
-    """Per-sample variant of the noise miss rate: unflagged share of burst samples."""
-    if not truth.noise_windows:
-        raise UndefinedMetricError("no noise bursts labeled")
-    labeled = np.array(truth.noise_sample_indices, dtype=np.int64)
-    missed = int(np.isin(labeled, result.sample_indices(), invert=True).sum())
-    return missed / labeled.size
 
 
 @dataclass(frozen=True)
@@ -170,18 +96,15 @@ def assemble_report(s: Series, result: DetectionResult,
                         f"[0, {len(s)})")
     flagged = np.zeros(len(s), dtype=bool)
     flagged[flag_idx] = True
+    # c[k] = flags among samples [0, k), so range [lo, hi) holds c[hi] - c[lo].
+    c = np.zeros(len(s) + 1, dtype=np.int64)
+    np.cumsum(flagged, out=c[1:])
 
-    stats = []
-    opening = first_half_hour_indices(s, ordered)
-    for i, idx in enumerate(per_event_indices(s, ordered)):
-        op = opening[i]
-        stats.append(PerEventStat(
-            event_index=i,
-            samples=int(idx.size),
-            misclassified=int(flagged[idx].sum()),
-            opening_samples=int(op.size),
-            opening_misclassified=int(flagged[op].sum()),
-        ))
+    lo, hi = event_ranges(s, ordered)
+    _, op_hi = event_ranges(s, ordered, FIRST_HALF_HOUR_S)
+    counts = zip((hi - lo).tolist(), (c[hi] - c[lo]).tolist(),
+                 (op_hi - lo).tolist(), (c[op_hi] - c[lo]).tolist())
+    stats = tuple(PerEventStat(i, *row) for i, row in enumerate(counts))
     total = sum(st.samples for st in stats)
     hit = sum(st.misclassified for st in stats)
     op_total = sum(st.opening_samples for st in stats)
@@ -197,16 +120,21 @@ def assemble_report(s: Series, result: DetectionResult,
         if resolved_kind == "none":
             resolved_kind = None
         elif resolved_kind == "short":
-            fn = false_negative_ratio(result, truth, "short") if truth.short_indices else None
+            if truth.short_indices:
+                missed = int(np.count_nonzero(~flagged[list(truth.short_indices)]))
+                fn = missed / len(truth.short_indices)
         elif resolved_kind == "noise":
             if truth.noise_windows:
-                fn = false_negative_ratio(result, truth, "noise")
-                per_sample = noise_fn_per_sample(result, truth)
+                start, length = np.array(truth.noise_windows, dtype=np.int64).T
+                inside = c[start + length] - c[start]
+                fn = int(np.count_nonzero(inside == 0)) / len(truth.noise_windows)
+                burst_samples = int(length.sum())
+                per_sample = (burst_samples - int(inside.sum())) / burst_samples
         else:
             raise ConfigError(f"unknown fault kind {resolved_kind!r}")
 
     return EvalReport(mu=mu, mu_first_half_hour=mu_fhh, false_negative_ratio=fn,
-                      per_event=tuple(stats), parameters=dict(parameters or {}),
+                      per_event=stats, parameters=dict(parameters or {}),
                       fault_kind=resolved_kind, noise_fn_per_sample=per_sample)
 
 

@@ -12,11 +12,11 @@ import time
 import numpy as np
 
 import faultlab.cli as cli
-from faultlab.detect import (ShortParams, fit_llse_model, llse_detect, llse_fit,
-                             noise_detect, noise_train, short_detect)
+from faultlab.detect import (DetectionResult, ShortParams, fit_llse_model, llse_detect,
+                             llse_fit, noise_detect, noise_train, short_detect)
 from faultlab.inject import InjectionPlan, inject_noise, inject_short, save_labels
 from faultlab.io import write_series_csv
-from faultlab.metrics import assemble_report, mu_duration
+from faultlab.metrics import assemble_report
 from faultlab.pipeline import run_sweep_points
 from faultlab.preprocess import smooth_pairs
 from faultlab.series import EventWindow, Modality, Series
@@ -167,7 +167,8 @@ def test_criterion_4_duration_metric_oracle(capsys):
                         hit += k in flagged
             if total == 0:
                 continue
-            assert mu_duration(windows, events, s) == hit / total
+            result = DetectionResult("noise", flagged_windows=tuple(windows))
+            assert assemble_report(s, result, events).mu == hit / total
             count += 1
 
     _run(capsys, "criterion 4: duration metric equals brute-force overlap", 2.0, body)

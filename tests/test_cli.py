@@ -237,6 +237,16 @@ def test_missing_inputs_exit_3(tmp_path, capsys):
         assert line.startswith("data error:")
 
 
+def test_non_finite_timestamp_exits_3(tmp_path, capsys):
+    rows = [f"{k * 600},n1,soil_moisture,0.2" for k in range(10)]
+    rows[5] = "nan,n1,soil_moisture,0.2"
+    series = tmp_path / "x.csv"
+    series.write_text("timestamp,node_id,modality,value\n" + "\n".join(rows) + "\n")
+    assert main(["train", "--detector", "noise", "--in", str(series),
+                 "--modality", "soil_moisture", "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"data error: {series}:7: malformed row\n"
+
+
 def test_evaluate_rejects_mixed_flag_sources(tmp_path):
     cfg = write_cfg(tmp_path / "cfg.json", {"seed": 1, "synth": SYNTH_SMALL})
     synth_dir = tmp_path / "synth"
@@ -351,6 +361,8 @@ def test_sweep_rejects_labels_on_smoothed_data(tmp_path, capsys):
     ("sweep", {"synth": {"train_days": "x"}, "detector": "short", "grid": [0.1]}),
     ("train noise", {"noise_window_len": "x"}),
     ("train llse", {"llse": {"vote_q": "x"}}),
+    ("synth", {"synth": SYNTH_SMALL | {"interval_s": True}}),
+    ("inject", {"inject": {"kind": "short", "short_fraction": True}}),
 ])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command, cfg):
     series, events, flags = write_site(tmp_path)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from faultlab import (
     DataError,
@@ -9,6 +10,7 @@ from faultlab import (
     Modality,
     PrecipRecord,
     Series,
+    event_ranges,
     event_sample_indices,
     events_from_precipitation,
     first_half_hour_indices,
@@ -118,3 +120,51 @@ def test_first_half_hour_variant():
     # short event: opening window truncated at the event end
     per2 = first_half_hour_indices(s, [EventWindow(0.0, 1200.0)])
     assert [p.tolist() for p in per2] == [[0]]
+
+
+def mask_scan(s, events, opening_s=None):
+    """The per-window mask scan that `event_ranges` replaces: start <= t < end."""
+    t = s.times()
+    out = []
+    for ev in events:
+        end = ev.end if opening_s is None else min(ev.end, ev.start + opening_s)
+        out.append(np.nonzero((t >= ev.start) & (t < end))[0])
+    return out
+
+
+@st.composite
+def series_and_windows(draw):
+    """A series with a small or epoch-sized start and sorted disjoint windows
+    whose bounds sit on, one ulp beside, or between grid points, inside or
+    outside the series."""
+    start = draw(st.one_of(st.floats(-1e6, 1e6), st.floats(1.0e9, 2.0e9)))
+    interval = draw(st.one_of(st.sampled_from([1.0, 60.0, 600.0, 1800.0]),
+                              st.floats(0.1, 5000.0)))
+    n = draw(st.integers(0, 200))
+    bounds = set()
+    for k, ulps, frac in draw(st.lists(st.tuples(st.integers(-30, 230),
+                                                 st.sampled_from([-1, 0, 1]),
+                                                 st.sampled_from([0.0, 0.25, 0.5])),
+                                       max_size=12)):
+        x = start + k * interval + frac * interval
+        bounds.add(float(np.nextafter(x, ulps * np.inf)) if ulps else x)
+    bounds = sorted(bounds)
+    events = [EventWindow(a, b) for a, b in zip(bounds[::2], bounds[1::2])]
+    return Series("n1", Modality.BOX_TEMP, start, interval, np.zeros(n)), events
+
+
+@settings(max_examples=300, deadline=None)
+@given(layout=series_and_windows(), opening_s=st.one_of(st.just(1800.0), st.floats(0.0, 1e5)))
+def test_event_ranges_match_the_mask_scan(layout, opening_s):
+    s, events = layout
+    for cut, per in ((None, per_event_indices(s, events)),
+                     (opening_s, first_half_hour_indices(s, events, opening_s))):
+        expected = mask_scan(s, events, cut)
+        lo, hi = event_ranges(s, events, cut)
+        assert [np.arange(a, b).tolist() for a, b in zip(lo, hi)] == \
+            [idx.tolist() for idx in expected]
+        assert [idx.tolist() for idx in per] == [idx.tolist() for idx in expected]
+    union = np.zeros(len(s), dtype=bool)
+    for idx in mask_scan(s, events):
+        union[idx] = True
+    assert event_sample_indices(s, events).tolist() == np.nonzero(union)[0].tolist()

@@ -101,6 +101,16 @@ def test_ingest_malformed_rows_report_line_numbers(tmp_path):
         ingest_csv(p3)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_ingest_non_finite_timestamp_is_a_malformed_row(tmp_path, bad):
+    rows = [f"{k * 600},n1,soil_moisture,0.2\n" for k in range(10)]
+    rows[5] = f"{bad},n1,soil_moisture,0.2\n"
+    with pytest.raises(DataError, match=r"data.csv:7: malformed row$"):
+        ingest_csv(write(tmp_path, "".join(rows)))
+    with pytest.raises(DataError, match="non-finite"):
+        parse_timestamp(bad)
+
+
 def test_ingest_missing_column_and_empty(tmp_path):
     p = tmp_path / "cols.csv"
     p.write_text("timestamp,node_id,value\n0,n1,1\n")

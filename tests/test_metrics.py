@@ -11,13 +11,8 @@ from faultlab import (
     GroundTruthLabels,
     Modality,
     Series,
-    UndefinedMetricError,
     assemble_report,
     event_sample_indices,
-    false_negative_ratio,
-    mu_duration,
-    mu_samples,
-    noise_fn_per_sample,
 )
 from faultlab.metrics import load_report, report_from_dict, report_to_dict, save_report
 
@@ -26,23 +21,38 @@ def mk(n, interval=600.0, start=0.0):
     return Series("n1", Modality.BOX_TEMP, start, interval, np.zeros(n))
 
 
+def flags(samples=(), windows=()):
+    """Flagged samples and (start, length) windows as one detector's result."""
+    return DetectionResult("noise" if windows else "short",
+                           flagged_samples=tuple(samples), flagged_windows=tuple(windows))
+
+
+def mu_of(s, events, samples=(), windows=()):
+    return assemble_report(s, flags(samples, windows), events).mu
+
+
+def fn_report(truth, kind, samples=(), windows=()):
+    return assemble_report(mk(1000), flags(samples, windows), [], truth=truth, kind=kind)
+
+
 def test_mu_samples_basics():
-    events = range(100, 200)
-    assert mu_samples([], events) == 0.0
-    assert mu_samples(range(300), events) == 1.0
-    assert mu_samples(range(100, 145), events) == 0.45
-    with pytest.raises(UndefinedMetricError):
-        mu_samples([1, 2], [])
+    s = mk(300)
+    events = [EventWindow(100 * 600.0, 200 * 600.0)]
+    assert mu_of(s, events) == 0.0
+    assert mu_of(s, events, range(300)) == 1.0
+    assert mu_of(s, events, range(100, 145)) == 0.45
+    assert mu_of(s, [], [1, 2]) is None
 
 
 def test_mu_samples_monotone_in_flags():
     rng = np.random.default_rng(101)
-    events = rng.choice(500, size=80, replace=False)
-    flags = set()
+    s = mk(500)
+    events = [EventWindow(600.0 * a, 600.0 * (a + 16)) for a in range(0, 500, 100)]
+    flagged = set()
     last = 0.0
     for _ in range(30):
-        flags |= set(rng.choice(500, size=10).tolist())
-        cur = mu_samples(sorted(flags), events)
+        flagged |= set(rng.choice(500, size=10).tolist())
+        cur = mu_of(s, events, sorted(flagged))
         assert cur >= last
         last = cur
 
@@ -50,23 +60,21 @@ def test_mu_samples_monotone_in_flags():
 def test_mu_duration_examples():
     s = mk(200)
     events = [EventWindow(0.0, 18 * 600.0)]
-    assert mu_duration([], events, s) == 0.0
-    assert mu_duration([(0, 18)], events, s) == 1.0
+    assert mu_of(s, events, windows=[]) == 0.0
+    assert mu_of(s, events, windows=[(0, 18)]) == 1.0
 
     two = [EventWindow(0.0, 30 * 600.0), EventWindow(60 * 600.0, 80 * 600.0)]
     # one flagged window covers 12 samples of the first event only
-    assert mu_duration([(10, 12)], two, s) == (12 + 0) / (30 + 20)
+    assert mu_of(s, two, windows=[(10, 12)]) == (12 + 0) / (30 + 20)
 
 
 def test_mu_duration_errors():
     s = mk(50)
-    with pytest.raises(UndefinedMetricError):
-        mu_duration([(0, 5)], [], s)
-    with pytest.raises(ConfigError):
-        mu_duration([(48, 5)], [EventWindow(0.0, 600.0)], s)
-    with pytest.raises(UndefinedMetricError):
-        # event entirely outside the series carries no samples
-        mu_duration([], [EventWindow(1e6, 2e6)], s)
+    assert mu_of(s, [], windows=[(0, 5)]) is None
+    with pytest.raises(DataError):
+        mu_of(s, [EventWindow(0.0, 600.0)], windows=[(48, 5)])
+    # an event entirely outside the series carries no samples
+    assert mu_of(s, [EventWindow(1e6, 2e6)]) is None
 
 
 def test_mu_duration_equals_sample_oracle():
@@ -91,39 +99,33 @@ def test_mu_duration_equals_sample_oracle():
         ev_idx = event_sample_indices(s, events)
         if ev_idx.size == 0:
             continue
-        flag_idx = np.concatenate([np.arange(st, st + ln) for st, ln in windows]) \
-            if windows else np.array([], dtype=np.int64)
-        assert mu_duration(windows, events, s) == mu_samples(flag_idx, ev_idx)
+        flag_idx = [i for st, ln in windows for i in range(st, st + ln)]
+        mu = mu_of(s, events, windows=windows)
+        assert mu == mu_of(s, events, flag_idx)
+        assert mu == np.isin(ev_idx, flag_idx).sum() / ev_idx.size
 
 
 def test_false_negative_ratio_short():
     truth = GroundTruthLabels(short_indices=tuple(range(10)))
-    hit_all = DetectionResult("short", flagged_samples=tuple(range(20)))
-    assert false_negative_ratio(hit_all, truth, "short") == 0.0
-    nothing = DetectionResult("short", flagged_samples=())
-    assert false_negative_ratio(nothing, truth, "short") == 1.0
-    half = DetectionResult("short", flagged_samples=tuple(range(5)))
-    assert false_negative_ratio(half, truth, "short") == 0.5
+    assert fn_report(truth, "short", range(20)).false_negative_ratio == 0.0
+    assert fn_report(truth, "short").false_negative_ratio == 1.0
+    assert fn_report(truth, "short", range(5)).false_negative_ratio == 0.5
 
 
 def test_false_negative_ratio_noise_per_burst():
     truth = GroundTruthLabels(noise_windows=tuple((k * 100, 20) for k in range(8)))
     # flags overlap bursts 0..3 by one sample each
-    result = DetectionResult("noise", flagged_windows=tuple((k * 100 + 19, 1) for k in range(4)))
-    assert false_negative_ratio(result, truth, "noise") == 0.5
-    per_sample = noise_fn_per_sample(result, truth)
-    assert per_sample == (160 - 4) / 160
+    rep = fn_report(truth, "noise", windows=[(k * 100 + 19, 1) for k in range(4)])
+    assert rep.false_negative_ratio == 0.5
+    assert rep.noise_fn_per_sample == (160 - 4) / 160
 
 
 def test_false_negative_ratio_errors():
-    truth = GroundTruthLabels(short_indices=(1,))
-    r = DetectionResult("short")
     with pytest.raises(ConfigError):
-        false_negative_ratio(r, truth, "mystery")
-    with pytest.raises(UndefinedMetricError):
-        false_negative_ratio(r, GroundTruthLabels(), "short")
-    with pytest.raises(UndefinedMetricError):
-        false_negative_ratio(r, GroundTruthLabels(), "noise")
+        fn_report(GroundTruthLabels(short_indices=(1,)), "mystery")
+    for kind in ("short", "noise"):
+        rep = fn_report(GroundTruthLabels(), kind)
+        assert rep.false_negative_ratio is None and rep.noise_fn_per_sample is None
 
 
 def test_assemble_report_zero_flags_zero_truth():
