@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import load_config, modality_of, number, section, seed_of
+from .config import boolean, load_config, modality_of, number, section, seed_of
 from .detect import (LlseModel, NoiseModel, ShortParams, fit_llse_model,
                      llse_detect, load_model, noise_detect, noise_train,
                      save_model, short_detect)
@@ -155,7 +155,7 @@ def cmd_train(args) -> int:
                                percentile_p=number(llse_cfg.get("percentile_p", 95.0),
                                                    "llse.percentile_p"),
                                vote_q=number(llse_cfg.get("vote_q", 2), "llse.vote_q", int),
-                               signed=bool(llse_cfg.get("signed", False)))
+                               signed=boolean(llse_cfg.get("signed", False), "llse.signed"))
 
     save_model(model_path, model, config_echo=_echo("train", cfg))
     _say(model_path)

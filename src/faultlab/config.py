@@ -6,10 +6,13 @@ as a TypeError further down. `number` converts with int() or float(), so
 `"30"` and `30.0` still read as 30 where they always have; the injection
 plan and the synth profiles take JSON numbers only and keep them as
 written, because the plan is echoed into label files. Neither reads a
-boolean as a number.
+boolean as a number or accepts NaN or an infinity, and `boolean` takes
+only JSON true and false.
 """
 
 from __future__ import annotations
+
+import math
 
 from .errors import ConfigError
 from .inject import InjectionPlan
@@ -42,13 +45,24 @@ def section(block: dict, key: str) -> dict:
 
 
 def number(raw, what: str, kind=float):
-    """`raw` converted with `kind` (int or float); booleans are refused."""
+    """`raw` converted with `kind` (int or float); booleans, NaN and
+    infinities are refused."""
     if not isinstance(raw, bool):
         try:
-            return kind(raw)
+            value = kind(raw)
         except (TypeError, ValueError, OverflowError):
             pass
-    raise ConfigError(f"{what} must be a number, got {raw!r}")
+        else:
+            if kind is int or math.isfinite(value):
+                return value
+    raise ConfigError(f"{what} must be a finite number, got {raw!r}")
+
+
+def boolean(raw, what: str) -> bool:
+    """`raw` when it is a JSON true or false; anything else is refused."""
+    if not isinstance(raw, bool):
+        raise ConfigError(f"{what} must be true or false, got {raw!r}")
+    return raw
 
 
 def json_numbers(raw, keys, what: str) -> dict:
@@ -63,7 +77,7 @@ def json_numbers(raw, keys, what: str) -> dict:
     for key, value in block.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{what}.{key} must be a number, got {value!r}")
-        number(value, f"{what}.{key}")  # an integer past the float range
+        number(value, f"{what}.{key}")  # NaN, inf or an integer past the float range
     return block
 
 

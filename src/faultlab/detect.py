@@ -348,8 +348,11 @@ def model_from_dict(doc: dict):
             fits = tuple(NeighborFit(str(nb["node_id"]), float(nb["beta0"]),
                                      float(nb["beta1"]), float(nb["threshold"]))
                          for nb in doc["neighbors"])
+            signed = doc.get("signed", False)
+            if not isinstance(signed, bool):
+                raise DataError(f"llse model 'signed' must be true or false, got {signed!r}")
             return LlseModel(str(doc["target"]), fits, float(doc["percentile_p"]),
-                             int(doc["vote_q"]), bool(doc.get("signed", False)))
+                             int(doc["vote_q"]), signed)
     except (KeyError, TypeError, ValueError):
         raise DataError(f"malformed {kind!r} model document") from None
     raise DataError(f"unknown model kind {kind!r}")

@@ -86,19 +86,18 @@ def events_from_precipitation(
     return out
 
 
-def event_ranges(s: Series, events: Sequence[EventWindow],
+def event_ranges(t: np.ndarray, events: Sequence[EventWindow],
                  opening_s: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Sample range [lo[i], hi[i]) of each window, in window order.
+    """Sample range [lo[i], hi[i]) of each window on the time grid `t`.
 
-    Sample k lies in window i iff start <= t_k < end on `s.times()`; since
-    those times never decrease, a binary search for each bound gives exactly
-    that set. With `opening_s`, window i ends at min(end, start + opening_s).
+    Sample k lies in window i iff start <= t[k] < end; since the times of a
+    grid never decrease, a binary search for each bound gives exactly that
+    set. With `opening_s`, window i ends at min(end, start + opening_s).
     """
     starts = np.array([ev.start for ev in events], dtype=np.float64)
     ends = np.array([ev.end for ev in events], dtype=np.float64)
     if opening_s is not None:
         ends = np.minimum(ends, starts + opening_s)
-    t = s.times()
     return np.searchsorted(t, starts, "left"), np.searchsorted(t, ends, "left")
 
 
@@ -110,12 +109,12 @@ def event_sample_indices(s: Series, events: Sequence[EventWindow]) -> np.ndarray
     ordered = sorted(events, key=lambda e: e.start)
     validate_events(ordered)
     return np.concatenate([np.empty(0, dtype=np.int64),
-                           *map(np.arange, *event_ranges(s, ordered))])
+                           *map(np.arange, *event_ranges(s.times(), ordered))])
 
 
 def per_event_indices(s: Series, events: Sequence[EventWindow]) -> list[np.ndarray]:
     """Sample indices inside each window, one array per event."""
-    return list(map(np.arange, *event_ranges(s, events)))
+    return list(map(np.arange, *event_ranges(s.times(), events)))
 
 
 def first_half_hour_indices(
@@ -128,4 +127,4 @@ def first_half_hour_indices(
     The opening stretch is [start, min(end, start + duration_s)), measured
     from the event start regardless of where the series begins.
     """
-    return list(map(np.arange, *event_ranges(s, events, duration_s)))
+    return list(map(np.arange, *event_ranges(s.times(), events, duration_s)))

@@ -100,8 +100,9 @@ def assemble_report(s: Series, result: DetectionResult,
     c = np.zeros(len(s) + 1, dtype=np.int64)
     np.cumsum(flagged, out=c[1:])
 
-    lo, hi = event_ranges(s, ordered)
-    _, op_hi = event_ranges(s, ordered, FIRST_HALF_HOUR_S)
+    t = s.times()
+    lo, hi = event_ranges(t, ordered)
+    _, op_hi = event_ranges(t, ordered, FIRST_HALF_HOUR_S)
     counts = zip((hi - lo).tolist(), (c[hi] - c[lo]).tolist(),
                  (op_hi - lo).tolist(), (c[op_hi] - c[lo]).tolist())
     stats = tuple(PerEventStat(i, *row) for i, row in enumerate(counts))

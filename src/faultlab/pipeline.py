@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .config import (injection_plan, json_numbers, nodes_from_config, number,
-                     section)
+from .config import (boolean, injection_plan, json_numbers, nodes_from_config,
+                     number, section)
 from .detect import NoiseModel, ShortParams, noise_detect, noise_train, short_detect
 from .errors import ConfigError, DataError
 from .inject import InjectionPlan, inject_noise, inject_short, load_labels, merge_labels
@@ -163,7 +163,7 @@ def inject_from_config(test: Series, inject_cfg: dict, seed: int,
 
 def materialize(config: dict, seed: int, modality: Modality) -> MaterializedRun:
     """Build train/test series, events, labels, and the noise model for a sweep."""
-    smooth = bool(config.get("smooth", True))
+    smooth = boolean(config.get("smooth", True), "smooth")
     window_len = number(config.get("noise_window_len", 18), "noise_window_len", int)
     detector = config.get("detector")
 

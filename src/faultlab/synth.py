@@ -8,6 +8,9 @@ and responds to each event with a sudden rise (within one sample) to
 spike_gain * rain_mm above baseline, holding through the event and decaying
 exponentially afterwards; values are clamped to [0, 1].
 
+Responses sit on the samples `events.event_ranges` gives each window, the
+[start, end) that scoring counts; recovery and decay begin at its end.
+
 All randomness is NumPy PCG64; a seed reproduces a series bit-identically,
 and the noise-free component does not depend on the seed at all.
 """
@@ -21,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .events import event_ranges
 from .series import EventWindow, Modality, Series
 
 __all__ = [
@@ -48,8 +52,8 @@ class BoxTempProfile:
     recovery_s: float = 21600.0
 
     def __post_init__(self):
-        if self.noise_sigma_c < 0 or self.recovery_s < 0:
-            raise ConfigError("noise_sigma_c and recovery_s must be >= 0")
+        if self.noise_sigma_c < 0 or not 0 <= self.recovery_s < math.inf:
+            raise ConfigError("noise_sigma_c must be >= 0 and recovery_s finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -66,8 +70,8 @@ class SoilMoistureProfile:
             raise ConfigError(f"baseline_vwc must lie in [0, 1], got {self.baseline_vwc}")
         if self.baseline_noise_vwc < 0:
             raise ConfigError("baseline_noise_vwc must be >= 0")
-        if self.decay_tau_s <= 0:
-            raise ConfigError("decay_tau_s must be > 0")
+        if not 0 < self.decay_tau_s < math.inf:
+            raise ConfigError("decay_tau_s must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -138,14 +142,14 @@ def _windows(events: Sequence[ScheduledEvent] | Sequence[EventWindow]) -> list[t
     return out
 
 
-def _occlusion(t: np.ndarray, window: EventWindow, recovery_s: float) -> np.ndarray:
-    """Ramp 0 -> 1 across the event, linear decay to 0 over recovery_s after it."""
+def _occlusion(t: np.ndarray, windows: Sequence[EventWindow], recovery_s: float) -> np.ndarray:
+    """Largest occlusion of any window: a ramp 0 -> 1 across it, a linear fall to 0 after."""
     occ = np.zeros_like(t)
-    rising = (t >= window.start) & (t < window.end)
-    occ[rising] = (t[rising] - window.start) / window.duration
-    if recovery_s > 0:
-        falling = (t >= window.end) & (t < window.end + recovery_s)
-        occ[falling] = 1.0 - (t[falling] - window.end) / recovery_s
+    lo, hi = event_ranges(t, windows)
+    _, rec_hi = event_ranges(t, [EventWindow(w.start, w.end + recovery_s) for w in windows])
+    for w, a, b, c in zip(windows, lo.tolist(), hi.tolist(), rec_hi.tolist()):
+        np.maximum(occ[a:b], (t[a:b] - w.start) / w.duration, out=occ[a:b])
+        np.maximum(occ[b:c], 1.0 - (t[b:c] - w.end) / recovery_s, out=occ[b:c])
     return occ
 
 
@@ -158,9 +162,7 @@ def gen_box_temperature(days: int, profile: BoxTempProfile,
     t = start_time + np.arange(n) * float(interval_s)
     phase = 2.0 * np.pi * np.mod(t, DAY_S) / DAY_S - np.pi / 2.0
     base = profile.mean_c + profile.amplitude_c * np.sin(phase)
-    occ = np.zeros_like(t)
-    for window, _ in _windows(events):
-        occ = np.maximum(occ, _occlusion(t, window, profile.recovery_s))
+    occ = _occlusion(t, [w for w, _ in _windows(events)], profile.recovery_s)
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, profile.noise_sigma_c, size=n)
     values = base + noise - profile.event_depression_c * np.clip(occ, 0.0, 1.0)
@@ -181,16 +183,14 @@ def gen_soil_moisture(days: int, profile: SoilMoistureProfile,
     n = _check_grid(days, interval_s)
     t = start_time + np.arange(n) * float(interval_s)
     excess = np.zeros_like(t)
-    for window, rain_mm in _windows(events):
+    windows = _windows(events)
+    lo, hi = event_ranges(t, [w for w, _ in windows])
+    for (window, rain_mm), a, b in zip(windows, lo.tolist(), hi.tolist()):
         amp = profile.spike_gain_vwc_per_mm * rain_mm
         if amp == 0.0:
             continue
-        after = t > window.end
-        active = (t >= window.start) & ~after
-        contrib = np.zeros_like(t)
-        contrib[active] = amp
-        contrib[after] = amp * np.exp(-(t[after] - window.end) / profile.decay_tau_s)
-        excess += contrib
+        excess[a:b] += amp
+        excess[b:] += amp * np.exp(-(t[b:] - window.end) / profile.decay_tau_s)
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, profile.baseline_noise_vwc, size=n)
     values = np.clip(profile.baseline_vwc + excess + noise, 0.0, 1.0)

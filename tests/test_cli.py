@@ -7,6 +7,7 @@ import pytest
 
 import faultlab.cli as cli
 from faultlab.cli import main
+from faultlab.detect import LlseModel, NeighborFit, model_to_dict
 from faultlab.errors import DataError
 from faultlab.io import read_detection_csv, write_series_csv
 from faultlab.series import Modality, Series
@@ -363,6 +364,13 @@ def test_sweep_rejects_labels_on_smoothed_data(tmp_path, capsys):
     ("train llse", {"llse": {"vote_q": "x"}}),
     ("synth", {"synth": SYNTH_SMALL | {"interval_s": True}}),
     ("inject", {"inject": {"kind": "short", "short_fraction": True}}),
+    ("synth", {"synth": SYNTH_SMALL | {"box": {"recovery_s": float("nan")}}}),
+    ("synth", {"synth": SYNTH_SMALL | {"box": {"recovery_s": float("inf")}}}),
+    ("synth", {"synth": SYNTH_SMALL | {"box": {"mean_c": float("nan")}}}),
+    ("synth", {"synth": SYNTH_SMALL | {"soil": {"decay_tau_s": float("inf")}}}),
+    ("synth", {"synth": SYNTH_SMALL | {"nodes": [{"id": "node1", "lag_s": "nan"}]}}),
+    ("sweep", {"synth": SYNTH_SMALL, "smooth": "false", "detector": "short", "grid": [0.1]}),
+    ("train llse", {"llse": {"signed": "false"}}),
 ])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command, cfg):
     series, events, flags = write_site(tmp_path)
@@ -381,3 +389,16 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, command, cfg):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:")
     assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_llse_model_with_non_boolean_signed_exits_3(tmp_path, capsys):
+    series, _, _ = write_site(tmp_path)
+    model = LlseModel("n1", (NeighborFit("n2", 0.0, 1.0, 0.1),
+                             NeighborFit("n3", 0.0, 1.0, 0.1)), 95.0, 2)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_to_dict(model) | {"signed": "false"}))
+    out = tmp_path / "out"
+    assert main(["detect", "--in", series, "--detector", "llse", "--model", str(path),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("data error:")
+    assert not (out / "flags.csv").exists()

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from faultlab import ConfigError, Modality
 from faultlab.cli import main
-from faultlab.config import injection_plan, modality_of, number, seed_of
+from faultlab.config import boolean, injection_plan, json_numbers, modality_of, number, seed_of
 
 BASE = {
     "seed": 3,
@@ -153,8 +153,24 @@ def test_number_keeps_int_and_float_conversions():
     for bad in ("x", None, [], {}, float("inf"), True, False):
         with pytest.raises(ConfigError):
             number(bad, "x", int)
-    with pytest.raises(ConfigError):
-        number(True, "x")
+    for bad in (True, float("inf"), float("-inf"), float("nan"), "nan", "inf", "1e400"):
+        with pytest.raises(ConfigError):
+            number(bad, "x")
+    assert number("2.5", "x") == 2.5
+
+
+def test_json_numbers_refuse_nan_and_infinities():
+    for text in ("NaN", "Infinity", "-Infinity", "1e400"):
+        with pytest.raises(ConfigError):
+            json_numbers(json.loads(f'{{"a": {text}}}'), ("a",), "block")
+    assert json_numbers({"a": 1e300}, ("a",), "block") == {"a": 1e300}
+
+
+def test_boolean_takes_only_true_and_false():
+    assert boolean(True, "x") is True and boolean(False, "x") is False
+    for bad in ("false", "true", 0, 1, None, []):
+        with pytest.raises(ConfigError):
+            boolean(bad, "x")
 
 
 def test_modality_of_unset_and_bogus():

@@ -160,7 +160,7 @@ def test_event_ranges_match_the_mask_scan(layout, opening_s):
     for cut, per in ((None, per_event_indices(s, events)),
                      (opening_s, first_half_hour_indices(s, events, opening_s))):
         expected = mask_scan(s, events, cut)
-        lo, hi = event_ranges(s, events, cut)
+        lo, hi = event_ranges(s.times(), events, cut)
         assert [np.arange(a, b).tolist() for a, b in zip(lo, hi)] == \
             [idx.tolist() for idx in expected]
         assert [idx.tolist() for idx in per] == [idx.tolist() for idx in expected]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from faultlab import (
     BoxTempProfile,
@@ -140,6 +141,14 @@ def test_grid_validation():
         ScheduledEvent(EventWindow(0.0, 10.0), rain_mm=0.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_profiles_require_finite_spans(bad):
+    with pytest.raises(ConfigError):
+        BoxTempProfile(recovery_s=bad)
+    with pytest.raises(ConfigError):
+        SoilMoistureProfile(decay_tau_s=bad)
+
+
 def quiet_profiles():
     return (BoxTempProfile(noise_sigma_c=0.0),
             SoilMoistureProfile(baseline_noise_vwc=0.0))
@@ -234,3 +243,75 @@ def test_make_event_schedule_span_offset_and_errors():
         assert ev.window.end <= 110 * DAY
     with pytest.raises(DataError):
         make_event_schedule(1, 10, seed=5)  # slots shorter than max duration
+
+
+def mask_box_temperature(clean, profile, windows):
+    """The per-event whole-grid mask code that index ranges replaced, applied
+    to the event-free series `clean` (base plus noise)."""
+    t = clean.times()
+    occ = np.zeros_like(t)
+    for window in windows:
+        one = np.zeros_like(t)
+        rising = (t >= window.start) & (t < window.end)
+        one[rising] = (t[rising] - window.start) / window.duration
+        if profile.recovery_s > 0:
+            falling = (t >= window.end) & (t < window.end + profile.recovery_s)
+            one[falling] = 1.0 - (t[falling] - window.end) / profile.recovery_s
+        occ = np.maximum(occ, one)
+    return clean.values - profile.event_depression_c * np.clip(occ, 0.0, 1.0)
+
+
+def mask_soil_moisture(t, profile, schedule, seed):
+    """The mask code of the soil response: held over the closed [start, end],
+    decaying for t > end."""
+    excess = np.zeros_like(t)
+    for ev in schedule:
+        amp = profile.spike_gain_vwc_per_mm * ev.rain_mm
+        after = t > ev.window.end
+        active = (t >= ev.window.start) & ~after
+        one = np.zeros_like(t)
+        one[active] = amp
+        one[after] = amp * np.exp(-(t[after] - ev.window.end) / profile.decay_tau_s)
+        excess += one
+    noise = np.random.default_rng(seed).normal(0.0, profile.baseline_noise_vwc, size=t.size)
+    return np.clip(profile.baseline_vwc + excess + noise, 0.0, 1.0)
+
+
+@st.composite
+def synth_layouts(draw):
+    """A grid with a zero, offset or epoch-sized start and unsorted, possibly
+    overlapping events whose bounds sit on or between grid points, inside or
+    partly outside the series."""
+    start = draw(st.one_of(st.just(0.0), st.floats(-1e5, 1e5), st.floats(1.0e9, 2.0e9)))
+    interval = draw(st.sampled_from([300.0, 600.0, 1800.0, 3600.0]))
+    days = draw(st.integers(1, 2))
+    span = days * DAY
+    bound = st.one_of(
+        st.integers(-20, int(span / interval) + 20).map(lambda k: start + k * interval),
+        st.floats(-0.2 * span, 1.2 * span).map(lambda x: start + x))
+    events = []
+    for a, b, rain in draw(st.lists(st.tuples(bound, bound, st.floats(0.1, 50.0)),
+                                    max_size=6)):
+        if a != b:
+            events.append(ScheduledEvent(EventWindow(min(a, b), max(a, b)), rain))
+    span_s = st.one_of(st.just(0.0), st.sampled_from([interval, 4 * interval, 21600.0]),
+                       st.floats(1.0, 1e5))
+    recovery_s = draw(span_s)
+    tau = draw(st.one_of(st.sampled_from([interval, 21600.0, 172800.0]), st.floats(1.0, 1e6)))
+    return start, interval, days, events, recovery_s, tau
+
+
+@settings(max_examples=300, deadline=None)
+@given(layout=synth_layouts(), windows_only=st.booleans(), seed=st.integers(0, 3))
+def test_generators_match_the_mask_code(layout, windows_only, seed):
+    start, interval, days, events, recovery_s, tau = layout
+    box = BoxTempProfile(recovery_s=recovery_s)
+    box_events = [ev.window for ev in events] if windows_only else events
+    s = gen_box_temperature(days, box, box_events, interval, seed=seed, start_time=start)
+    clean = gen_box_temperature(days, box, [], interval, seed=seed, start_time=start)
+    assert np.array_equal(s.values, mask_box_temperature(clean, box, [ev.window for ev in events]))
+
+    soil = SoilMoistureProfile(decay_tau_s=tau)
+    s = gen_soil_moisture(days, soil, box_events, interval, seed=seed, start_time=start)
+    expected = mask_soil_moisture(s.times(), soil, [] if windows_only else events, seed)
+    assert np.array_equal(s.values, expected)
