@@ -18,8 +18,8 @@ from .metrics import (EvalReport, PerEventStat, assemble_report, load_report,
 from .synth import (BoxTempProfile, DeploymentSpec, ScheduledEvent,
                     SoilMoistureProfile, gen_box_temperature, gen_deployment,
                     gen_soil_moisture, make_event_schedule)
-from .io import (CsvSchema, IngestReport, ingest_csv, read_detection_csv,
-                 read_events_csv, read_precip_csv, write_detection_csv,
-                 write_events_csv, write_series_csv)
+from .io import (IngestReport, ingest_csv, read_detection_csv, read_events_csv,
+                 read_precip_csv, write_detection_csv, write_events_csv,
+                 write_series_csv)
 
 __version__ = "0.1.0"

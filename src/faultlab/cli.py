@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -24,7 +23,8 @@ from .detect import DetectionResult
 from .errors import ConfigError, DataError, FaultLabError, NumericError
 from .inject import save_labels, load_labels
 from .io import (ingest_csv, read_detection_csv, read_events_csv,
-                 write_detection_csv, write_events_csv, write_series_csv)
+                 write_csv, write_detection_csv, write_events_csv, write_json,
+                 write_series_csv)
 from .metrics import assemble_report, save_report
 from .pipeline import (build_synth_config, inject_from_config, run_sweep_points,
                        select_series, sweep_rows, SWEEP_HEADER)
@@ -50,18 +50,21 @@ def _echo(command: str, cfg: dict) -> dict:
     return {"command": command, "config": cfg}
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
 def _write_meta(path: Path, command: str, cfg: dict) -> Path:
     meta = path.with_name(path.name + ".meta.json")
-    _write_json(meta, _echo(command, cfg))
+    write_json(meta, _echo(command, cfg))
     return meta
 
 
 def _say(path: Path) -> None:
     print(f"wrote {path}")
+
+
+def _write_with_meta(path: Path, write, data, command: str, cfg: dict) -> None:
+    """`write(path, data)` and the config sidecar of `path`."""
+    write(path, data)
+    _say(path)
+    _say(_write_meta(path, command, cfg))
 
 
 def _input_series(args, modality: Modality | None) -> Series:
@@ -94,18 +97,10 @@ def cmd_synth(args) -> int:
         series = [s for s in series if s.modality == keep]
     out = _out_dir(args)
 
-    series_path = out / "series.csv"
-    write_series_csv(series_path, series)
-    _say(series_path)
-    _say(_write_meta(series_path, "synth", cfg))
-
-    events_path = out / "events.csv"
-    write_events_csv(events_path, events)
-    _say(events_path)
-    _say(_write_meta(events_path, "synth", cfg))
-
+    _write_with_meta(out / "series.csv", write_series_csv, series, "synth", cfg)
+    _write_with_meta(out / "events.csv", write_events_csv, events, "synth", cfg)
     sched_path = out / "schedule.json"
-    _write_json(sched_path, _echo("synth", cfg) | {
+    write_json(sched_path, _echo("synth", cfg) | {
         "schedule": [{"start": ev.window.start, "end": ev.window.end,
                       "rain_mm": ev.rain_mm} for ev in schedule]})
     _say(sched_path)
@@ -122,10 +117,7 @@ def cmd_inject(args) -> int:
     s, labels, plan = inject_from_config(s, inject_cfg, seed, None)
 
     out = _out_dir(args)
-    faulted_path = out / "faulted.csv"
-    write_series_csv(faulted_path, [s])
-    _say(faulted_path)
-    _say(_write_meta(faulted_path, "inject", cfg))
+    _write_with_meta(out / "faulted.csv", write_series_csv, [s], "inject", cfg)
     labels_path = out / "faulted.labels.json"
     save_labels(labels_path, labels, plan)
     _say(labels_path)
@@ -162,12 +154,18 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _model(args, cls):
+    """The model file of `--model`, which must hold a `cls` model."""
+    model = load_model(args.model) if args.model else None
+    if not isinstance(model, cls):
+        raise ConfigError(f"{args.detector} detection needs --model with a {args.detector} model")
+    return model
+
+
 def _detect(args, cfg: dict) -> DetectionResult:
     modality = modality_of(cfg)
     if args.detector == "llse":
-        model = load_model(args.model) if args.model else None
-        if not isinstance(model, LlseModel):
-            raise ConfigError("llse detection needs --model with an llse model")
+        model = _model(args, LlseModel)
         s, neighbors = _llse_series(args.infile, model.target, modality,
                                     [fit.node_id for fit in model.neighbors])
         return llse_detect(s, neighbors, model)
@@ -175,18 +173,11 @@ def _detect(args, cfg: dict) -> DetectionResult:
     if args.detector == "short":
         delta = args.delta if args.delta is not None else cfg.get("delta")
         if delta is None and args.model:
-            model = load_model(args.model)
-            if not isinstance(model, ShortParams):
-                raise ConfigError(f"{args.model} is not a short model")
-            delta = model.delta
+            delta = _model(args, ShortParams).delta
         if delta is None:
             raise ConfigError("short detection needs --delta, config 'delta', or --model")
         return short_detect(s, ShortParams(number(delta, "delta")))
-    if not args.model:
-        raise ConfigError("noise detection needs --model")
-    model = load_model(args.model)
-    if not isinstance(model, NoiseModel):
-        raise ConfigError(f"{args.model} is not a noise model")
+    model = _model(args, NoiseModel)
     multiplier = args.multiplier if args.multiplier is not None else cfg.get("multiplier")
     if multiplier is None:
         raise ConfigError("noise detection needs --multiplier or config 'multiplier'")
@@ -196,11 +187,8 @@ def _detect(args, cfg: dict) -> DetectionResult:
 def cmd_detect(args) -> int:
     cfg = resolve_config(args)
     result = _detect(args, cfg)
-    out = _out_dir(args)
-    flags_path = out / "flags.csv"
-    write_detection_csv(flags_path, result.to_flags())
-    _say(flags_path)
-    _say(_write_meta(flags_path, "detect", cfg))
+    _write_with_meta(_out_dir(args) / "flags.csv", write_detection_csv, result.to_flags(),
+                     "detect", cfg)
     return 0
 
 
@@ -212,8 +200,7 @@ def cmd_evaluate(args) -> int:
     if len(by_source) != 1:
         raise DataError(f"{args.flags}: expected flags from exactly one detector, "
                         f"found {sorted(by_source)}")
-    source, indices = next(iter(by_source.items()))
-    result = DetectionResult(source, tuple(int(i) for i in indices))
+    result = DetectionResult(*next(iter(by_source.items())))
 
     truth = load_labels(args.labels) if args.labels else None
     report = assemble_report(s, result, events, truth=truth,
@@ -235,10 +222,7 @@ def cmd_sweep(args) -> int:
     try:
         result = run_sweep_points(cfg, seed, modality)
         sweep_path = out / "sweep.csv"
-        with sweep_path.open("w", newline="") as fh:
-            fh.write(",".join(SWEEP_HEADER) + "\n")
-            for row in sweep_rows(result):
-                fh.write(",".join(row) + "\n")
+        write_csv(sweep_path, SWEEP_HEADER, sweep_rows(result))
         written.append(sweep_path)
         written.append(_write_meta(sweep_path, "sweep", cfg))
         for i, pt in enumerate(result.points):

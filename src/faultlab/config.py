@@ -4,10 +4,10 @@ Every config value the CLI and the pipeline use passes through here, so a
 value of the wrong type stops as a ConfigError (exit 2) instead of escaping
 as a TypeError further down. `number` converts with int() or float(), so
 `"30"` and `30.0` still read as 30 where they always have; the injection
-plan and the synth profiles take JSON numbers only and keep them as
-written, because the plan is echoed into label files. Neither reads a
-boolean as a number or accepts NaN or an infinity, and `boolean` takes
-only JSON true and false.
+plan and the synth profiles take JSON numbers only (`io.json_number`) and
+keep them as written, because the plan is echoed into label files. Neither
+reads a boolean as a number or accepts NaN or an infinity, and `boolean`
+takes only JSON true and false.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 
 from .errors import ConfigError
 from .inject import InjectionPlan
-from .io import read_json
+from .io import json_fields, json_list, json_number, read_json
 from .series import Modality
 
 CONFIG_VERSION = 1
@@ -68,16 +68,9 @@ def boolean(raw, what: str) -> bool:
 def json_numbers(raw, keys, what: str) -> dict:
     """An object of JSON numbers named in `keys`, kept as written; empty or
     null reads as no entries."""
-    block = raw or {}
-    if not isinstance(block, dict):
-        raise ConfigError(f"{what} must be an object, got {raw!r}")
-    unknown = set(block) - set(keys)
-    if unknown:
-        raise ConfigError(f"unknown keys in {what}: {sorted(unknown)}")
+    block = json_fields(raw or {}, what, keys, error=ConfigError)
     for key, value in block.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{what}.{key} must be a number, got {value!r}")
-        number(value, f"{what}.{key}")  # NaN, inf or an integer past the float range
+        json_number(value, f"{what}.{key}", error=ConfigError)
     return block
 
 
@@ -104,9 +97,8 @@ def injection_plan(inject: dict, seed: int) -> InjectionPlan:
     kwargs = json_numbers({k: v for k, v in inject.items() if k in PLAN_NUMBERS},
                           PLAN_NUMBERS, "inject")
     if "noise_burst_lengths" in inject:
-        lengths = inject["noise_burst_lengths"]
-        if not isinstance(lengths, list):
-            raise ConfigError(f"inject.noise_burst_lengths must be a list, got {lengths!r}")
+        lengths = json_list(inject["noise_burst_lengths"], "inject.noise_burst_lengths",
+                            ConfigError)
         kwargs["noise_burst_lengths"] = tuple(
             number(x, "inject.noise_burst_lengths", int) for x in lengths)
     return InjectionPlan(seed=seed, **kwargs)

@@ -13,7 +13,6 @@ Three rules are implemented:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -22,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
-from .io import read_json
+from .io import json_fields, json_list, json_number, read_json, write_json
 from .series import Series
 
 __all__ = [
@@ -152,7 +151,8 @@ def short_detect(s: Series, params: ShortParams) -> DetectionResult:
     """
     if len(s) < 2:
         raise DataError("short_detect needs at least 2 samples")
-    jumps = np.abs(np.diff(s.values))
+    with np.errstate(over="ignore"):  # an infinite jump exceeds every delta
+        jumps = np.abs(np.diff(s.values))
     flagged = np.nonzero(jumps > params.delta)[0] + 1
     return DetectionResult("short", tuple(int(i) for i in flagged))
 
@@ -312,57 +312,58 @@ def llse_detect(target: Series, neighbors: Mapping[str, Series] | Sequence[Serie
 # Model serialization (versioned JSON)
 # --------------------------------------------------------------------------
 
+# A model document holds `version`, `kind`, the fields of the kind's class
+# (an llse neighbor: those of NeighborFit) and maybe the `save_model` echo `config`.
+MODEL_KINDS = {"short": ShortParams, "noise": NoiseModel, "llse": LlseModel}
+
+
 def model_to_dict(model) -> dict:
-    if isinstance(model, ShortParams):
-        return {"version": MODEL_FORMAT_VERSION, "kind": "short", "delta": model.delta}
-    if isinstance(model, NoiseModel):
-        return {"version": MODEL_FORMAT_VERSION, "kind": "noise",
-                "window_len": model.window_len,
-                "sigma_train": model.sigma_train,
-                "sigma_hist_spread": model.sigma_hist_spread}
-    if isinstance(model, LlseModel):
-        return {"version": MODEL_FORMAT_VERSION, "kind": "llse",
-                "target": model.target,
-                "percentile_p": model.percentile_p,
-                "vote_q": model.vote_q,
-                "signed": model.signed,
-                "neighbors": [asdict(nb) for nb in model.neighbors]}
-    raise ConfigError(f"cannot serialize model of type {type(model).__name__}")
+    kind = next((k for k, cls in MODEL_KINDS.items() if isinstance(model, cls)), None)
+    if kind is None:
+        raise ConfigError(f"cannot serialize model of type {type(model).__name__}")
+    doc = {"version": MODEL_FORMAT_VERSION, "kind": kind} | asdict(model)
+    if kind == "llse":
+        doc["neighbors"] = list(doc["neighbors"])  # a list, as a parsed file holds it
+    return doc
 
 
 def model_from_dict(doc: dict):
-    try:
-        version = doc["version"]
-        kind = doc["kind"]
-    except (KeyError, TypeError):
-        raise DataError("model document lacks version/kind fields") from None
-    if version != MODEL_FORMAT_VERSION:
-        raise DataError(f"unsupported model format version {version!r}")
-    try:
-        if kind == "short":
-            return ShortParams(float(doc["delta"]))
-        if kind == "noise":
-            return NoiseModel(int(doc["window_len"]), float(doc["sigma_train"]),
-                              float(doc["sigma_hist_spread"]))
-        if kind == "llse":
-            fits = tuple(NeighborFit(str(nb["node_id"]), float(nb["beta0"]),
-                                     float(nb["beta1"]), float(nb["threshold"]))
-                         for nb in doc["neighbors"])
-            signed = doc.get("signed", False)
-            if not isinstance(signed, bool):
-                raise DataError(f"llse model 'signed' must be true or false, got {signed!r}")
-            return LlseModel(str(doc["target"]), fits, float(doc["percentile_p"]),
-                             int(doc["vote_q"]), signed)
-    except (KeyError, TypeError, ValueError):
-        raise DataError(f"malformed {kind!r} model document") from None
-    raise DataError(f"unknown model kind {kind!r}")
+    if not isinstance(doc, dict) or doc.get("version") != MODEL_FORMAT_VERSION:
+        raise DataError(f"not a model document of format version {MODEL_FORMAT_VERSION}")
+    kind = doc.get("kind")
+    cls = MODEL_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise DataError(f"unknown model kind {kind!r}")
+    what = f"{kind} model"
+    fields = cls.__dataclass_fields__
+    json_fields(doc, what, ("version", "kind", "config", *fields),
+                [key for key in fields if key != "signed"])
+
+    def num(block: dict, key: str, cast: type = float):
+        return json_number(block[key], f"{what} {key}", cast)
+
+    if kind == "short":
+        return ShortParams(num(doc, "delta"))
+    if kind == "noise":
+        return NoiseModel(num(doc, "window_len", int), num(doc, "sigma_train"),
+                          num(doc, "sigma_hist_spread"))
+    fields = NeighborFit.__dataclass_fields__
+    neighbors = [json_fields(nb, f"{what} neighbor", fields, fields)
+                 for nb in json_list(doc["neighbors"], f"{what} neighbors")]
+    fits = tuple(NeighborFit(str(nb["node_id"]), num(nb, "beta0"), num(nb, "beta1"),
+                             num(nb, "threshold")) for nb in neighbors)
+    signed = doc.get("signed", False)
+    if not isinstance(signed, bool):
+        raise DataError(f"llse model 'signed' must be true or false, got {signed!r}")
+    return LlseModel(str(doc["target"]), fits, num(doc, "percentile_p"),
+                     num(doc, "vote_q", int), signed)
 
 
 def save_model(path: str | Path, model, config_echo: dict | None = None) -> None:
     doc = model_to_dict(model)
     if config_echo is not None:
         doc["config"] = config_echo
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)
 
 
 def load_model(path: str | Path):

@@ -9,7 +9,6 @@ seed never share draws.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -17,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .io import read_json
+from .io import json_fields, json_list, json_number, read_json, write_json
 from .series import GroundTruthLabels, Series
 
 __all__ = [
@@ -157,17 +156,19 @@ def labels_to_dict(labels: GroundTruthLabels, plan: InjectionPlan) -> dict:
 
 
 def labels_from_dict(doc: dict) -> GroundTruthLabels:
-    try:
-        short = tuple(int(i) for i in doc.get("short", []))
-        noise = tuple((int(w["start"]), int(w["len"])) for w in doc.get("noise", []))
-    except (AttributeError, KeyError, TypeError, ValueError):
-        raise DataError("malformed labels document") from None
+    """Labels of a `labels_to_dict` document; indices must be JSON integers."""
+    doc = json_fields(doc, "labels", ("short", "noise", "seed", "plan"))
+    short = tuple(json_number(i, "labels.short index", int)
+                  for i in json_list(doc.get("short", []), "labels.short"))
+    bursts = [json_fields(w, "labels.noise burst", ("start", "len"), ("start", "len"))
+              for w in json_list(doc.get("noise", []), "labels.noise")]
+    noise = tuple((json_number(w["start"], "labels.noise start", int),
+                   json_number(w["len"], "labels.noise len", int)) for w in bursts)
     return GroundTruthLabels(short_indices=short, noise_windows=noise)
 
 
 def save_labels(path: str | Path, labels: GroundTruthLabels, plan: InjectionPlan) -> None:
-    Path(path).write_text(json.dumps(labels_to_dict(labels, plan),
-                                     indent=2, sort_keys=True) + "\n")
+    write_json(path, labels_to_dict(labels, plan))
 
 
 def load_labels(path: str | Path) -> GroundTruthLabels:

@@ -1,6 +1,9 @@
 """File formats: sensor-data CSV ingestion, precipitation/event/detection CSVs,
 JSON documents.
 
+Every input file crosses one boundary here: `_rows` reads each CSV, and
+`json_number`/`json_fields`/`json_list` check each value of a JSON document.
+
 Timestamps are accepted as ISO-8601 (UTC assumed when no zone is given) or as
 epoch seconds; written files always use epoch seconds so that byte-identical
 reruns are possible.
@@ -11,10 +14,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,16 +27,20 @@ from .errors import DataError
 from .series import EventWindow, Modality, PrecipRecord, Series
 
 __all__ = [
-    "CsvSchema",
     "IngestReport",
     "ingest_csv",
     "write_series_csv",
+    "write_csv",
     "read_precip_csv",
     "read_events_csv",
     "write_events_csv",
     "write_detection_csv",
     "read_detection_csv",
     "read_json",
+    "write_json",
+    "json_number",
+    "json_fields",
+    "json_list",
 ]
 
 # Longest run of consecutive missing samples repaired by interpolation;
@@ -41,22 +50,52 @@ MAX_INTERPOLATED_RUN = 3
 # Relative tolerance on sample spacing.
 SPACING_RTOL = 0.01
 
+SERIES_COLUMNS = ("timestamp", "node_id", "modality", "value")
 
-def _open_text(path: Path):
+
+def _open_text(path: Path, error: type[Exception] = DataError):
     try:
         return path.open(newline="")
     except OSError as exc:
-        raise DataError(f"{path}: cannot read ({exc.strerror or exc})") from None
+        raise error(f"{path}: cannot read ({exc.strerror or exc})") from None
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column names of a sensor-data CSV."""
+def _rows(path: Path, columns: Sequence[str], parse: Callable = lambda *cells: cells) -> Iterator:
+    """(line number, `parse(*cells of columns)`) for each data row of a CSV.
 
-    timestamp: str = "timestamp"
-    node_id: str = "node_id"
-    modality: str = "modality"
-    value: str = "value"
+    `#` comment lines and blank lines are skipped but counted, so the line
+    number is the file's own. The first other line is the header. Cells
+    missing from a short row read as ""; a row `parse` rejects is malformed.
+    """
+    lineno = 0
+
+    def lines(fh):
+        nonlocal lineno
+        for lineno, line in enumerate(fh, 1):
+            if not (line.startswith("#") or line.isspace()):
+                yield line
+
+    with _open_text(path) as fh:
+        try:
+            reader = csv.reader(lines(fh))
+            at = {name: i for i, name in enumerate(next(reader, []))}
+            for col in columns:
+                if col not in at:
+                    raise DataError(f"{path}: missing column {col!r}")
+            pos = [at[col] for col in columns]
+            width, pick = max(pos) + 1, itemgetter(*pos)
+            for cells in reader:
+                if len(cells) < width:
+                    cells += [""] * (width - len(cells))
+                try:
+                    row = parse(*pick(cells))
+                except (DataError, ValueError):
+                    raise DataError(f"{path}:{lineno}: malformed row") from None
+                yield lineno, row
+        except csv.Error as exc:
+            raise DataError(f"{path}:{lineno}: malformed row ({exc})") from None
+        except UnicodeDecodeError as exc:  # decoded in chunks, so no line to cite
+            raise DataError(f"{path}: not text in the expected encoding ({exc})") from None
 
 
 @dataclass
@@ -82,27 +121,18 @@ def parse_timestamp(text: str) -> float:
     try:
         t = float(raw)
     except ValueError:
-        pass
-    else:
-        if not math.isfinite(t):
-            raise DataError(f"non-finite timestamp {text!r}")
-        return t
-    iso = raw.replace("Z", "+00:00")
-    try:
-        dt = datetime.fromisoformat(iso)
-    except ValueError:
-        raise DataError(f"malformed timestamp {text!r}") from None
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.timestamp()
+        try:
+            dt = datetime.fromisoformat(raw.replace("Z", "+00:00"))
+        except ValueError:
+            raise DataError(f"malformed timestamp {text!r}") from None
+        return (dt if dt.tzinfo else dt.replace(tzinfo=timezone.utc)).timestamp()
+    if not math.isfinite(t):
+        raise DataError(f"non-finite timestamp {text!r}")
+    return t
 
 
 def format_timestamp(t: float) -> str:
     return str(int(t)) if float(t).is_integer() else repr(float(t))
-
-
-def format_value(v: float) -> str:
-    return repr(float(v))
 
 
 def _nominal_interval(diffs: np.ndarray) -> float:
@@ -177,7 +207,7 @@ def _repair_group(
 DEFAULT_SINGLETON_INTERVAL = 900.0
 
 
-def ingest_csv(path: str | Path, schema: CsvSchema = CsvSchema()) -> IngestReport:
+def ingest_csv(path: str | Path) -> IngestReport:
     """Read a sensor-data CSV into evenly spaced Series.
 
     Rows are grouped by (node_id, modality). Within a group, timestamps must
@@ -187,105 +217,64 @@ def ingest_csv(path: str | Path, schema: CsvSchema = CsvSchema()) -> IngestRepor
     linear interpolation (counted in the report); longer gaps split the
     series into separate pieces.
     """
+    def parse(ts, node, modality, raw):
+        return parse_timestamp(ts), (node.strip(), Modality(modality.strip()).value), raw.strip()
+
     path = Path(path)
     groups: dict[tuple[str, str], tuple[list[float], list[float]]] = {}
-    order: list[tuple[str, str]] = []
-    with _open_text(path) as fh:
-        reader = csv.DictReader(row for row in fh if not row.startswith("#"))
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: empty file")
-        for col in (schema.timestamp, schema.node_id, schema.modality, schema.value):
-            if col not in reader.fieldnames:
-                raise DataError(f"{path}: missing column {col!r}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                ts = parse_timestamp(row[schema.timestamp])
-                node = row[schema.node_id].strip()
-                modality = Modality(row[schema.modality].strip()).value
-                raw = row[schema.value]
-            except (DataError, ValueError, AttributeError, TypeError):
-                raise DataError(f"{path}:{lineno}: malformed row") from None
-            if not node:
-                raise DataError(f"{path}:{lineno}: malformed row (empty node_id)")
-            key = (node, modality)
-            if key not in groups:
-                groups[key] = ([], [])
-                order.append(key)
-            raw = (raw or "").strip()
-            if raw == "":
-                continue
-            try:
-                val = float(raw)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: malformed row (bad value {raw!r})") from None
-            if not math.isfinite(val):
-                continue
-            groups[key][0].append(ts)
-            groups[key][1].append(val)
+    for lineno, (t, key, raw) in _rows(path, SERIES_COLUMNS, parse):
+        if not key[0]:
+            raise DataError(f"{path}:{lineno}: malformed row (empty node_id)")
+        group = groups.setdefault(key, ([], []))
+        if raw == "":
+            continue
+        try:
+            val = float(raw)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: malformed row (bad value {raw!r})") from None
+        if math.isfinite(val):
+            group[0].append(t)
+            group[1].append(val)
     if not groups:
         raise DataError(f"{path}: no data rows")
 
     report = IngestReport(series=[])
-    for key in order:
-        times, values = groups[key]
+    for key, (times, values) in groups.items():
         report.series.extend(_repair_group(key, times, values, report))
     return report
 
 
-def write_series_csv(path: str | Path, series: Iterable[Series],
-                     schema: CsvSchema = CsvSchema()) -> None:
-    """Write series to the sensor-data CSV format, one row per sample."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable) -> None:
+    """Write `header` and `rows` as CSV with newline line ends."""
+    with Path(path).open("w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow([schema.timestamp, schema.node_id, schema.modality, schema.value])
-        for s in series:
-            t0, dt = s.start_time, s.sample_interval
-            for k, val in enumerate(s.values):
-                w.writerow([format_timestamp(t0 + k * dt), s.node_id,
-                            s.modality.value, format_value(val)])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_series_csv(path: str | Path, series: Iterable[Series]) -> None:
+    """Write series to the sensor-data CSV format, one row per sample."""
+    write_csv(path, SERIES_COLUMNS,
+              ([format_timestamp(s.start_time + k * s.sample_interval), s.node_id,
+                s.modality.value, repr(val)]
+               for s in series for k, val in enumerate(s.values.tolist())))
 
 
 def read_precip_csv(path: str | Path) -> list[PrecipRecord]:
     """Read gauge records from a CSV with header ``timestamp,amount_mm``."""
-    path = Path(path)
-    out: list[PrecipRecord] = []
-    with _open_text(path) as fh:
-        reader = csv.DictReader(row for row in fh if not row.startswith("#"))
-        if reader.fieldnames is None or not {"timestamp", "amount_mm"} <= set(reader.fieldnames):
-            raise DataError(f"{path}: expected columns timestamp,amount_mm")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                out.append(PrecipRecord(parse_timestamp(row["timestamp"]),
-                                        float(row["amount_mm"])))
-            except (DataError, ValueError, TypeError):
-                raise DataError(f"{path}:{lineno}: malformed row") from None
-    return out
+    return [rec for _, rec in _rows(Path(path), ("timestamp", "amount_mm"),
+                                    lambda ts, mm: PrecipRecord(parse_timestamp(ts), float(mm)))]
 
 
 def read_events_csv(path: str | Path) -> list[EventWindow]:
     """Read event windows from a CSV with header ``start,end``."""
-    path = Path(path)
-    out: list[EventWindow] = []
-    with _open_text(path) as fh:
-        reader = csv.DictReader(row for row in fh if not row.startswith("#"))
-        if reader.fieldnames is None or not {"start", "end"} <= set(reader.fieldnames):
-            raise DataError(f"{path}: expected columns start,end")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                out.append(EventWindow(parse_timestamp(row["start"]),
-                                       parse_timestamp(row["end"])))
-            except (DataError, ValueError, TypeError):
-                raise DataError(f"{path}:{lineno}: malformed row") from None
-    return out
+    return [ev for _, ev in _rows(Path(path), ("start", "end"),
+                                  lambda a, b: EventWindow(parse_timestamp(a), parse_timestamp(b)))]
 
 
 def write_events_csv(path: str | Path, events: Sequence[EventWindow]) -> None:
-    with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["start", "end"])
-        for ev in events:
-            w.writerow([format_timestamp(ev.start), format_timestamp(ev.end)])
+    write_csv(path, ("start", "end"),
+              ([format_timestamp(ev.start), format_timestamp(ev.end)] for ev in events))
 
 
 def write_detection_csv(path: str | Path, flags: Sequence[tuple[int, str]]) -> None:
@@ -294,39 +283,66 @@ def write_detection_csv(path: str | Path, flags: Sequence[tuple[int, str]]) -> N
     `flags` holds (sample index, source) pairs with source one of
     short/noise/llse; rows are written sorted by index then source.
     """
-    with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["index", "flag_source"])
-        for idx, source in sorted(flags):
-            w.writerow([int(idx), source])
+    write_csv(path, ("index", "flag_source"),
+              ([int(idx), source] for idx, source in sorted(flags)))
 
 
 def read_detection_csv(path: str | Path) -> dict[str, np.ndarray]:
     """Read a detection CSV back into {flag_source: sorted index array}."""
+    def parse(index, src):
+        return json_number(int(index), "index", int), src.strip()
+
     path = Path(path)
     by_source: dict[str, list[int]] = {}
-    with _open_text(path) as fh:
-        reader = csv.DictReader(row for row in fh if not row.startswith("#"))
-        if reader.fieldnames is None or not {"index", "flag_source"} <= set(reader.fieldnames):
-            raise DataError(f"{path}: expected columns index,flag_source")
-        for lineno, row in enumerate(reader, start=2):
-            src = (row["flag_source"] or "").strip()
-            if src not in ("short", "noise", "llse"):
-                raise DataError(f"{path}:{lineno}: unknown flag_source {src!r}")
-            try:
-                idx = int(row["index"])
-            except (ValueError, TypeError):
-                raise DataError(f"{path}:{lineno}: malformed row") from None
-            by_source.setdefault(src, []).append(idx)
+    for lineno, (idx, src) in _rows(path, ("index", "flag_source"), parse):
+        if src not in ("short", "noise", "llse"):
+            raise DataError(f"{path}:{lineno}: unknown flag_source {src!r}")
+        by_source.setdefault(src, []).append(idx)
     return {src: np.unique(np.array(idxs, dtype=np.int64))
             for src, idxs in by_source.items()}
 
 
 def read_json(path: str | Path, error: type[Exception] = DataError):
     """The JSON document at `path`; an unreadable or malformed file raises `error`."""
-    try:
-        return json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise error(f"{path}: cannot read ({exc.strerror or exc})") from None
-    except ValueError as exc:
-        raise error(f"{path}: not valid JSON ({exc})") from None
+    with _open_text(Path(path), error) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise error(f"{path}: not valid JSON ({exc})") from None
+
+
+def write_json(path: str | Path, doc) -> None:
+    """`doc` as indented JSON with sorted keys and a final newline."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def json_number(raw, what: str, kind: type = float, error: type[Exception] = DataError):
+    """`raw` converted with `kind` (int or float) when it is a JSON number: an
+    int or a float but not a boolean, finite, and for kind=int an integer
+    within int64. Anything else raises `error`."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise error(f"{what} must be a number, got {raw!r}")
+    if kind is int and not (isinstance(raw, int) and -2**63 <= raw < 2**63):
+        raise error(f"{what} must be an integer within int64, got {raw!r}")
+    if not abs(raw) <= sys.float_info.max:  # NaN, an infinity or an int past the float range
+        raise error(f"{what} must be finite, got {raw!r}")
+    return kind(raw)
+
+
+def json_fields(raw, what: str, keys: Iterable[str], required: Iterable[str] = (),
+                error: type[Exception] = DataError) -> dict:
+    """`raw` when it is a JSON object whose keys are among `keys` and include
+    every one of `required`; anything else raises `error`."""
+    if not isinstance(raw, dict):
+        raise error(f"{what} must be an object, got {raw!r}")
+    for problem, names in (("unknown", set(raw) - set(keys)), ("missing", set(required) - set(raw))):
+        if names:
+            raise error(f"{what}: {problem} keys {sorted(names)}")
+    return raw
+
+
+def json_list(raw, what: str, error: type[Exception] = DataError) -> list:
+    """`raw` when it is a JSON array; anything else raises `error`."""
+    if not isinstance(raw, list):
+        raise error(f"{what} must be a list, got {raw!r}")
+    return raw

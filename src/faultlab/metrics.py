@@ -11,7 +11,6 @@ Undefined metrics (empty denominators) are reported as absent, never as 0.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -21,7 +20,7 @@ import numpy as np
 from .detect import DetectionResult
 from .errors import ConfigError, DataError
 from .events import FIRST_HALF_HOUR_S, event_ranges
-from .io import read_json
+from .io import read_json, write_json
 from .series import EventWindow, GroundTruthLabels, Series, validate_events
 
 __all__ = [
@@ -172,8 +171,7 @@ def report_from_dict(doc: dict) -> EvalReport:
 
 
 def save_report(path: str | Path, report: EvalReport) -> None:
-    Path(path).write_text(json.dumps(report_to_dict(report),
-                                     indent=2, sort_keys=True) + "\n")
+    write_json(path, report_to_dict(report))
 
 
 def load_report(path: str | Path) -> EvalReport:

@@ -40,6 +40,10 @@ __all__ = [
 
 DAY_S = 86400.0
 
+# Most samples in one generated series: about 190 times a year at 60 s
+# (525,600), and a refusal instead of an allocation that cannot succeed.
+MAX_GRID_SAMPLES = 10**8
+
 
 @dataclass(frozen=True)
 class BoxTempProfile:
@@ -127,7 +131,10 @@ def _check_grid(days: int, interval_s: float) -> int:
     per_day = DAY_S / interval_s
     if abs(per_day - round(per_day)) > 1e-9:
         raise ConfigError(f"interval_s must divide 24 h, got {interval_s}")
-    return days * int(round(per_day))
+    n = days * int(round(per_day))
+    if n > MAX_GRID_SAMPLES:
+        raise ConfigError(f"a grid of {n} samples exceeds {MAX_GRID_SAMPLES} per series")
+    return n
 
 
 def _windows(events: Sequence[ScheduledEvent] | Sequence[EventWindow]) -> list[tuple[EventWindow, float]]:

@@ -371,6 +371,7 @@ def test_sweep_rejects_labels_on_smoothed_data(tmp_path, capsys):
     ("synth", {"synth": SYNTH_SMALL | {"nodes": [{"id": "node1", "lag_s": "nan"}]}}),
     ("sweep", {"synth": SYNTH_SMALL, "smooth": "false", "detector": "short", "grid": [0.1]}),
     ("train llse", {"llse": {"signed": "false"}}),
+    ("synth", {"synth": {"test_days": 1e15, "n_events": 0}}),
 ])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command, cfg):
     series, events, flags = write_site(tmp_path)
@@ -402,3 +403,44 @@ def test_llse_model_with_non_boolean_signed_exits_3(tmp_path, capsys):
                  "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("data error:")
     assert not (out / "flags.csv").exists()
+
+
+NOISE_MODEL = '{"version": 1, "kind": "noise", "sigma_train": 0.01, "sigma_hist_spread": 0.001, '
+
+
+@pytest.mark.parametrize("kind, text, message", [
+    ("events", "start,end\n3600\n", "input.csv:2: malformed row"),
+    ("flags", "index,flag_source\n99999999999999999999999,short\n", "input.csv:2: malformed row"),
+    ("labels", '{"short": [1e400]}', "integer within int64"),
+    ("labels", '{"short": "12"}', "must be a list"),
+    ("labels", '{"short": [1.7]}', "integer within int64"),
+    ("labels", '{"short": [true]}', "must be a number"),
+    ("labels", '{"shrot": [3]}', "unknown keys ['shrot']"),
+    ("labels", '{"noise": [{"start": 3, "len": 4, "end": 7}]}', "unknown keys ['end']"),
+    ("noise model", NOISE_MODEL + '"window_len": 1e400}', "integer within int64"),
+    ("noise model", NOISE_MODEL + '"window_len": 2.9}', "integer within int64"),
+    ("noise model", NOISE_MODEL + '"window_len": 4, "windowlen": 4}', "unknown keys"),
+    ("short model", '{"version": 1, "kind": "short", "delta": "0.5"}', "must be a number"),
+    ("series", "# a\n# b\ntimestamp,node_id,modality,value\n0,n1,box_temp,1\n\n"
+               "bad,n1,box_temp,2\n", "input.csv:6: malformed row"),
+])
+def test_malformed_data_files_exit_3(tmp_path, capsys, kind, text, message):
+    series, events, flags = write_site(tmp_path)
+    bad = tmp_path / ("input.json" if kind.endswith(("labels", "model")) else "input.csv")
+    bad.write_text(text)
+    node = ["--in", series, "--node", "n1"]
+    argv = {
+        "events": ["evaluate", *node, "--flags", flags, "--events", str(bad)],
+        "flags": ["evaluate", *node, "--flags", str(bad), "--events", events],
+        "labels": ["evaluate", *node, "--flags", flags, "--events", events,
+                   "--labels", str(bad), "--fault-kind", "short"],
+        "noise model": ["detect", *node, "--detector", "noise", "--model", str(bad),
+                        "--multiplier", "2"],
+        "short model": ["detect", *node, "--detector", "short", "--model", str(bad)],
+        "series": ["detect", "--in", str(bad), "--detector", "short", "--delta", "1"],
+    }[kind]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error:") and message in err[0]
+    assert not out.exists() or list(out.iterdir()) == []

@@ -62,6 +62,14 @@ def test_short_detect_errors_and_index_zero():
     assert 0 not in short_detect(s, ShortParams(1.0)).flagged_samples
 
 
+def test_short_detect_infinite_jump_is_a_quiet_flag():
+    # |1e308 - (-1e308)| overflows to inf, which exceeds every finite delta;
+    # under the suite's warnings-as-errors a numpy overflow warning fails here.
+    s = mk([1e308, -1e308, 0.0, 1.0])
+    assert short_detect(s, ShortParams(1e300)).flagged_samples == (1, 2)
+    assert short_detect(s, ShortParams(0.5)).flagged_samples == (1, 2, 3)
+
+
 def test_short_monotone_in_delta():
     rng = np.random.default_rng(17)
     for _ in range(200):
@@ -372,3 +380,31 @@ def test_model_loading_rejects_bad_documents(tmp_path):
     p.write_text("{not json")
     with pytest.raises(DataError):
         load_model(p)
+
+
+@pytest.mark.parametrize("change", [
+    {"window_len": 1e400},
+    {"window_len": 2.9},
+    {"window_len": True},
+    {"window_len": 2**63},
+    {"sigma_train": "0.01"},
+    {"sigma_train": float("nan")},
+    {"extra": 1},
+])
+def test_model_numbers_follow_the_json_rule(change):
+    doc = model_to_dict(NoiseModel(window_len=18, sigma_train=1.25, sigma_hist_spread=0.5))
+    with pytest.raises(DataError):
+        model_from_dict(doc | change)
+
+
+def test_model_documents_hold_only_their_kind_keys():
+    llse = model_to_dict(LlseModel("t", (NeighborFit("a", 0.5, 2.0, 0.1),), 95.0, 1))
+    assert model_from_dict(llse | {"config": {"seed": 1}}).target == "t"
+    for bad in ({"delta": 0.5}, {"neighbors": [{"node_id": "a", "beta0": 0.5, "beta1": 2.0}]},
+                {"neighbors": {"node_id": "a"}}, {"vote_q": 1.0}):
+        with pytest.raises(DataError):
+            model_from_dict(llse | bad)
+    with pytest.raises(DataError, match="short model delta"):
+        model_from_dict({"version": 1, "kind": "short", "delta": "0.5"})
+    with pytest.raises(DataError, match=r"missing keys \['delta'\]"):
+        model_from_dict({"version": 1, "kind": "short"})

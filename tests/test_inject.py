@@ -190,3 +190,20 @@ def test_labels_serialization_round_trip(tmp_path):
     p = tmp_path / "labels.json"
     save_labels(p, labels, plan)
     assert load_labels(p) == labels
+
+
+@pytest.mark.parametrize("doc", [
+    {"short": "12"},
+    {"short": [1.7]},
+    {"short": [True]},
+    {"short": [1e400]},
+    {"short": [2**63]},
+    {"shrot": [3]},
+    {"noise": [{"start": 1, "len": 4, "end": 5}]},
+    {"noise": [{"start": 1}]},
+    {"noise": {"start": 1, "len": 4}},
+    [3],
+])
+def test_labels_take_json_integers_and_known_keys_only(doc):
+    with pytest.raises(DataError):
+        labels_from_dict(doc)

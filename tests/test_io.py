@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from faultlab import DataError, EventWindow, Modality, Series
+from faultlab import ConfigError, DataError, EventWindow, Modality, PrecipRecord, Series
 from faultlab.io import (
-    CsvSchema,
     ingest_csv,
+    json_fields,
+    json_number,
     parse_timestamp,
     format_timestamp,
     read_detection_csv,
@@ -127,11 +129,11 @@ def test_ingest_all_values_missing_for_group(tmp_path):
         ingest_csv(p)
 
 
-def test_ingest_comment_lines_and_custom_schema(tmp_path):
+def test_ingest_comment_and_blank_lines(tmp_path):
     p = tmp_path / "c.csv"
-    p.write_text("# produced by a generator\nt,node,kind,v\n0,n1,box_temp,1\n"
-                 "600,n1,box_temp,2\n")
-    rep = ingest_csv(p, CsvSchema(timestamp="t", node_id="node", modality="kind", value="v"))
+    p.write_text("# produced by a generator\n" + HEADER + "0,n1,box_temp,1\n\n"
+                 "# a note\n600,n1,box_temp,2\n")
+    rep = ingest_csv(p)
     assert np.array_equal(rep.series[0].values, [1.0, 2.0])
 
 
@@ -197,3 +199,94 @@ def test_detection_csv_round_trip(tmp_path):
     bad.write_text("index,flag_source\n1,bogus\n")
     with pytest.raises(DataError, match="flag_source"):
         read_detection_csv(bad)
+
+
+def test_errors_cite_the_files_own_line(tmp_path):
+    p = tmp_path / "late.csv"
+    p.write_text("# a\n# b\n" + HEADER + "0,n1,box_temp,1\n\n  \nbad,n1,box_temp,2\n")
+    with pytest.raises(DataError, match=r"late.csv:7: malformed row$"):
+        ingest_csv(p)
+    q = tmp_path / "flags.csv"
+    q.write_text("# from detect\nindex,flag_source\n\n3,short\n4,bogus\n")
+    with pytest.raises(DataError, match=r"flags.csv:5: unknown flag_source"):
+        read_detection_csv(q)
+
+
+def test_short_rows_read_missing_cells_as_empty(tmp_path):
+    p = write(tmp_path, "0,n1,box_temp,1\n600,n1,box_temp,2\n1200,n1,box_temp\n"
+                        "1800,n1,box_temp,4\n2400,n1,box_temp,5\n")
+    rep = ingest_csv(p)
+    assert np.array_equal(rep.series[0].values, [1.0, 2.0, 3.0, 4.0, 5.0])
+    assert rep.total_filled == 1
+    for body, line in (("0,n1\n", 2), ("0,n1,box_temp,1\n600\n", 3)):
+        with pytest.raises(DataError, match=f"data.csv:{line}: malformed row"):
+            ingest_csv(write(tmp_path, body))
+    events = tmp_path / "events.csv"
+    events.write_text("start,end\n3600\n")
+    with pytest.raises(DataError, match="events.csv:2: malformed row"):
+        read_events_csv(events)
+    precip = tmp_path / "precip.csv"
+    precip.write_text("timestamp,amount_mm\n900,1\n1800\n")
+    with pytest.raises(DataError, match="precip.csv:3: malformed row"):
+        read_precip_csv(precip)
+
+
+@pytest.mark.parametrize("index", ["99999999999999999999999", "-9223372036854775809",
+                                   "1.5", "", "x"])
+def test_flag_indices_must_be_int64(tmp_path, index):
+    p = tmp_path / "flags.csv"
+    p.write_text(f"index,flag_source\n{index},short\n")
+    with pytest.raises(DataError, match="flags.csv:2: malformed row"):
+        read_detection_csv(p)
+
+
+def test_unreadable_rows_are_data_errors(tmp_path):
+    p = tmp_path / "bytes.csv"
+    p.write_bytes(HEADER.encode() + b"0,n1,box_temp,1\n600,n1,box_\xff\xfe,2\n")
+    with pytest.raises(DataError, match="bytes.csv"):
+        ingest_csv(p)
+    q = write(tmp_path, "0,n1,box_temp," + "9" * 200_000 + "\n", name="wide.csv")
+    with pytest.raises(DataError, match="wide.csv:2: malformed row"):
+        ingest_csv(q)
+    no_end = tmp_path / "no_end.csv"
+    no_end.write_text("start\n3600\n")
+    with pytest.raises(DataError, match="missing column 'end'"):
+        read_events_csv(no_end)
+
+
+def test_json_number_rule():
+    assert json_number(3, "x", int) == 3 and json_number(3, "x") == 3.0
+    assert json_number(2**63 - 1, "x", int) == 2**63 - 1
+    assert json_number(-1e300, "x") == -1e300
+    for bad in (True, "3", None, [3], 2**63, -2**63 - 1, 3.0, float("inf")):
+        with pytest.raises(DataError):
+            json_number(bad, "x", int)
+    for bad in (False, "0.5", float("nan"), float("-inf"), 10**400):
+        with pytest.raises(ConfigError):
+            json_number(bad, "x", error=ConfigError)
+    assert json_fields({"a": 1}, "doc", ("a", "b")) == {"a": 1}
+    with pytest.raises(DataError, match=r"doc: unknown keys \['c'\]"):
+        json_fields({"a": 1, "c": 2}, "doc", ("a", "b"))
+    with pytest.raises(DataError, match=r"doc: missing keys \['b'\]"):
+        json_fields({"a": 1}, "doc", ("a", "b"), ("b",))
+
+
+CELLS = st.one_of(
+    st.sampled_from(["", " ", "0", "900", "1800", "2.5", "-1", "nan", "inf", "1e400",
+                     "1e308", "-1e308", "1970-01-01T00:15:00Z", "9999-12-31T23:59:59-01:00",
+                     "0001-01-01T00:00:00+01:00", '"', '"a,b"', "#", "x"]),
+    st.text(max_size=4))
+LINES = st.one_of(st.lists(CELLS, max_size=4).map(",".join),
+                  st.sampled_from(["timestamp,amount_mm", "# note", "", "   "]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(LINES, max_size=6), header=st.booleans())
+def test_precip_reader_returns_records_or_a_data_error(tmp_path_factory, lines, header):
+    p = tmp_path_factory.mktemp("precip") / "precip.csv"
+    p.write_text("\n".join((["timestamp,amount_mm"] if header else []) + lines) + "\n")
+    try:
+        records = read_precip_csv(p)
+    except DataError:
+        return
+    assert all(isinstance(r, PrecipRecord) for r in records)
