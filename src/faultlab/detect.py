@@ -342,21 +342,26 @@ def model_from_dict(doc: dict):
     def num(block: dict, key: str, cast: type = float):
         return json_number(block[key], f"{what} {key}", cast)
 
-    if kind == "short":
-        return ShortParams(num(doc, "delta"))
-    if kind == "noise":
-        return NoiseModel(num(doc, "window_len", int), num(doc, "sigma_train"),
-                          num(doc, "sigma_hist_spread"))
-    fields = NeighborFit.__dataclass_fields__
-    neighbors = [json_fields(nb, f"{what} neighbor", fields, fields)
-                 for nb in json_list(doc["neighbors"], f"{what} neighbors")]
-    fits = tuple(NeighborFit(str(nb["node_id"]), num(nb, "beta0"), num(nb, "beta1"),
-                             num(nb, "threshold")) for nb in neighbors)
-    signed = doc.get("signed", False)
-    if not isinstance(signed, bool):
-        raise DataError(f"llse model 'signed' must be true or false, got {signed!r}")
-    return LlseModel(str(doc["target"]), fits, num(doc, "percentile_p"),
-                     num(doc, "vote_q", int), signed)
+    # The model classes refuse bad values with ConfigError; in a model file
+    # those values are data.
+    try:
+        if kind == "short":
+            return ShortParams(num(doc, "delta"))
+        if kind == "noise":
+            return NoiseModel(num(doc, "window_len", int), num(doc, "sigma_train"),
+                              num(doc, "sigma_hist_spread"))
+        fields = NeighborFit.__dataclass_fields__
+        neighbors = [json_fields(nb, f"{what} neighbor", fields, fields)
+                     for nb in json_list(doc["neighbors"], f"{what} neighbors")]
+        fits = tuple(NeighborFit(str(nb["node_id"]), num(nb, "beta0"), num(nb, "beta1"),
+                                 num(nb, "threshold")) for nb in neighbors)
+        signed = doc.get("signed", False)
+        if not isinstance(signed, bool):
+            raise DataError(f"llse model 'signed' must be true or false, got {signed!r}")
+        return LlseModel(str(doc["target"]), fits, num(doc, "percentile_p"),
+                         num(doc, "vote_q", int), signed)
+    except ConfigError as exc:
+        raise DataError(f"{what}: {exc}") from None
 
 
 def save_model(path: str | Path, model, config_echo: dict | None = None) -> None:

@@ -1,8 +1,9 @@
 """File formats: sensor-data CSV ingestion, precipitation/event/detection CSVs,
 JSON documents.
 
-Every input file crosses one boundary here: `_rows` reads each CSV, and
-`json_number`/`json_fields`/`json_list` check each value of a JSON document.
+Every input file crosses one boundary here: `_blocks` reads each CSV in
+blocks of rows, and `json_number`/`json_fields`/`json_list` check each value
+of a JSON document.
 
 Timestamps are accepted as ISO-8601 (UTC assumed when no zone is given) or as
 epoch seconds; written files always use epoch seconds so that byte-identical
@@ -17,9 +18,9 @@ import math
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from operator import itemgetter
+from io import StringIO
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -60,12 +61,22 @@ def _open_text(path: Path, error: type[Exception] = DataError):
         raise error(f"{path}: cannot read ({exc.strerror or exc})") from None
 
 
-def _rows(path: Path, columns: Sequence[str], parse: Callable = lambda *cells: cells) -> Iterator:
-    """(line number, `parse(*cells of columns)`) for each data row of a CSV.
+# Most data rows read or written per block: enough to amortise the bulk
+# conversions, few enough that memory grows with the parsed arrays and not
+# with the file text.
+_BLOCK = 4096
+
+
+def _blocks(path: Path, columns: Sequence[str]) -> Iterator[tuple[list[int], list[list[str]]]]:
+    """(line numbers, one list of cells per column of `columns`) for each run
+    of at most `_BLOCK` data rows of a CSV.
 
     `#` comment lines and blank lines are skipped but counted, so the line
-    number is the file's own. The first other line is the header. Cells
-    missing from a short row read as ""; a row `parse` rejects is malformed.
+    numbers are the file's own. The first other line is the header. Cells
+    missing from a short row read as "". A line the csv module cannot read,
+    or bytes that do not decode, raise DataError only after the rows read
+    before them have been yielded, so a caller still reports the first bad
+    row first.
     """
     lineno = 0
 
@@ -75,27 +86,47 @@ def _rows(path: Path, columns: Sequence[str], parse: Callable = lambda *cells: c
             if not (line.startswith("#") or line.isspace()):
                 yield line
 
+    failure = None
     with _open_text(path) as fh:
+        reader = csv.reader(lines(fh))
+        rows: list[list[str]] = []
+        linenos: list[int] = []
         try:
-            reader = csv.reader(lines(fh))
             at = {name: i for i, name in enumerate(next(reader, []))}
             for col in columns:
                 if col not in at:
                     raise DataError(f"{path}: missing column {col!r}")
             pos = [at[col] for col in columns]
-            width, pick = max(pos) + 1, itemgetter(*pos)
+            width = max(pos) + 1
             for cells in reader:
                 if len(cells) < width:
                     cells += [""] * (width - len(cells))
-                try:
-                    row = parse(*pick(cells))
-                except (DataError, ValueError):
-                    raise DataError(f"{path}:{lineno}: malformed row") from None
-                yield lineno, row
+                rows.append(cells)
+                linenos.append(lineno)
+                if len(rows) == _BLOCK:
+                    block = linenos, [[row[i] for row in rows] for i in pos]
+                    rows, linenos = [], []  # the rows are not held while the block is used
+                    yield block
         except csv.Error as exc:
-            raise DataError(f"{path}:{lineno}: malformed row ({exc})") from None
+            failure = f"{path}:{lineno}: malformed row ({exc})"
         except UnicodeDecodeError as exc:  # decoded in chunks, so no line to cite
-            raise DataError(f"{path}: not text in the expected encoding ({exc})") from None
+            failure = f"{path}: not text in the expected encoding ({exc})"
+        if rows:
+            yield linenos, [[row[i] for row in rows] for i in pos]
+    if failure:
+        raise DataError(failure)
+
+
+def _records(path: Path, columns: Sequence[str], parse: Callable) -> Iterator:
+    """(line number, `parse(*cells of columns)`) for each data row of a CSV;
+    a row `parse` rejects is malformed."""
+    for linenos, cells in _blocks(path, columns):
+        for lineno, *row in zip(linenos, *cells):
+            try:
+                record = parse(*row)
+            except (DataError, ValueError):
+                raise DataError(f"{path}:{lineno}: malformed row") from None
+            yield lineno, record
 
 
 @dataclass
@@ -142,28 +173,23 @@ def _nominal_interval(diffs: np.ndarray) -> float:
     cluster must hold a strict majority of all diffs, otherwise the spacing
     is declared irregular. Ties go to the smaller spacing.
     """
-    order = np.sort(diffs)
-    clusters: list[list[float]] = [[order[0]]]
-    for d in order[1:]:
-        if d - clusters[-1][0] <= SPACING_RTOL * clusters[-1][0]:
-            clusters[-1].append(d)
-        else:
-            clusters.append([d])
-    best = max(clusters, key=len)
-    if len(best) * 2 <= diffs.size:
+    spacings, counts = np.unique(diffs, return_counts=True)
+    firsts = [0]  # index in `spacings` of each cluster's smallest member
+    for i, d in enumerate(spacings.tolist()):
+        first = spacings[firsts[-1]]
+        if d - first > SPACING_RTOL * first:
+            firsts.append(i)
+    sizes = np.add.reduceat(counts, firsts)
+    best = int(np.argmax(sizes))
+    if sizes[best] * 2 <= diffs.size:
         raise DataError("irregular spacing: no dominant sample interval")
-    return float(np.median(best))
+    members = slice(firsts[best], (firsts + [spacings.size])[best + 1])
+    return float(np.median(np.repeat(spacings[members], counts[members])))
 
 
-def _repair_group(
-    key: tuple[str, str],
-    times: list[float],
-    values: list[float],
-    report: IngestReport,
-) -> list[Series]:
+def _repair_group(key: tuple[str, str], t: np.ndarray, v: np.ndarray,
+                  report: IngestReport) -> list[Series]:
     node_id, modality = key
-    t = np.array(times, dtype=np.float64)
-    v = np.array(values, dtype=np.float64)
     if t.size == 0:
         raise DataError(f"all-missing series for node {node_id!r} modality {modality!r}")
     if t.size == 1:
@@ -174,37 +200,117 @@ def _repair_group(
                         f"modality {modality!r}")
     nominal = _nominal_interval(diffs)
 
-    segments: list[tuple[float, list[float]]] = [(float(t[0]), [float(v[0])])]
-    filled = 0
-    splits = 0
-    for i, d in enumerate(diffs):
-        k = int(round(d / nominal))
-        if k < 1 or abs(d - k * nominal) > SPACING_RTOL * nominal:
-            raise DataError(
-                f"irregular spacing for node {node_id!r} modality {modality!r}: "
-                f"gap of {d} s is not a whole multiple of {nominal} s")
-        missing = k - 1
-        if missing > MAX_INTERPOLATED_RUN:
-            splits += 1
-            segments.append((float(t[i + 1]), [float(v[i + 1])]))
-            continue
-        vals = segments[-1][1]
-        for j in range(1, k):
-            vals.append(float(v[i] + (v[i + 1] - v[i]) * j / k))
-        filled += missing
-        vals.append(float(v[i + 1]))
+    k = np.rint(diffs / nominal)  # grid steps spanned by each diff
+    off_grid = (k < 1) | (np.abs(diffs - k * nominal) > SPACING_RTOL * nominal)
+    if off_grid.any():
+        d = diffs[np.argmax(off_grid)]
+        raise DataError(
+            f"irregular spacing for node {node_id!r} modality {modality!r}: "
+            f"gap of {d} s is not a whole multiple of {nominal} s")
+    split = k - 1 > MAX_INTERPOLATED_RUN
+    # Diff i contributes its interpolated points and then v[i + 1], or only
+    # v[i + 1] as the first sample of a new segment when it splits.
+    steps = np.where(split, 1, k).astype(np.int64)
+    offsets = np.cumsum(steps) - steps
+    src = np.repeat(np.arange(diffs.size), steps)
+    j = np.arange(1, src.size + 1) - offsets[src]
+    out = v[1:][src]
+    fill = j < steps[src]
+    i = src[fill]
+    out[fill] = v[i] + (v[i + 1] - v[i]) * j[fill] / k[i]
+    values = np.concatenate([v[:1], out])
 
+    filled, splits = int(np.count_nonzero(fill)), int(np.count_nonzero(split))
     if filled:
         report.filled[key] = filled
     if splits:
         report.splits[key] = splits
-    return [Series(node_id, modality, start, nominal, np.array(vals))
-            for start, vals in segments]
+    starts = [float(t[0]), *t[1:][split].tolist()]
+    return [Series(node_id, modality, start, nominal, vals)
+            for start, vals in zip(starts, np.split(values, 1 + offsets[split]))]
 
 
 # Interval assigned to a degenerate one-row series, where spacing cannot
 # be inferred.
 DEFAULT_SINGLETON_INTERVAL = 900.0
+
+
+def _floats(cells: list[str]) -> np.ndarray | None:
+    """`cells` read by Python's `float`, or None when one of them is not a number."""
+    try:
+        return np.fromiter(map(float, cells), np.float64, len(cells))
+    except ValueError:
+        return None
+
+
+def _value(cell: str) -> float:
+    """A value cell as a number; an empty one is a missing sample (NaN)."""
+    raw = cell.strip()
+    return float(raw) if raw else math.nan
+
+
+def _series_block(path: Path, linenos: list[int], columns: list[list[str]],
+                  groups: dict[tuple[str, str], int]) -> tuple[np.ndarray, ...]:
+    """Times, values and group numbers of a block's rows with a finite value.
+
+    A (node_id, modality) key seen for the first time is numbered in
+    `groups`. A block with a bad row raises the error of the first one.
+    """
+    stamps, nodes, modalities, values = columns
+    n = len(stamps)
+    t = _floats(stamps)
+    if t is None or not np.isfinite(t).all():  # ISO spellings: parse each distinct one once
+        seen = {}
+        for cell in dict.fromkeys(stamps):
+            try:
+                seen[cell] = parse_timestamp(cell)
+            except DataError:
+                _raise_first_bad_row(path, linenos, columns)
+        t = np.fromiter(map(seen.__getitem__, stamps), np.float64, n)
+
+    one_pair = nodes.count(nodes[0]) == n and modalities.count(modalities[0]) == n
+    pairs = [(nodes[0], modalities[0])] if one_pair else dict.fromkeys(zip(nodes, modalities))
+    number = {}
+    for pair in pairs:
+        try:
+            key = (pair[0].strip(), Modality(pair[1].strip()).value)
+        except ValueError:
+            key = ("", "")
+        if not key[0]:
+            _raise_first_bad_row(path, linenos, columns)
+        number[pair] = groups.setdefault(key, len(groups))
+    g = (np.full(n, number[pairs[0]]) if one_pair
+         else np.fromiter(map(number.__getitem__, zip(nodes, modalities)), np.int64, n))
+
+    v = _floats(values)
+    if v is None:  # empty cells are missing samples
+        v = _floats([cell or "nan" for cell in values])
+    if v is None:
+        try:
+            v = np.array([_value(cell) for cell in values])
+        except ValueError:
+            _raise_first_bad_row(path, linenos, columns)
+    keep = np.isfinite(v)
+    return t[keep], v[keep], g[keep]
+
+
+def _raise_first_bad_row(path: Path, linenos: list[int], columns: list[list[str]]) -> NoReturn:
+    """Raise the error of a block's first malformed row, checking one row at
+    a time: timestamp and modality, then node_id, then value."""
+    for lineno, stamp, node, modality, cell in zip(linenos, *columns):
+        try:
+            parse_timestamp(stamp)
+            Modality(modality.strip())
+        except (DataError, ValueError):
+            raise DataError(f"{path}:{lineno}: malformed row") from None
+        if not node.strip():
+            raise DataError(f"{path}:{lineno}: malformed row (empty node_id)")
+        try:
+            _value(cell)
+        except ValueError:
+            raise DataError(
+                f"{path}:{lineno}: malformed row (bad value {cell.strip()!r})") from None
+    raise AssertionError("a block flagged as bad holds no bad row")
 
 
 def ingest_csv(path: str | Path) -> IngestReport:
@@ -217,30 +323,21 @@ def ingest_csv(path: str | Path) -> IngestReport:
     linear interpolation (counted in the report); longer gaps split the
     series into separate pieces.
     """
-    def parse(ts, node, modality, raw):
-        return parse_timestamp(ts), (node.strip(), Modality(modality.strip()).value), raw.strip()
-
     path = Path(path)
-    groups: dict[tuple[str, str], tuple[list[float], list[float]]] = {}
-    for lineno, (t, key, raw) in _rows(path, SERIES_COLUMNS, parse):
-        if not key[0]:
-            raise DataError(f"{path}:{lineno}: malformed row (empty node_id)")
-        group = groups.setdefault(key, ([], []))
-        if raw == "":
-            continue
-        try:
-            val = float(raw)
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: malformed row (bad value {raw!r})") from None
-        if math.isfinite(val):
-            group[0].append(t)
-            group[1].append(val)
+    groups: dict[tuple[str, str], int] = {}  # in order of first appearance
+    blocks = [_series_block(path, linenos, cells, groups)
+              for linenos, cells in _blocks(path, SERIES_COLUMNS)]
     if not groups:
         raise DataError(f"{path}: no data rows")
+    t, v, g = (np.concatenate(column) for column in zip(*blocks))
+    del blocks  # the per-block arrays are not held through the repair
+    order = np.argsort(g, kind="stable")
+    bounds = np.searchsorted(g[order], np.arange(len(groups) + 1))
 
     report = IngestReport(series=[])
-    for key, (times, values) in groups.items():
-        report.series.extend(_repair_group(key, times, values, report))
+    for n, key in enumerate(groups):
+        rows = order[bounds[n]:bounds[n + 1]]
+        report.series.extend(_repair_group(key, t[rows], v[rows], report))
     return report
 
 
@@ -252,24 +349,39 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable) -> None:
         w.writerows(rows)
 
 
+def _csv_line(cells: Sequence[str]) -> str:
+    """`cells` as one CSV line, quoted by the csv module's rules."""
+    buf = StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()
+
+
 def write_series_csv(path: str | Path, series: Iterable[Series]) -> None:
     """Write series to the sensor-data CSV format, one row per sample."""
-    write_csv(path, SERIES_COLUMNS,
-              ([format_timestamp(s.start_time + k * s.sample_interval), s.node_id,
-                s.modality.value, repr(val)]
-               for s in series for k, val in enumerate(s.values.tolist())))
+    with Path(path).open("w", newline="") as fh:
+        fh.write(_csv_line(SERIES_COLUMNS))
+        for s in series:
+            middle = _csv_line(["", s.node_id, s.modality.value, ""])[:-1]
+            for lo in range(0, len(s), _BLOCK):
+                times = s.start_time + np.arange(lo, min(lo + _BLOCK, len(s))) * s.sample_interval
+                fh.write("".join([f"{format_timestamp(t)}{middle}{val!r}\n" for t, val
+                                  in zip(times.tolist(), s.values[lo:lo + _BLOCK].tolist())]))
 
 
 def read_precip_csv(path: str | Path) -> list[PrecipRecord]:
     """Read gauge records from a CSV with header ``timestamp,amount_mm``."""
-    return [rec for _, rec in _rows(Path(path), ("timestamp", "amount_mm"),
-                                    lambda ts, mm: PrecipRecord(parse_timestamp(ts), float(mm)))]
+    def parse(ts, mm):
+        return PrecipRecord(parse_timestamp(ts), float(mm))
+
+    return [rec for _, rec in _records(Path(path), ("timestamp", "amount_mm"), parse)]
 
 
 def read_events_csv(path: str | Path) -> list[EventWindow]:
     """Read event windows from a CSV with header ``start,end``."""
-    return [ev for _, ev in _rows(Path(path), ("start", "end"),
-                                  lambda a, b: EventWindow(parse_timestamp(a), parse_timestamp(b)))]
+    def parse(start, end):
+        return EventWindow(parse_timestamp(start), parse_timestamp(end))
+
+    return [ev for _, ev in _records(Path(path), ("start", "end"), parse)]
 
 
 def write_events_csv(path: str | Path, events: Sequence[EventWindow]) -> None:
@@ -294,7 +406,7 @@ def read_detection_csv(path: str | Path) -> dict[str, np.ndarray]:
 
     path = Path(path)
     by_source: dict[str, list[int]] = {}
-    for lineno, (idx, src) in _rows(path, ("index", "flag_source"), parse):
+    for lineno, (idx, src) in _records(path, ("index", "flag_source"), parse):
         if src not in ("short", "noise", "llse"):
             raise DataError(f"{path}:{lineno}: unknown flag_source {src!r}")
         by_source.setdefault(src, []).append(idx)

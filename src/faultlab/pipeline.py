@@ -21,7 +21,7 @@ from .metrics import EvalReport, assemble_report
 from .preprocess import smooth_pairs
 from .series import EventWindow, GroundTruthLabels, Modality, Series
 from .synth import (BoxTempProfile, DeploymentSpec, SoilMoistureProfile,
-                    gen_deployment, make_event_schedule)
+                    check_grid, gen_deployment, make_event_schedule)
 
 __all__ = [
     "SweepPoint",
@@ -69,6 +69,7 @@ def build_synth_config(synth_cfg: dict, seed: int):
     train_events = number(synth_cfg.get("train_events", 0), "synth.train_events", int)
     if train_days < 0 or test_days < 1:
         raise ConfigError("synth needs train_days >= 0 and test_days >= 1")
+    check_grid(train_days + test_days, interval_s)  # before drawing any event
 
     bounds = json_numbers(synth_cfg.get("schedule"), SCHEDULE_KEYS, "synth.schedule")
     train_sched = make_event_schedule(train_days, train_events, [seed, 2], **bounds) \

@@ -36,6 +36,7 @@ __all__ = [
     "gen_soil_moisture",
     "gen_deployment",
     "make_event_schedule",
+    "check_grid",
 ]
 
 DAY_S = 86400.0
@@ -123,7 +124,9 @@ class DeploymentSpec:
             raise ConfigError("response scales must be finite and >= 0")
 
 
-def _check_grid(days: int, interval_s: float) -> int:
+def check_grid(days: int, interval_s: float) -> int:
+    """Samples in a grid of `days` at `interval_s`; a grid no series can hold
+    raises ConfigError."""
     if not (isinstance(days, int) and days >= 1):
         raise ConfigError(f"days must be an integer >= 1, got {days!r}")
     if not (interval_s > 0 and math.isfinite(interval_s)):
@@ -165,7 +168,7 @@ def gen_box_temperature(days: int, profile: BoxTempProfile,
                         interval_s: float = 600.0, seed=0,
                         node_id: str = "node1", start_time: float = 0.0) -> Series:
     """Generate a box-temperature series starting at `start_time` (UTC s)."""
-    n = _check_grid(days, interval_s)
+    n = check_grid(days, interval_s)
     t = start_time + np.arange(n) * float(interval_s)
     phase = 2.0 * np.pi * np.mod(t, DAY_S) / DAY_S - np.pi / 2.0
     base = profile.mean_c + profile.amplitude_c * np.sin(phase)
@@ -187,7 +190,7 @@ def gen_soil_moisture(days: int, profile: SoilMoistureProfile,
     the profile's time constant afterwards. Responses of overlapping decays
     add; the final value is clamped to [0, 1].
     """
-    n = _check_grid(days, interval_s)
+    n = check_grid(days, interval_s)
     t = start_time + np.arange(n) * float(interval_s)
     excess = np.zeros_like(t)
     windows = _windows(events)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import faultlab.cli as cli
+import faultlab.pipeline as pipeline
 from faultlab.cli import main
 from faultlab.detect import LlseModel, NeighborFit, model_to_dict
 from faultlab.errors import DataError
@@ -392,6 +393,20 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, command, cfg):
     assert not out.exists() or list(out.iterdir()) == []
 
 
+def test_oversized_synth_grid_is_refused_before_events_are_drawn(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("events drawn for a grid that is refused")
+
+    monkeypatch.setattr(pipeline, "make_event_schedule", never)
+    cfg = write_cfg(tmp_path / "cfg.json",
+                    {"synth": {"test_days": 10_000_000, "n_events": 200_000}})
+    out = tmp_path / "out"
+    assert main(["synth", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and "exceeds" in err[0]
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_llse_model_with_non_boolean_signed_exits_3(tmp_path, capsys):
     series, _, _ = write_site(tmp_path)
     model = LlseModel("n1", (NeighborFit("n2", 0.0, 1.0, 0.1),
@@ -406,6 +421,8 @@ def test_llse_model_with_non_boolean_signed_exits_3(tmp_path, capsys):
 
 
 NOISE_MODEL = '{"version": 1, "kind": "noise", "sigma_train": 0.01, "sigma_hist_spread": 0.001, '
+LLSE_MODEL = json.dumps(model_to_dict(LlseModel("n1", (NeighborFit("n2", 0.0, 1.0, 0.1),),
+                                                95.0, 1)))
 
 
 @pytest.mark.parametrize("kind, text, message", [
@@ -421,6 +438,11 @@ NOISE_MODEL = '{"version": 1, "kind": "noise", "sigma_train": 0.01, "sigma_hist_
     ("noise model", NOISE_MODEL + '"window_len": 2.9}', "integer within int64"),
     ("noise model", NOISE_MODEL + '"window_len": 4, "windowlen": 4}', "unknown keys"),
     ("short model", '{"version": 1, "kind": "short", "delta": "0.5"}', "must be a number"),
+    ("short model", '{"version": 1, "kind": "short", "delta": -1}',
+     "short model: delta must be a finite value > 0"),
+    ("noise model", NOISE_MODEL + '"window_len": 1}', "noise model: window_len must be"),
+    ("llse model", LLSE_MODEL.replace('"percentile_p": 95.0', '"percentile_p": 150'),
+     "llse model: percentile_p must lie in (0, 100)"),
     ("series", "# a\n# b\ntimestamp,node_id,modality,value\n0,n1,box_temp,1\n\n"
                "bad,n1,box_temp,2\n", "input.csv:6: malformed row"),
 ])
@@ -437,6 +459,7 @@ def test_malformed_data_files_exit_3(tmp_path, capsys, kind, text, message):
         "noise model": ["detect", *node, "--detector", "noise", "--model", str(bad),
                         "--multiplier", "2"],
         "short model": ["detect", *node, "--detector", "short", "--model", str(bad)],
+        "llse model": ["detect", "--in", series, "--detector", "llse", "--model", str(bad)],
         "series": ["detect", "--in", str(bad), "--detector", "short", "--delta", "1"],
     }[kind]
     out = tmp_path / "out"
