@@ -91,10 +91,8 @@ def _llse_series(path: str, target: str, modality: Modality | None,
 def cmd_synth(args) -> int:
     cfg = resolve_config(args)
     seed = seed_of(cfg)
-    series, events, schedule, _ = build_synth_config(section(cfg, "synth"), seed)
-    keep = modality_of(cfg)
-    if keep is not None:
-        series = [s for s in series if s.modality == keep]
+    series, events, schedule, _ = build_synth_config(section(cfg, "synth"), seed,
+                                                     modality=modality_of(cfg))
     out = _out_dir(args)
 
     _write_with_meta(out / "series.csv", write_series_csv, series, "synth", cfg)

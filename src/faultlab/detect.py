@@ -4,8 +4,8 @@ Three rules are implemented:
 
 * short: flag a sample when its jump from the immediately preceding raw
   sample exceeds a threshold delta.
-* noise: flag whole tumbling windows whose sample standard deviation leaves
-  the band learned from fault-free training data.
+* noise: flag every sample of each tumbling window whose sample standard
+  deviation leaves the band learned from fault-free training data.
 * llse: predict each sample from every neighbor node through an affine
   least-squares fit, flag samples where enough neighbors disagree beyond a
   per-pair percentile threshold.
@@ -110,36 +110,34 @@ class LlseModel:
             raise ConfigError(f"percentile_p must lie in (0, 100), got {self.percentile_p}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an array field has no truth value to compare by
 class DetectionResult:
     """Flags produced by one detector run.
 
-    Sample-level detectors (short, llse) fill `flagged_samples`; the window
-    detector (noise) fills `flagged_windows` as (start index, length) pairs.
+    `flagged_samples` is the read-only, sorted, distinct int64 array of the
+    flagged sample indices; a window the noise rule rejects flags each of its
+    samples.
     """
 
     source: str
-    flagged_samples: tuple[int, ...] = ()
-    flagged_windows: tuple[tuple[int, int], ...] = ()
+    flagged_samples: np.ndarray = ()
+
+    flagged_windows = ()  # not a field: bench/spans.py reads it until ROADMAP item 4
 
     def __post_init__(self):
         if self.source not in ("short", "noise", "llse"):
             raise ConfigError(f"unknown flag source {self.source!r}")
-        object.__setattr__(self, "flagged_samples",
-                           tuple(sorted(int(i) for i in self.flagged_samples)))
-        object.__setattr__(self, "flagged_windows",
-                           tuple(sorted((int(a), int(b)) for a, b in self.flagged_windows)))
+        flags = np.unique(np.asarray(self.flagged_samples, np.int64))
+        flags.flags.writeable = False
+        object.__setattr__(self, "flagged_samples", flags)
 
     def sample_indices(self) -> np.ndarray:
-        """All flagged sample indices, windows expanded, sorted and unique."""
-        idx = list(self.flagged_samples)
-        for start, length in self.flagged_windows:
-            idx.extend(range(start, start + length))
-        return np.unique(np.array(idx, dtype=np.int64))
+        """All flagged sample indices, sorted and distinct."""
+        return self.flagged_samples
 
     def to_flags(self) -> list[tuple[int, str]]:
         """(index, flag_source) pairs for CSV export."""
-        return [(int(i), self.source) for i in self.sample_indices()]
+        return [(i, self.source) for i in self.flagged_samples.tolist()]
 
 
 def short_detect(s: Series, params: ShortParams) -> DetectionResult:
@@ -153,8 +151,7 @@ def short_detect(s: Series, params: ShortParams) -> DetectionResult:
         raise DataError("short_detect needs at least 2 samples")
     with np.errstate(over="ignore"):  # an infinite jump exceeds every delta
         jumps = np.abs(np.diff(s.values))
-    flagged = np.nonzero(jumps > params.delta)[0] + 1
-    return DetectionResult("short", tuple(int(i) for i in flagged))
+    return DetectionResult("short", np.nonzero(jumps > params.delta)[0] + 1)
 
 
 def _window_stds(values: np.ndarray, window_len: int) -> np.ndarray:
@@ -182,7 +179,7 @@ def noise_train(train: Series, window_len: int = 18) -> NoiseModel:
 
 
 def noise_detect(s: Series, model: NoiseModel, allow_multiplier: float) -> DetectionResult:
-    """Flag tumbling windows whose sample std leaves the allowed band.
+    """Flag every sample of the tumbling windows whose sample std leaves the band.
 
     The band is sigma_train +/- allow_multiplier * sigma_hist_spread and is
     inclusive: a window is flagged only when its std falls strictly outside.
@@ -198,9 +195,8 @@ def noise_detect(s: Series, model: NoiseModel, allow_multiplier: float) -> Detec
     allow = allow_multiplier * model.sigma_hist_spread
     lo = model.sigma_train - allow
     hi = model.sigma_train + allow
-    flagged = np.nonzero((stds < lo) | (stds > hi))[0]
-    windows = tuple((int(i) * model.window_len, model.window_len) for i in flagged)
-    return DetectionResult("noise", (), windows)
+    rejected = (stds < lo) | (stds > hi)
+    return DetectionResult("noise", np.nonzero(np.repeat(rejected, model.window_len))[0])
 
 
 def nearest_rank_percentile(values: np.ndarray, p: float) -> float:
@@ -216,13 +212,7 @@ def nearest_rank_percentile(values: np.ndarray, p: float) -> float:
     return float(v[rank - 1])
 
 
-def _series_values(x) -> np.ndarray:
-    if isinstance(x, Series):
-        return x.values
-    return np.asarray(x, dtype=np.float64)
-
-
-def llse_fit(train_target, train_neighbor, percentile_p: float = 95.0,
+def llse_fit(train_target: Series, train_neighbor: Series, percentile_p: float = 95.0,
              signed: bool = False) -> tuple[float, float, float]:
     """Fit target ~ beta0 + beta1 * neighbor and a training-error threshold.
 
@@ -233,8 +223,8 @@ def llse_fit(train_target, train_neighbor, percentile_p: float = 95.0,
 
     Returns (beta0, beta1, threshold).
     """
-    y = _series_values(train_target)
-    x = _series_values(train_neighbor)
+    y = train_target.values
+    x = train_neighbor.values
     if y.shape[0] != x.shape[0]:
         raise DataError(f"bad pairing: target has {y.shape[0]} samples, "
                         f"neighbor has {x.shape[0]}")
@@ -304,8 +294,7 @@ def llse_detect(target: Series, neighbors: Mapping[str, Series] | Sequence[Serie
         if not model.signed:
             err = np.abs(err)
         votes += err > fit.threshold
-    flagged = np.nonzero(votes >= model.vote_q)[0]
-    return DetectionResult("llse", tuple(int(i) for i in flagged))
+    return DetectionResult("llse", np.nonzero(votes >= model.vote_q)[0])
 
 
 # --------------------------------------------------------------------------

@@ -1,17 +1,17 @@
 """Event-misclassification and detection-quality metrics.
 
 The central quantity is mu, the fraction of event samples flagged as faulty.
-`assemble_report` scores every detector the same way: its flags, windows
-expanded to samples, become one mask over the series, and one prefix sum of
-that mask counts the flagged samples in any index range. Event windows map
-to index ranges through `events.event_ranges`, so mu, its first-half-hour
-variant and the false-negative ratios are all differences of that sum.
+`assemble_report` scores every detector the same way: its flagged samples
+become one mask over the series, and one prefix sum of that mask counts the
+flagged samples in any index range. Event windows map to index ranges
+through `events.event_ranges`, so mu, its first-half-hour variant and the
+false-negative ratios are all differences of that sum.
 Undefined metrics (empty denominators) are reported as absent, never as 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -139,33 +139,18 @@ def assemble_report(s: Series, result: DetectionResult,
 
 
 def report_to_dict(report: EvalReport) -> dict:
-    doc: dict = {
-        "version": REPORT_FORMAT_VERSION,
-        "per_event": [asdict(st) for st in report.per_event],
-        "parameters": report.parameters,
-    }
-    for key in ("mu", "mu_first_half_hour", "false_negative_ratio",
-                "fault_kind", "noise_fn_per_sample"):
-        value = getattr(report, key)
-        if value is not None:
-            doc[key] = value
-    return doc
+    doc = {key: value for key, value in asdict(report).items() if value is not None}
+    return {"version": REPORT_FORMAT_VERSION} | doc
 
 
 def report_from_dict(doc: dict) -> EvalReport:
     if not isinstance(doc, dict) or doc.get("version") != REPORT_FORMAT_VERSION:
         raise DataError("unsupported report document")
+    values = {f.name: doc.get(f.name) for f in fields(EvalReport)}
     try:
-        stats = tuple(PerEventStat(**st) for st in doc.get("per_event", []))
-        return EvalReport(
-            mu=doc.get("mu"),
-            mu_first_half_hour=doc.get("mu_first_half_hour"),
-            false_negative_ratio=doc.get("false_negative_ratio"),
-            per_event=stats,
-            parameters=dict(doc.get("parameters", {})),
-            fault_kind=doc.get("fault_kind"),
-            noise_fn_per_sample=doc.get("noise_fn_per_sample"),
-        )
+        values["per_event"] = tuple(PerEventStat(**st) for st in doc.get("per_event", []))
+        values["parameters"] = dict(doc.get("parameters", {}))
+        return EvalReport(**values)
     except (KeyError, TypeError):
         raise DataError("malformed report document") from None
 

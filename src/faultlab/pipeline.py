@@ -53,10 +53,13 @@ def _profile(cls, raw, what: str):
     return cls(**json_numbers(raw, cls.__dataclass_fields__, what))
 
 
-def build_synth_config(synth_cfg: dict, seed: int):
+def build_synth_config(synth_cfg: dict, seed: int, node: str | None = None,
+                       modality: Modality | None = None):
     """Build deployment series and event windows from a synth config block.
 
-    Returns (series list, test event windows, full schedule, train_days).
+    `node` and `modality`, when given, select the series to generate (see
+    `gen_deployment`). Returns (series list, test event windows, full
+    schedule, train_days).
     Events counted by `train_events` land in the training stretch, the
     `n_events` test events after it; only the latter are returned as the
     evaluation windows.
@@ -84,7 +87,7 @@ def build_synth_config(synth_cfg: dict, seed: int):
     spec = DeploymentSpec(node_ids=ids, response_scales=scales, lags_s=lags,
                           schedule=schedule, seed=seed,
                           days=train_days + test_days, interval_s=interval_s)
-    series, _ = gen_deployment(spec, box, soil)
+    series, _ = gen_deployment(spec, box, soil, node, modality)
     test_windows = [ev.window for ev in test_sched]
     return series, test_windows, schedule, train_days
 
@@ -177,8 +180,8 @@ def materialize(config: dict, seed: int, modality: Modality) -> MaterializedRun:
         if number(synth_cfg.get("train_days", 0), "synth.train_days", int) < 1:
             raise ConfigError("synth sweeps need train_days >= 1")
         target = synth_cfg.get("target") or nodes_from_config(synth_cfg)[0][0]
-        series, events, _, train_days = build_synth_config(synth_cfg, seed)
-        full = select_series(series, target, modality, "synth")
+        series, events, _, train_days = build_synth_config(synth_cfg, seed, target, modality)
+        full = select_series(series, target, modality, "synth")  # refuses an unknown target
         if smooth:
             full = smooth_pairs(full)
         train, test = split_series(full, train_days * 86400.0)

@@ -131,8 +131,8 @@ def check_grid(days: int, interval_s: float) -> int:
         raise ConfigError(f"days must be an integer >= 1, got {days!r}")
     if not (interval_s > 0 and math.isfinite(interval_s)):
         raise ConfigError(f"interval_s must be > 0, got {interval_s}")
-    per_day = DAY_S / interval_s
-    if abs(per_day - round(per_day)) > 1e-9:
+    per_day = DAY_S / interval_s  # inf for a subnormal interval
+    if not math.isfinite(per_day) or abs(per_day - round(per_day)) > 1e-9:
         raise ConfigError(f"interval_s must divide 24 h, got {interval_s}")
     n = days * int(round(per_day))
     if n > MAX_GRID_SAMPLES:
@@ -217,26 +217,32 @@ def _shift_schedule(schedule: Sequence[ScheduledEvent], lag_s: float) -> list[Sc
 def gen_deployment(spec: DeploymentSpec,
                    box_profile: BoxTempProfile = BoxTempProfile(),
                    soil_profile: SoilMoistureProfile = SoilMoistureProfile(),
-                   start_time: float = 0.0) -> tuple[list[Series], list[EventWindow]]:
+                   node: str | None = None,
+                   modality: Modality | None = None) -> tuple[list[Series], list[EventWindow]]:
     """Generate soil-moisture and box-temperature series for every node.
 
     Node i draws its noise from streams derived as (spec.seed XOR i, channel),
     so nodes and channels are independent while the whole deployment stays
-    reproducible from one seed. Returns the series (soil, then box, per node)
-    and the shared (unshifted) event windows.
+    reproducible from one seed, and a series comes out the same whichever
+    others are generated. `node` and `modality`, when given, generate only
+    the series of that node and that modality. Returns the series (soil, then
+    box, per node) and the shared (unshifted) event windows.
     """
     series: list[Series] = []
     for i, node_id in enumerate(spec.node_ids):
+        if node is not None and node_id != node:
+            continue
         node_seed = spec.seed ^ i
-        soil = replace(soil_profile, spike_gain_vwc_per_mm=
-                       soil_profile.spike_gain_vwc_per_mm * spec.response_scales[i])
-        shifted = _shift_schedule(spec.schedule, spec.lags_s[i])
-        series.append(gen_soil_moisture(spec.days, soil, shifted, spec.interval_s,
-                                        seed=[node_seed, 0], node_id=node_id,
-                                        start_time=start_time))
-        series.append(gen_box_temperature(spec.days, box_profile, spec.schedule,
-                                          spec.interval_s, seed=[node_seed, 1],
-                                          node_id=node_id, start_time=start_time))
+        if modality in (None, Modality.SOIL_MOISTURE):
+            soil = replace(soil_profile, spike_gain_vwc_per_mm=
+                           soil_profile.spike_gain_vwc_per_mm * spec.response_scales[i])
+            shifted = _shift_schedule(spec.schedule, spec.lags_s[i])
+            series.append(gen_soil_moisture(spec.days, soil, shifted, spec.interval_s,
+                                            seed=[node_seed, 0], node_id=node_id))
+        if modality in (None, Modality.BOX_TEMP):
+            series.append(gen_box_temperature(spec.days, box_profile, spec.schedule,
+                                              spec.interval_s, seed=[node_seed, 1],
+                                              node_id=node_id))
     return series, [ev.window for ev in spec.schedule]
 
 

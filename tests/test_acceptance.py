@@ -167,7 +167,7 @@ def test_criterion_4_duration_metric_oracle(capsys):
                         hit += k in flagged
             if total == 0:
                 continue
-            result = DetectionResult("noise", flagged_windows=tuple(windows))
+            result = DetectionResult("noise", sorted(flagged))
             assert assemble_report(s, result, events).mu == hit / total
             count += 1
 

@@ -1,14 +1,18 @@
 """Detector rules: jump threshold, variance band, cross-sensor estimation."""
 
 import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from faultlab import (
     ConfigError,
     DataError,
     DetectionResult,
+    EventWindow,
+    GroundTruthLabels,
     LlseModel,
     Modality,
     NeighborFit,
@@ -24,7 +28,8 @@ from faultlab import (
     noise_train,
     short_detect,
 )
-from faultlab.detect import load_model, model_from_dict, model_to_dict, save_model
+from faultlab.detect import _window_stds, load_model, model_from_dict, model_to_dict, save_model
+from faultlab.metrics import assemble_report, report_to_dict
 
 
 def mk(values, interval=1200.0, start=0.0, node="n1", modality=Modality.BOX_TEMP):
@@ -34,9 +39,9 @@ def mk(values, interval=1200.0, start=0.0, node="n1", modality=Modality.BOX_TEMP
 # ---------------------------------------------------------------- short rule
 
 def test_short_detect_examples():
-    assert short_detect(mk([10, 20, 21]), ShortParams(5.0)).flagged_samples == (1,)
-    assert short_detect(mk([7.0] * 6), ShortParams(0.001)).flagged_samples == ()
-    assert short_detect(mk([10, 10, 16, 10]), ShortParams(5.0)).flagged_samples == (2, 3)
+    assert short_detect(mk([10, 20, 21]), ShortParams(5.0)).flagged_samples.tolist() == [1]
+    assert short_detect(mk([7.0] * 6), ShortParams(0.001)).flagged_samples.tolist() == []
+    assert short_detect(mk([10, 10, 16, 10]), ShortParams(5.0)).flagged_samples.tolist() == [2, 3]
 
 
 def test_short_detect_event_onset_misclassified():
@@ -46,9 +51,9 @@ def test_short_detect_event_onset_misclassified():
 
 
 def test_short_detect_strict_inequality_and_raw_predecessor():
-    assert short_detect(mk([0, 5, 0]), ShortParams(5.0)).flagged_samples == ()
+    assert short_detect(mk([0, 5, 0]), ShortParams(5.0)).flagged_samples.tolist() == []
     # sample 2 is compared against the raw (still spiked) sample 1
-    assert short_detect(mk([0, 100, 100.1]), ShortParams(5.0)).flagged_samples == (1,)
+    assert short_detect(mk([0, 100, 100.1]), ShortParams(5.0)).flagged_samples.tolist() == [1]
 
 
 def test_short_detect_errors_and_index_zero():
@@ -66,8 +71,8 @@ def test_short_detect_infinite_jump_is_a_quiet_flag():
     # |1e308 - (-1e308)| overflows to inf, which exceeds every finite delta;
     # under the suite's warnings-as-errors a numpy overflow warning fails here.
     s = mk([1e308, -1e308, 0.0, 1.0])
-    assert short_detect(s, ShortParams(1e300)).flagged_samples == (1, 2)
-    assert short_detect(s, ShortParams(0.5)).flagged_samples == (1, 2, 3)
+    assert short_detect(s, ShortParams(1e300)).flagged_samples.tolist() == [1, 2]
+    assert short_detect(s, ShortParams(0.5)).flagged_samples.tolist() == [1, 2, 3]
 
 
 def test_short_monotone_in_delta():
@@ -77,8 +82,8 @@ def test_short_monotone_in_delta():
         d1, d2 = sorted(rng.uniform(0.05, 3.0, size=2))
         if d1 == d2:
             continue
-        f1 = set(short_detect(s, ShortParams(d1)).flagged_samples)
-        f2 = set(short_detect(s, ShortParams(d2)).flagged_samples)
+        f1 = set(short_detect(s, ShortParams(d1)).flagged_samples.tolist())
+        f2 = set(short_detect(s, ShortParams(d2)).flagged_samples.tolist())
         assert f2 <= f1
 
 
@@ -139,29 +144,29 @@ def test_noise_train_invariant_under_permutation_within_windows():
 def test_noise_detect_band_is_inclusive():
     model = noise_train(mk([5.0] * 36), window_len=18)
     out = noise_detect(mk([5.0] * 54), model, allow_multiplier=0.0)
-    assert out.flagged_windows == ()  # sigma 0 is within [0, 0]
+    assert out.flagged_samples.tolist() == []  # sigma 0 is within [0, 0]
 
 
 def test_noise_detect_band_edges():
     # window [-d, 0, d] has sample std exactly d
     model = NoiseModel(window_len=3, sigma_train=1.0, sigma_hist_spread=0.25)
     s = mk([-1.5, 0.0, 1.5])
-    assert noise_detect(s, model, 1.0).flagged_windows == ((0, 3),)
-    assert noise_detect(s, model, 2.0).flagged_windows == ()  # band edge inclusive
-    assert noise_detect(s, model, 3.0).flagged_windows == ()
+    assert noise_detect(s, model, 1.0).flagged_samples.tolist() == [0, 1, 2]
+    assert noise_detect(s, model, 2.0).flagged_samples.tolist() == []  # band edge inclusive
+    assert noise_detect(s, model, 3.0).flagged_samples.tolist() == []
 
 
 def test_noise_detect_flags_low_side():
     model = NoiseModel(window_len=3, sigma_train=1.0, sigma_hist_spread=0.1)
     flat = mk([2.0, 2.0, 2.0])
-    assert noise_detect(flat, model, 1.0).flagged_windows == ((0, 3),)
+    assert noise_detect(flat, model, 1.0).flagged_samples.tolist() == [0, 1, 2]
 
 
 def test_noise_detect_ignores_trailing_remainder():
     model = NoiseModel(window_len=4, sigma_train=0.0, sigma_hist_spread=0.0)
     vals = [0.0] * 8 + [100.0, -100.0, 50.0]  # wild remainder, not a full window
     out = noise_detect(mk(vals), model, 1.0)
-    assert out.flagged_windows == ()
+    assert out.flagged_samples.tolist() == []
 
 
 def test_noise_detect_errors():
@@ -181,8 +186,8 @@ def test_noise_monotone_in_multiplier():
         test = mk(rng.normal(0, rng.uniform(0.2, 4.0), size=45))
         model = noise_train(train, window_len=5)
         m1, m2 = sorted(rng.uniform(0.0, 3.0, size=2))
-        w1 = set(noise_detect(test, model, m1).flagged_windows)
-        w2 = set(noise_detect(test, model, m2).flagged_windows)
+        w1 = set(noise_detect(test, model, m1).flagged_samples.tolist())
+        w2 = set(noise_detect(test, model, m2).flagged_samples.tolist())
         assert w2 <= w1
 
 
@@ -286,7 +291,7 @@ def test_llse_detect_affine_neighbors_flag_nothing():
     nb2 = mk(-1.0 + 2.0 * x, node="b")
     model = fit_pair_model(target, [nb1, nb2], vote_q=2)
     out = llse_detect(target, [nb1, nb2], model)
-    assert out.flagged_samples == ()
+    assert out.flagged_samples.tolist() == []
     assert out.source == "llse"
 
 
@@ -303,7 +308,7 @@ def test_llse_detect_unanimous_vote_flags_perturbed_sample():
     bad = y.copy()
     bad[33] += 50.0
     out = llse_detect(mk(bad, node="t"), [nb1, nb2], model)
-    assert out.flagged_samples == (33,)
+    assert out.flagged_samples.tolist() == [33]
 
 
 def test_llse_detect_vote_one_flags_superset_of_vote_two():
@@ -314,8 +319,8 @@ def test_llse_detect_vote_one_flags_superset_of_vote_two():
     target, nb1, nb2 = mk(y, node="t"), mk(x, node="a"), mk(z, node="b")
     m1 = fit_pair_model(target, [nb1, nb2], percentile_p=80.0, vote_q=1)
     m2 = fit_pair_model(target, [nb1, nb2], percentile_p=80.0, vote_q=2)
-    f1 = set(llse_detect(target, [nb1, nb2], m1).flagged_samples)
-    f2 = set(llse_detect(target, [nb1, nb2], m2).flagged_samples)
+    f1 = set(llse_detect(target, [nb1, nb2], m1).flagged_samples.tolist())
+    f2 = set(llse_detect(target, [nb1, nb2], m2).flagged_samples.tolist())
     assert f2 <= f1 and f1  # q=1 fires on 20 percent of training days
 
 
@@ -336,23 +341,163 @@ def test_detectors_are_deterministic():
     rng = np.random.default_rng(67)
     vals = rng.normal(size=90)
     s = mk(vals)
-    assert short_detect(s, ShortParams(0.5)) == short_detect(s, ShortParams(0.5))
+    assert np.array_equal(short_detect(s, ShortParams(0.5)).flagged_samples,
+                          short_detect(s, ShortParams(0.5)).flagged_samples)
     model = noise_train(s, window_len=9)
-    assert noise_detect(s, model, 1.0) == noise_detect(s, model, 1.0)
+    assert np.array_equal(noise_detect(s, model, 1.0).flagged_samples,
+                          noise_detect(s, model, 1.0).flagged_samples)
 
 
 # ------------------------------------------------- results and serialization
 
 def test_detection_result_normalization():
-    r = DetectionResult("short", flagged_samples=(5, 1, 3))
-    assert r.flagged_samples == (1, 3, 5)
-    w = DetectionResult("noise", flagged_windows=((6, 3), (0, 3)))
-    assert w.flagged_windows == ((0, 3), (6, 3))
+    assert [f.name for f in fields(DetectionResult)] == ["source", "flagged_samples"]
+    r = DetectionResult("short", flagged_samples=(5, 1, 3, 5))
+    assert r.flagged_samples.tolist() == [1, 3, 5]
+    assert r.flagged_samples.dtype == np.int64
+    with pytest.raises(ValueError):
+        r.flagged_samples[0] = 7  # read-only
+    w = DetectionResult("noise", np.array([6, 7, 8, 0, 1, 2]))
+    assert w.sample_indices() is w.flagged_samples
     assert w.sample_indices().tolist() == [0, 1, 2, 6, 7, 8]
     assert w.to_flags() == [(0, "noise"), (1, "noise"), (2, "noise"),
                             (6, "noise"), (7, "noise"), (8, "noise")]
+    assert type(w.to_flags()[0][0]) is int
+    assert DetectionResult("llse").flagged_samples.tolist() == []
     with pytest.raises(ConfigError):
         DetectionResult("spiky")
+
+
+# ----------------------------------- the former tuple-based result, as oracle
+
+@dataclass(frozen=True)
+class TupleDetectionResult:
+    """DetectionResult as it was: sorted Python-int sample tuples, plus the
+    noise rule's windows as (start, length) pairs expanded on every call."""
+
+    source: str
+    flagged_samples: tuple[int, ...] = ()
+    flagged_windows: tuple[tuple[int, int], ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "flagged_samples",
+                           tuple(sorted(int(i) for i in self.flagged_samples)))
+        object.__setattr__(self, "flagged_windows",
+                           tuple(sorted((int(a), int(b)) for a, b in self.flagged_windows)))
+
+    def sample_indices(self) -> np.ndarray:
+        idx = list(self.flagged_samples)
+        for start, length in self.flagged_windows:
+            idx.extend(range(start, start + length))
+        return np.unique(np.array(idx, dtype=np.int64))
+
+    def to_flags(self) -> list[tuple[int, str]]:
+        return [(int(i), self.source) for i in self.sample_indices()]
+
+
+def tuple_short(s, delta):
+    v = s.values.tolist()
+    return TupleDetectionResult("short", [k for k in range(1, len(v))
+                                          if abs(v[k] - v[k - 1]) > delta])
+
+
+def tuple_noise(s, model, multiplier):
+    """The former noise_detect result: one (start, length) pair per rejected window."""
+    stds = _window_stds(s.values, model.window_len)
+    allow = multiplier * model.sigma_hist_spread
+    flagged = np.nonzero((stds < model.sigma_train - allow) |
+                         (stds > model.sigma_train + allow))[0]
+    windows = tuple((int(i) * model.window_len, model.window_len) for i in flagged)
+    return TupleDetectionResult("noise", (), windows)
+
+
+def tuple_llse(target, neighbors, model):
+    flagged = []
+    for k, y in enumerate(target.values.tolist()):
+        votes = 0
+        for fit, nb in zip(model.neighbors, neighbors):
+            err = (fit.beta0 + fit.beta1 * float(nb.values[k])) - y
+            votes += (err if model.signed else abs(err)) > fit.threshold
+        if votes >= model.vote_q:
+            flagged.append(k)
+    return TupleDetectionResult("llse", flagged)
+
+
+def quarters(lo, hi):
+    """Multiples of 0.25 in [lo, hi]: exact in binary, and equal jumps and band
+    edges come up often."""
+    return st.integers(4 * lo, 4 * hi).map(lambda k: k / 4)
+
+
+@st.composite
+def detector_runs(draw):
+    """(series, result, former result, events, labels, kind) of one detector run.
+
+    `mode` sets the threshold so that no flags and every flaggable sample
+    flagged come up as often as drawn thresholds; noise series often end in
+    a partial window.
+    """
+    detector = draw(st.sampled_from(["short", "noise", "llse"]))
+    mode = draw(st.sampled_from(["none", "all", "drawn"]))
+    n = draw(st.integers(2, 40))
+    values = draw(st.lists(quarters(-10, 10), min_size=n, max_size=n))
+    if detector == "short":
+        if mode == "all":
+            values = np.cumsum(np.abs(values) + 1.0)
+        delta = {"none": 1e9, "all": 0.5}.get(mode) or draw(quarters(1, 10))
+        s = mk(values)
+        new, old = short_detect(s, ShortParams(delta)), tuple_short(s, delta)
+    elif detector == "noise":
+        w = draw(st.integers(2, min(6, n)))
+        if mode == "none":
+            model, multiplier = NoiseModel(w, 0.0, 1.0), 1e9
+        elif mode == "all":
+            model, multiplier = NoiseModel(w, 1e6, 0.0), 0.0
+        else:
+            model = NoiseModel(w, draw(quarters(0, 10)), draw(quarters(0, 5)))
+            multiplier = draw(quarters(0, 3))
+        s = mk(values)
+        new, old = noise_detect(s, model, multiplier), tuple_noise(s, model, multiplier)
+    else:
+        neighbors = [mk(draw(st.lists(quarters(-10, 10), min_size=n, max_size=n)),
+                        node=f"nb{j}") for j in range(draw(st.integers(1, 3)))]
+        fits = tuple(NeighborFit(nb.node_id, draw(quarters(-2, 2)), draw(quarters(-2, 2)),
+                                 {"none": 1e9, "all": -1.0}.get(mode) or draw(quarters(-5, 10)))
+                     for nb in neighbors)
+        model = LlseModel("t", fits, 95.0, draw(st.integers(1, len(fits))),
+                          mode == "drawn" and draw(st.booleans()))
+        s = mk(values, node="t")
+        new, old = llse_detect(s, neighbors, model), tuple_llse(s, neighbors, model)
+
+    events, cursor = [], 0.0
+    for _ in range(draw(st.integers(0, 3))):
+        start = cursor + draw(st.integers(0, 10)) * 1200.0 + draw(st.sampled_from([0.0, 300.0]))
+        cursor = start + draw(st.integers(1, 15)) * 1200.0
+        events.append(EventWindow(start, cursor))
+    kind = draw(st.sampled_from([None, "short", "noise"]))
+    truth = None
+    if kind == "short":
+        truth = GroundTruthLabels(short_indices=tuple(draw(st.sets(st.integers(0, n - 1)))))
+    elif kind == "noise":
+        bursts, at = [], draw(st.integers(0, n - 1))
+        while at < n:
+            length = draw(st.integers(1, n - at))
+            bursts.append((at, length))
+            at += length + draw(st.integers(1, n))
+        truth = GroundTruthLabels(noise_windows=tuple(bursts))
+    return s, new, old, events, truth, kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(detector_runs())
+def test_flag_array_matches_the_tuple_result(run):
+    s, new, old, events, truth, kind = run
+    assert new.flagged_samples.dtype == np.int64
+    assert new.flagged_samples.tolist() == old.sample_indices().tolist()
+    assert new.to_flags() == old.to_flags()
+    params = {"detector": new.source}
+    assert report_to_dict(assemble_report(s, new, events, truth, kind, params)) == \
+        report_to_dict(assemble_report(s, old, events, truth, kind, params))
 
 
 def test_model_serialization_round_trips(tmp_path):

@@ -22,9 +22,10 @@ def mk(n, interval=600.0, start=0.0):
 
 
 def flags(samples=(), windows=()):
-    """Flagged samples and (start, length) windows as one detector's result."""
-    return DetectionResult("noise" if windows else "short",
-                           flagged_samples=tuple(samples), flagged_windows=tuple(windows))
+    """Flagged samples plus every sample of each (start, length) window as one
+    detector's result."""
+    expanded = [i for start, length in windows for i in range(start, start + length)]
+    return DetectionResult("noise" if windows else "short", [*samples, *expanded])
 
 
 def mu_of(s, events, samples=(), windows=()):
@@ -164,7 +165,7 @@ def test_assemble_report_kind_inference():
     assert rep.false_negative_ratio == 0.5
 
     noise_truth = GroundTruthLabels(noise_windows=((50, 10),))
-    rep2 = assemble_report(s, DetectionResult("noise", flagged_windows=((50, 10),)),
+    rep2 = assemble_report(s, DetectionResult("noise", range(50, 60)),
                            events, truth=noise_truth)
     assert rep2.fault_kind == "noise"
     assert rep2.false_negative_ratio == 0.0

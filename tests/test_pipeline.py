@@ -139,6 +139,25 @@ def test_run_sweep_points_short_monotone():
         assert pt.report.parameters["modality"] == "soil_moisture"
 
 
+def test_sweep_generates_only_its_target_series(monkeypatch):
+    import faultlab.synth as synth
+
+    generated = []
+    for name in ("gen_soil_moisture", "gen_box_temperature"):
+        def counting(*args, _gen=getattr(synth, name), **kwargs):
+            out = _gen(*args, **kwargs)
+            generated.append((out.node_id, out.modality))
+            return out
+        monkeypatch.setattr(synth, name, counting)
+    nodes = [{"id": "a"}, {"id": "b", "lag_s": 600.0}, {"id": "c", "response_scale": 0.5}]
+    cfg = {"detector": "short", "grid": [0.5], "synth": synth_block(nodes=nodes, target="b")}
+    run_sweep_points(cfg, seed=3, modality=Modality.SOIL_MOISTURE)
+    assert generated == [("b", Modality.SOIL_MOISTURE)]
+    cfg["synth"]["target"] = "zz"
+    with pytest.raises(DataError, match="^synth: no series for node 'zz' modality 'box_temp'$"):
+        run_sweep_points(cfg, seed=3, modality=Modality.BOX_TEMP)
+
+
 def test_run_sweep_points_validation():
     with pytest.raises(ConfigError, match="detector"):
         run_sweep_points({"detector": "llse", "grid": [1], "synth": synth_block()},

@@ -211,6 +211,22 @@ def test_deployment_nodes_have_independent_noise():
     assert all(np.array_equal(x.values, y.values) for x, y in zip(series, series2))
 
 
+def test_deployment_selection_matches_the_full_run():
+    sched = [ScheduledEvent(EventWindow(3600.0, 14400.0), 6.0),
+             ScheduledEvent(EventWindow(90000.0, 104400.0), 12.0)]
+    spec = deployment([1, 0.4, 2.5], [0, 1800.0, 5400.0], sched, seed=77)
+    full, windows = gen_deployment(spec)
+    for node in (None, "n0", "n1", "n2", "elsewhere"):
+        for modality in (None, *Modality):
+            picked, picked_windows = gen_deployment(spec, node=node, modality=modality)
+            expect = [s for s in full
+                      if node in (None, s.node_id) and modality in (None, s.modality)]
+            assert picked_windows == windows
+            assert [(s.node_id, s.modality, s.start_time, s.sample_interval) for s in picked] \
+                == [(s.node_id, s.modality, s.start_time, s.sample_interval) for s in expect]
+            assert all(np.array_equal(a.values, b.values) for a, b in zip(picked, expect))
+
+
 def test_deployment_spec_validation():
     sched = [ScheduledEvent(EventWindow(0.0, 3600.0), 2.0)]
     with pytest.raises(ConfigError):
