@@ -42,7 +42,10 @@ def resolve_config(args) -> dict:
 
 def _out_dir(args) -> Path:
     out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at the path or above it
+        raise ConfigError(f"--out {out}: not a usable directory ({exc.strerror or exc})") from None
     return out
 
 

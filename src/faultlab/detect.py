@@ -155,9 +155,11 @@ def short_detect(s: Series, params: ShortParams) -> DetectionResult:
 
 
 def _window_stds(values: np.ndarray, window_len: int) -> np.ndarray:
-    """Sample std (n-1 denominator) of each full tumbling window from index 0."""
+    """Sample std (n-1 denominator) of each full tumbling window from index 0;
+    a window whose std overflows reads inf."""
     m = values.shape[0] // window_len
-    return values[: m * window_len].reshape(m, window_len).std(axis=1, ddof=1)
+    with np.errstate(over="ignore"):
+        return values[: m * window_len].reshape(m, window_len).std(axis=1, ddof=1)
 
 
 def noise_train(train: Series, window_len: int = 18) -> NoiseModel:
@@ -175,7 +177,11 @@ def noise_train(train: Series, window_len: int = 18) -> NoiseModel:
             f"insufficient training data: need >= {2 * window_len} samples, "
             f"got {len(train)}")
     stds = _window_stds(train.values, window_len)
-    return NoiseModel(window_len, float(stds.mean()), float(stds.std(ddof=1)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite band raises below
+        sigma_train, spread = float(stds.mean()), float(stds.std(ddof=1))
+    if not (math.isfinite(sigma_train) and math.isfinite(spread)):
+        raise NumericError("noise band overflowed: window standard deviations are not finite")
+    return NoiseModel(window_len, sigma_train, spread)
 
 
 def noise_detect(s: Series, model: NoiseModel, allow_multiplier: float) -> DetectionResult:

@@ -3,7 +3,9 @@ JSON documents.
 
 Every input file crosses one boundary here: `_blocks` reads each CSV in
 blocks of rows, and `json_number`/`json_fields`/`json_list` check each value
-of a JSON document.
+of a JSON document. A block of lines without `"` whose rows all have the
+header's width is split with `str.split`; from the first other block on,
+the csv module reads the file row by row, with the same cells.
 
 Timestamps are accepted as ISO-8601 (UTC assumed when no zone is given) or as
 epoch seconds; written files always use epoch seconds so that byte-identical
@@ -19,8 +21,9 @@ import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from io import StringIO
+from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NoReturn, Sequence
+from typing import Callable, Generator, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -67,38 +70,108 @@ def _open_text(path: Path, error: type[Exception] = DataError):
 _BLOCK = 4096
 
 
-def _blocks(path: Path, columns: Sequence[str]) -> Iterator[tuple[list[int], list[list[str]]]]:
+def _data_line(line: str) -> bool:
+    """False for the `#` comment lines and blank lines every CSV reader skips."""
+    return not (line.startswith("#") or line.isspace())
+
+
+def _raises(exc: Exception) -> Iterator:
+    """An iterator that raises `exc` when it is read."""
+    raise exc
+    yield
+
+
+def _split_block(lines: list[str], first: int, ncols: int,
+                 pos: list[int]) -> tuple[Sequence[int], list[list[str]]] | None:
+    """(line numbers, cells of the columns at `pos`) of the data lines in
+    `lines`, the file's lines from line `first` on, split with `str.split`;
+    or None when a line needs the csv module.
+
+    A block without `"` holds no cell that spans lines, and a line of
+    exactly `ncols - 1` commas, no NUL (which Python 3.10's csv refuses) and
+    no more characters than `csv.field_size_limit()` reads as its commas
+    split it.
+    """
+    text = "".join(lines)
+    if '"' in text or "\x00" in text:
+        return None
+    linenos: Sequence[int] = range(first, first + len(lines))
+    if "#" in text or any(map(str.isspace, lines)):
+        kept = [i for i, line in enumerate(lines) if _data_line(line)]
+        lines = [lines[i] for i in kept]
+        linenos = [first + i for i in kept]
+        text = "".join(lines)
+    n = len(lines)
+    if (list(map(str.count, lines, repeat(","))).count(ncols - 1) != n
+            or max(map(len, lines), default=0) > csv.field_size_limit()):
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    cells = text.replace("\n", ",").split(",")
+    return linenos, [cells[i:n * ncols:ncols] for i in pos]
+
+
+def _split_blocks(fh, first: int, ncols: int, pos: list[int]) -> Generator:
+    """Yield `_split_block` of each run of `_BLOCK` lines of `fh`, the file
+    from line `first` on, up to the first run it refuses; return the
+    numbered lines of the file from that run on, for the csv module.
+
+    Bytes that do not decode end the file: the lines read before them are
+    returned, followed by the decode error.
+    """
+    while True:
+        block: list[str] = []
+        try:
+            block.extend(islice(fh, _BLOCK))  # keeps the lines read before a decode error
+        except UnicodeDecodeError as exc:
+            return chain(enumerate(block, first), _raises(exc))
+        if not block:
+            return ()
+        split = _split_block(block, first, ncols, pos)
+        if split is None:
+            return chain(enumerate(block, first), enumerate(fh, first + len(block)))
+        if split[0]:
+            yield split
+        first += len(block)
+
+
+def _blocks(path: Path, columns: Sequence[str]) -> Iterator[tuple[Sequence[int], list[list[str]]]]:
     """(line numbers, one list of cells per column of `columns`) for each run
     of at most `_BLOCK` data rows of a CSV.
 
     `#` comment lines and blank lines are skipped but counted, so the line
-    numbers are the file's own. The first other line is the header. Cells
-    missing from a short row read as "". A line the csv module cannot read,
-    or bytes that do not decode, raise DataError only after the rows read
-    before them have been yielded, so a caller still reports the first bad
-    row first.
+    numbers are the file's own. The first other line is the header. Runs of
+    lines are split with `str.split` while they hold no `"` and each data
+    line has the header's width (`_split_blocks`); from the first run that
+    does not, the csv module reads the rest of the file row by row, with
+    the same result. Cells missing from a short row read as "". A line the
+    csv module cannot read, or bytes that do not decode, raise DataError
+    only after the rows read before them have been yielded, so a caller
+    still reports the first bad row first.
     """
     lineno = 0
 
-    def lines(fh):
+    def kept(numbered):
         nonlocal lineno
-        for lineno, line in enumerate(fh, 1):
-            if not (line.startswith("#") or line.isspace()):
+        for lineno, line in numbered:
+            if _data_line(line):
                 yield line
 
     failure = None
     with _open_text(path) as fh:
-        reader = csv.reader(lines(fh))
+        reader = csv.reader(kept(enumerate(fh, 1)))
         rows: list[list[str]] = []
         linenos: list[int] = []
         try:
-            at = {name: i for i, name in enumerate(next(reader, []))}
+            header = next(reader, [])
+            at = {name: i for i, name in enumerate(header)}
             for col in columns:
                 if col not in at:
                     raise DataError(f"{path}: missing column {col!r}")
             pos = [at[col] for col in columns]
             width = max(pos) + 1
-            for cells in reader:
+            rest = yield from _split_blocks(fh, lineno + 1, len(header), pos)
+            for cells in csv.reader(kept(rest)):
                 if len(cells) < width:
                     cells += [""] * (width - len(cells))
                 rows.append(cells)
@@ -249,7 +322,7 @@ def _value(cell: str) -> float:
     return float(raw) if raw else math.nan
 
 
-def _series_block(path: Path, linenos: list[int], columns: list[list[str]],
+def _series_block(path: Path, linenos: Sequence[int], columns: list[list[str]],
                   groups: dict[tuple[str, str], int]) -> tuple[np.ndarray, ...]:
     """Times, values and group numbers of a block's rows with a finite value.
 
@@ -294,7 +367,7 @@ def _series_block(path: Path, linenos: list[int], columns: list[list[str]],
     return t[keep], v[keep], g[keep]
 
 
-def _raise_first_bad_row(path: Path, linenos: list[int], columns: list[list[str]]) -> NoReturn:
+def _raise_first_bad_row(path: Path, linenos: Sequence[int], columns: list[list[str]]) -> NoReturn:
     """Raise the error of a block's first malformed row, checking one row at
     a time: timestamp and modality, then node_id, then value."""
     for lineno, stamp, node, modality, cell in zip(linenos, *columns):

@@ -276,6 +276,34 @@ def test_numeric_failure_exits_4(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numeric error:")
 
 
+def test_out_at_a_file_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "cfg.json", {"seed": 3, "synth": SYNTH_SMALL, "detector": "short",
+                                            "grid": [0.5], "inject": {"kind": "short"}})
+    site = tmp_path / "site"
+    assert main(["synth", "--config", cfg, "--out", str(site)]) == 0
+    assert main(["detect", "--in", str(site / "series.csv"), "--detector", "short",
+                 "--delta", "0.01", "--modality", "box_temp", "--out", str(site)]) == 0
+    series = ["--in", str(site / "series.csv"), "--modality", "box_temp"]
+    commands = [
+        ["synth", "--config", cfg],
+        ["inject", "--config", cfg, *series],
+        ["train", "--detector", "short", "--delta", "0.05"],
+        ["detect", "--detector", "short", "--delta", "0.01", *series],
+        ["evaluate", *series, "--flags", str(site / "flags.csv"),
+         "--events", str(site / "events.csv")],
+        ["sweep", "--config", cfg],
+    ]
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
+    capsys.readouterr()
+    for argv in commands:
+        for out in (afile, afile / "x"):
+            assert main([*argv, "--out", str(out)]) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: --out {out}: not a usable directory (")
+            assert len(err.splitlines()) == 1
+    assert afile.read_text() == "not a directory\n"
+
 def test_modality_filter_on_synth_output(tmp_path):
     cfg = write_cfg(tmp_path / "cfg.json", {"seed": 2, "synth": SYNTH_SMALL})
     out = tmp_path / "out"

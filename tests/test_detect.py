@@ -179,6 +179,18 @@ def test_noise_detect_errors():
         NoiseModel(window_len=1, sigma_train=0.0, sigma_hist_spread=0.0)
 
 
+def test_noise_std_overflow_is_a_numeric_error_not_a_warning():
+    # [1e308, -1e308] has a sample std past the float range
+    with pytest.raises(NumericError, match="noise band overflowed"):
+        noise_train(mk([1e308, -1e308, 0.0, 0.0]), window_len=2)
+    # finite window stds of about 1.3e154 whose spread overflows
+    with pytest.raises(NumericError, match="noise band overflowed"):
+        noise_train(mk([9e153, -9e153, 0.0, 0.0] * 5), window_len=2)
+    model = NoiseModel(window_len=2, sigma_train=1.0, sigma_hist_spread=0.1)
+    out = noise_detect(mk([1e308, -1e308, 0.0, math.sqrt(2)]), model, 1.0)
+    assert out.flagged_samples.tolist() == [0, 1]
+
+
 def test_noise_monotone_in_multiplier():
     rng = np.random.default_rng(31)
     for _ in range(100):

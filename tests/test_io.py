@@ -513,13 +513,13 @@ def series_csv(draw):
             lines[i] = ",".join(cells)
         else:
             lines.insert(i, '"unterminated,' + lines[i])
-    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines) + "\n"
 
 
 CHAOS_CELLS = st.one_of(
     st.sampled_from(["", " ", "0", "600", "1200", "1800", "2.5", "-1", "nan", "inf", "1e400",
                      "n1", "soil_moisture", "box_temp", "1970-01-01T00:10:00Z", '"', '"a,b"',
-                     "#", "x"]),
+                     "#", "x", "\x00"]),
     st.text(max_size=3))
 CHAOS_LINES = st.one_of(st.lists(CHAOS_CELLS, max_size=5).map(",".join),
                         st.sampled_from(["timestamp,node_id,modality,value", "# note", "", "  "]))
@@ -535,6 +535,14 @@ def test_block_ingest_matches_the_row_reader(tmp_path_factory, text):
     for size in BLOCK_SIZES:
         with mock.patch.object(fio, "_BLOCK", size):
             assert outcome(ingest_csv, p) == expected, f"_BLOCK = {size}"
+
+
+def plain_rows(n, node="n1", start=0):
+    """`n` rows of one box_temp series, a row a line, from sample `start` on."""
+    return "".join(f"{k * 600},{node},box_temp,{k % 7}\n" for k in range(start, start + n))
+
+
+PLAIN = 2 * fio._BLOCK + 5  # more rows than two blocks of the largest size
 
 
 @pytest.mark.parametrize("body, message", [
@@ -556,10 +564,33 @@ def test_block_ingest_matches_the_row_reader(tmp_path_factory, text):
     ("0,n1,box_temp,1\n600,,wind,2\n", "data.csv:3: malformed row"),
     ("0,n1,box_temp,1\nx,,box_temp,oops\n", "data.csv:3: malformed row"),
     ("0,n1,box_temp, 1_0 \n600,n1,box_temp,1 e3\n", "(bad value '1 e3')"),
+    # lone CR line ends
+    (plain_rows(20).replace("\n", "\r"), None),
+    # comment and blank lines inside a block of plain rows, then a bad row
+    (plain_rows(5) + "# note\n\n  \r\n" + plain_rows(5, start=5) + "#\n" + plain_rows(3, start=10)
+     + "x,n1,box_temp,1\n" + plain_rows(3, start=14), "data.csv:19: malformed row"),
+    # a quoted node id first seen after two blocks of plain rows, then rows
+    # the csv module reads, line numbers continuing
+    (plain_rows(PLAIN) + plain_rows(4, '"n,2"') + "# note\n" + plain_rows(4, start=PLAIN), None),
+    (plain_rows(PLAIN) + plain_rows(4, '"n,2"') + "# note\n" + plain_rows(4, start=PLAIN)
+     + "x,n1,box_temp,1\n", f"data.csv:{PLAIN + 11}: malformed row"),
+    # a line longer than csv.field_size_limit() after two blocks of plain rows
+    (plain_rows(PLAIN) + "0,n1,box_temp," + "9" * (csv.field_size_limit() + 1) + "\n"
+     + plain_rows(3), f"data.csv:{PLAIN + 2}: malformed row (field larger than field limit "
+     f"({csv.field_size_limit()}))"),
+    # undecodable bytes more than 8 KB after a bad row, and after good rows
+    # only, where the error is the codec's: "not text in the expected encoding"
+    ((plain_rows(30) + "x,n1,box_temp,1\n" + plain_rows(600, start=31)).encode() + b"\xff\xfe"
+     + plain_rows(600, start=700).encode(), "data.csv:32: malformed row"),
+    (plain_rows(PLAIN).encode() + b"0,n1,box_\xff\xfe,1\n" + plain_rows(600, start=PLAIN).encode(),
+     ": invalid start byte)"),
 ], ids=["gaps", "jitter", "iso", "quote-after-bad-row", "empty-node", "modality-first",
-        "timestamp-first", "bad-value"])
+        "timestamp-first", "bad-value", "lone-cr", "comments-in-plain-block",
+        "quote-after-plain-blocks", "bad-row-after-quote", "long-line-after-plain-blocks",
+        "bad-bytes-after-bad-row", "bad-bytes-after-good-rows"])
 def test_block_ingest_cases(tmp_path, body, message):
-    p = write(tmp_path, body)
+    p = tmp_path / "data.csv"
+    p.write_bytes(HEADER.encode() + (body if isinstance(body, bytes) else body.encode()))
     expected = outcome(oracle_ingest_csv, p)
     if message is None:
         assert not isinstance(expected, str)
@@ -568,6 +599,32 @@ def test_block_ingest_cases(tmp_path, body, message):
     for size in BLOCK_SIZES:
         with mock.patch.object(fio, "_BLOCK", size):
             assert outcome(ingest_csv, p) == expected
+
+
+def test_plain_series_files_skip_the_csv_module(tmp_path):
+    rng = np.random.default_rng(9)
+    series = [Series(f"n{i}", Modality.SOIL_MOISTURE, 1743465600.0, 600.0,
+                     rng.normal(0.2, 0.01, size=3000)) for i in range(3)]
+    p = tmp_path / "series.csv"
+    write_series_csv(p, series)
+    lines = p.read_text().splitlines()
+    for i, extra in ((0, "# exported"), (5, "# a note"), (4000, ""), (7000, "#")):
+        lines.insert(i, extra)
+    p.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    expected = outcome(oracle_ingest_csv, p)
+    read = []
+    reader = fio.csv.reader
+
+    def counted(*args, **kwargs):
+        for row in reader(*args, **kwargs):
+            read.append(row)
+            yield row
+
+    for size in BLOCK_SIZES:
+        read.clear()
+        with mock.patch.object(fio, "_BLOCK", size), mock.patch.object(fio.csv, "reader", counted):
+            assert outcome(ingest_csv, p) == expected, f"_BLOCK = {size}"
+        assert read == [list(SERIES_COLUMNS)], f"_BLOCK = {size}"
 
 
 NODE_IDS = st.sampled_from(["n1", "a,b", 'say "hi"', " lead", "line\nbreak", "cr\r", "#x", "é"])
