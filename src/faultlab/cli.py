@@ -5,6 +5,8 @@ reads an optional JSON config (--config) with flag overrides for seed,
 modality, and output directory; outputs are deterministic for a fixed
 config+seed, and every output file carries the resolved config either
 embedded (JSON outputs) or as a `<file>.meta.json` sidecar (CSV outputs).
+Every command loads its config, makes --out and reads its small inputs
+(model, flags, events, labels) before it ingests or generates a series.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure.
 """
@@ -91,13 +93,9 @@ def _llse_series(path: str, target: str, modality: Modality | None,
 # Subcommands
 # --------------------------------------------------------------------------
 
-def cmd_synth(args) -> int:
-    cfg = resolve_config(args)
-    seed = seed_of(cfg)
-    series, events, schedule, _ = build_synth_config(section(cfg, "synth"), seed,
+def cmd_synth(args, cfg: dict, out: Path) -> None:
+    series, events, schedule, _ = build_synth_config(section(cfg, "synth"), seed_of(cfg),
                                                      modality=modality_of(cfg))
-    out = _out_dir(args)
-
     _write_with_meta(out / "series.csv", write_series_csv, series, "synth", cfg)
     _write_with_meta(out / "events.csv", write_events_csv, events, "synth", cfg)
     sched_path = out / "schedule.json"
@@ -105,11 +103,9 @@ def cmd_synth(args) -> int:
         "schedule": [{"start": ev.window.start, "end": ev.window.end,
                       "rain_mm": ev.rain_mm} for ev in schedule]})
     _say(sched_path)
-    return 0
 
 
-def cmd_inject(args) -> int:
-    cfg = resolve_config(args)
+def cmd_inject(args, cfg: dict, out: Path) -> None:
     seed = seed_of(cfg)
     inject_cfg = section(cfg, "inject")
     if args.kind:
@@ -117,42 +113,35 @@ def cmd_inject(args) -> int:
     s = _input_series(args, modality_of(cfg))
     s, labels, plan = inject_from_config(s, inject_cfg, seed, None)
 
-    out = _out_dir(args)
     _write_with_meta(out / "faulted.csv", write_series_csv, [s], "inject", cfg)
     labels_path = out / "faulted.labels.json"
     save_labels(labels_path, labels, plan)
     _say(labels_path)
-    return 0
 
 
-def cmd_train(args) -> int:
-    cfg = resolve_config(args)
+def cmd_train(args, cfg: dict, out: Path) -> None:
     modality = modality_of(cfg)
-    out = _out_dir(args)
-    model_path = out / "model.json"
-
     if args.detector == "short":
         delta = args.delta if args.delta is not None else cfg.get("delta")
         if delta is None:
             raise ConfigError("short detector needs --delta or config key 'delta'")
         model = ShortParams(number(delta, "delta"))
     elif args.detector == "noise":
-        s = _input_series(args, modality)
-        model = noise_train(s, number(cfg.get("noise_window_len", 18), "noise_window_len", int))
+        window_len = number(cfg.get("noise_window_len", 18), "noise_window_len", int)
+        model = noise_train(_input_series(args, modality), window_len)
     else:
         if not args.target:
             raise ConfigError("llse training needs --target <node id>")
-        s, neighbors = _llse_series(args.infile, args.target, modality)
         llse_cfg = section(cfg, "llse")
-        model = fit_llse_model(s, neighbors,
-                               percentile_p=number(llse_cfg.get("percentile_p", 95.0),
-                                                   "llse.percentile_p"),
-                               vote_q=number(llse_cfg.get("vote_q", 2), "llse.vote_q", int),
-                               signed=boolean(llse_cfg.get("signed", False), "llse.signed"))
+        params = dict(percentile_p=number(llse_cfg.get("percentile_p", 95.0),
+                                          "llse.percentile_p"),
+                      vote_q=number(llse_cfg.get("vote_q", 2), "llse.vote_q", int),
+                      signed=boolean(llse_cfg.get("signed", False), "llse.signed"))
+        model = fit_llse_model(*_llse_series(args.infile, args.target, modality), **params)
 
+    model_path = out / "model.json"
     save_model(model_path, model, config_echo=_echo("train", cfg))
     _say(model_path)
-    return 0
 
 
 def _model(args, cls):
@@ -170,55 +159,48 @@ def _detect(args, cfg: dict) -> DetectionResult:
         s, neighbors = _llse_series(args.infile, model.target, modality,
                                     [fit.node_id for fit in model.neighbors])
         return llse_detect(s, neighbors, model)
-    s = _input_series(args, modality)
     if args.detector == "short":
         delta = args.delta if args.delta is not None else cfg.get("delta")
         if delta is None and args.model:
             delta = _model(args, ShortParams).delta
         if delta is None:
             raise ConfigError("short detection needs --delta, config 'delta', or --model")
-        return short_detect(s, ShortParams(number(delta, "delta")))
+        params = ShortParams(number(delta, "delta"))
+        return short_detect(_input_series(args, modality), params)
     model = _model(args, NoiseModel)
     multiplier = args.multiplier if args.multiplier is not None else cfg.get("multiplier")
     if multiplier is None:
         raise ConfigError("noise detection needs --multiplier or config 'multiplier'")
-    return noise_detect(s, model, number(multiplier, "multiplier"))
+    multiplier = number(multiplier, "multiplier")
+    return noise_detect(_input_series(args, modality), model, multiplier)
 
 
-def cmd_detect(args) -> int:
-    cfg = resolve_config(args)
-    result = _detect(args, cfg)
-    _write_with_meta(_out_dir(args) / "flags.csv", write_detection_csv, result.to_flags(),
+def cmd_detect(args, cfg: dict, out: Path) -> None:
+    _write_with_meta(out / "flags.csv", write_detection_csv, _detect(args, cfg).to_flags(),
                      "detect", cfg)
-    return 0
 
 
-def cmd_evaluate(args) -> int:
-    cfg = resolve_config(args)
-    s = _input_series(args, modality_of(cfg))
+def cmd_evaluate(args, cfg: dict, out: Path) -> None:
+    modality = modality_of(cfg)
     events = read_events_csv(args.events)
     by_source = read_detection_csv(args.flags)
     if len(by_source) != 1:
         raise DataError(f"{args.flags}: expected flags from exactly one detector, "
                         f"found {sorted(by_source)}")
     result = DetectionResult(*next(iter(by_source.items())))
-
     truth = load_labels(args.labels) if args.labels else None
-    report = assemble_report(s, result, events, truth=truth,
+
+    report = assemble_report(_input_series(args, modality), result, events, truth=truth,
                              kind=args.fault_kind,
                              parameters=_echo("evaluate", cfg))
-    out = _out_dir(args)
     report_path = out / "report.json"
     save_report(report_path, report)
     _say(report_path)
-    return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = resolve_config(args)
+def cmd_sweep(args, cfg: dict, out: Path) -> None:
     seed = seed_of(cfg)
     modality = modality_of(cfg, Modality.BOX_TEMP)
-    out = _out_dir(args)
     written: list[Path] = []
     try:
         result = run_sweep_points(cfg, seed, modality)
@@ -236,7 +218,6 @@ def cmd_sweep(args) -> int:
         raise
     for path in written:
         _say(path)
-    return 0
 
 
 # --------------------------------------------------------------------------
@@ -308,7 +289,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "train" and args.detector != "short" and not args.infile:
             raise ConfigError("--in is required for noise/llse training")
-        return args.func(args)
+        args.func(args, resolve_config(args), _out_dir(args))
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

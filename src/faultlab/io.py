@@ -27,7 +27,7 @@ from typing import Callable, Generator, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .series import EventWindow, Modality, PrecipRecord, Series
 
 __all__ = [
@@ -62,6 +62,13 @@ def _open_text(path: Path, error: type[Exception] = DataError):
         return path.open(newline="")
     except OSError as exc:
         raise error(f"{path}: cannot read ({exc.strerror or exc})") from None
+
+
+def _open_out(path: str | Path):
+    try:
+        return Path(path).open("w", newline="")
+    except OSError as exc:  # a directory at the path, no permission, ...
+        raise ConfigError(f"{path}: cannot write ({exc.strerror or exc})") from None
 
 
 # Most data rows read or written per block: enough to amortise the bulk
@@ -416,7 +423,7 @@ def ingest_csv(path: str | Path) -> IngestReport:
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable) -> None:
     """Write `header` and `rows` as CSV with newline line ends."""
-    with Path(path).open("w", newline="") as fh:
+    with _open_out(path) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
@@ -431,7 +438,7 @@ def _csv_line(cells: Sequence[str]) -> str:
 
 def write_series_csv(path: str | Path, series: Iterable[Series]) -> None:
     """Write series to the sensor-data CSV format, one row per sample."""
-    with Path(path).open("w", newline="") as fh:
+    with _open_out(path) as fh:
         fh.write(_csv_line(SERIES_COLUMNS))
         for s in series:
             middle = _csv_line(["", s.node_id, s.modality.value, ""])[:-1]
@@ -498,7 +505,8 @@ def read_json(path: str | Path, error: type[Exception] = DataError):
 
 def write_json(path: str | Path, doc) -> None:
     """`doc` as indented JSON with sorted keys and a final newline."""
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    with _open_out(path) as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def json_number(raw, what: str, kind: type = float, error: type[Exception] = DataError):

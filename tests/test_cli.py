@@ -276,13 +276,23 @@ def test_numeric_failure_exits_4(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numeric error:")
 
 
-def test_out_at_a_file_exits_2(tmp_path, capsys):
+def no_series_work(monkeypatch):
+    """Make any ingest or generation of a series fail the test."""
+    def never(*args, **kwargs):
+        raise AssertionError("a series was ingested or generated before a cheap check")
+
+    monkeypatch.setattr(cli, "ingest_csv", never)
+    monkeypatch.setattr(pipeline, "gen_deployment", never)
+
+
+def test_out_at_a_file_exits_2(tmp_path, capsys, monkeypatch):
     cfg = write_cfg(tmp_path / "cfg.json", {"seed": 3, "synth": SYNTH_SMALL, "detector": "short",
                                             "grid": [0.5], "inject": {"kind": "short"}})
     site = tmp_path / "site"
     assert main(["synth", "--config", cfg, "--out", str(site)]) == 0
     assert main(["detect", "--in", str(site / "series.csv"), "--detector", "short",
                  "--delta", "0.01", "--modality", "box_temp", "--out", str(site)]) == 0
+    no_series_work(monkeypatch)
     series = ["--in", str(site / "series.csv"), "--modality", "box_temp"]
     commands = [
         ["synth", "--config", cfg],
@@ -303,6 +313,91 @@ def test_out_at_a_file_exits_2(tmp_path, capsys):
             assert err.startswith(f"config error: --out {out}: not a usable directory (")
             assert len(err.splitlines()) == 1
     assert afile.read_text() == "not a directory\n"
+
+
+
+def test_output_file_at_a_directory_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "cfg.json", {"seed": 3, "synth": SYNTH_SMALL, "detector": "short",
+                                            "grid": [0.5], "inject": {"kind": "short"}})
+    series, events, flags = write_site(tmp_path)
+    node = ["--in", series, "--node", "n1"]
+    commands = [
+        (["synth", "--config", cfg], "series.csv"),
+        (["inject", "--config", cfg, *node], "faulted.csv"),
+        (["train", "--detector", "short", "--delta", "0.05"], "model.json"),
+        (["detect", "--detector", "short", "--delta", "0.01", *node], "flags.csv"),
+        (["evaluate", *node, "--flags", flags, "--events", events], "report.json"),
+        (["sweep", "--config", cfg], "sweep.csv"),
+    ]
+    for n, (argv, name) in enumerate(commands):
+        out = tmp_path / f"out{n}"
+        (out / name).mkdir(parents=True)
+        assert main([*argv, "--out", str(out)]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {out / name}: cannot write (")
+        assert len(err.splitlines()) == 1
+
+
+def test_sweep_unwritable_report_removes_partial_outputs(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "cfg.json", {
+        "seed": 5,
+        "synth": {"train_days": 1, "test_days": 2, "n_events": 2, "interval_s": 600},
+        "detector": "short",
+        "grid": [0.5, 2.0],
+        "inject": {"kind": "short"}})
+    out = tmp_path / "out"
+    (out / "report_001.json").mkdir(parents=True)
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert [p.name for p in out.iterdir()] == ["report_001.json"]
+
+
+@pytest.mark.parametrize("case, code, message", [
+    ("detect short, no delta", 2, "short detection needs --delta, config 'delta', or --model"),
+    ("detect noise, no model", 2, "noise detection needs --model with a noise model"),
+    ("detect noise, no multiplier", 2,
+     "noise detection needs --multiplier or config 'multiplier'"),
+    ("train noise, bad window", 2, "noise_window_len must be a finite number"),
+    ("train llse, bad vote_q", 2, "llse.vote_q must be a finite number"),
+    ("evaluate, no events file", 3, "absent.csv: cannot read ("),
+    ("evaluate, two flag sources", 3, "expected flags from exactly one detector"),
+    ("evaluate, fractional label", 3, "integer within int64"),
+])
+def test_cheap_errors_come_before_any_series_work(tmp_path, capsys, monkeypatch,
+                                                  case, code, message):
+    series, events, flags = write_site(tmp_path)
+    model = tmp_path / "noise.json"
+    model.write_text(NOISE_MODEL + '"window_len": 4}')
+    two_sources = tmp_path / "two.csv"
+    two_sources.write_text("index,flag_source\n3,short\n5,noise\n")
+    labels = tmp_path / "labels.json"
+    labels.write_text('{"short": [1.7]}')
+    node = ["--in", series, "--node", "n1"]
+    argv = {
+        "detect short, no delta": ["detect", *node, "--detector", "short"],
+        "detect noise, no model": ["detect", *node, "--detector", "noise", "--multiplier", "2"],
+        "detect noise, no multiplier": ["detect", *node, "--detector", "noise",
+                                        "--model", str(model)],
+        "train noise, bad window": ["train", "--detector", "noise", *node, "--config",
+                                    write_cfg(tmp_path / "noise.cfg.json", {"noise_window_len": "x"})],
+        "train llse, bad vote_q": ["train", "--detector", "llse", "--in", series,
+                                   "--target", "n1", "--config",
+                                   write_cfg(tmp_path / "llse.cfg.json", {"llse": {"vote_q": "x"}})],
+        "evaluate, no events file": ["evaluate", *node, "--flags", flags,
+                                     "--events", str(tmp_path / "absent.csv")],
+        "evaluate, two flag sources": ["evaluate", *node, "--flags", str(two_sources),
+                                       "--events", events],
+        "evaluate, fractional label": ["evaluate", *node, "--flags", flags, "--events", events,
+                                       "--labels", str(labels)],
+    }[case]
+    no_series_work(monkeypatch)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == code
+    err = capsys.readouterr().err.splitlines()
+    prefix = {2: "config error: ", 3: "data error: "}[code]
+    assert len(err) == 1 and err[0].startswith(prefix) and message in err[0]
+    assert list(out.iterdir()) == []
+
 
 def test_modality_filter_on_synth_output(tmp_path):
     cfg = write_cfg(tmp_path / "cfg.json", {"seed": 2, "synth": SYNTH_SMALL})
