@@ -7,6 +7,9 @@ config+seed, and every output file carries the resolved config either
 embedded (JSON outputs) or as a `<file>.meta.json` sidecar (CSV outputs).
 Every command loads its config, makes --out and reads its small inputs
 (model, flags, events, labels) before it ingests or generates a series.
+A command returns its files and `main` writes them all or none
+(`io.write_outputs`): a failed or interrupted run leaves --out as it found
+it, and the `wrote` lines print only once every file is in place.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure.
 """
@@ -22,14 +25,14 @@ from .detect import (LlseModel, NoiseModel, ShortParams, fit_llse_model,
                      llse_detect, load_model, noise_detect, noise_train,
                      save_model, short_detect)
 from .detect import DetectionResult
-from .errors import ConfigError, DataError, FaultLabError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .inject import save_labels, load_labels
 from .io import (ingest_csv, read_detection_csv, read_events_csv,
                  write_csv, write_detection_csv, write_events_csv, write_json,
-                 write_series_csv)
+                 write_outputs, write_series_csv)
 from .metrics import assemble_report, save_report
-from .pipeline import (build_synth_config, inject_from_config, run_sweep_points,
-                       select_series, sweep_rows, SWEEP_HEADER)
+from .pipeline import (build_synth_config, inject_from_config, parse_inject,
+                       run_sweep_points, select_series, sweep_rows, SWEEP_HEADER)
 from .series import Modality, Series
 
 
@@ -55,23 +58,6 @@ def _echo(command: str, cfg: dict) -> dict:
     return {"command": command, "config": cfg}
 
 
-def _write_meta(path: Path, command: str, cfg: dict) -> Path:
-    meta = path.with_name(path.name + ".meta.json")
-    write_json(meta, _echo(command, cfg))
-    return meta
-
-
-def _say(path: Path) -> None:
-    print(f"wrote {path}")
-
-
-def _write_with_meta(path: Path, write, data, command: str, cfg: dict) -> None:
-    """`write(path, data)` and the config sidecar of `path`."""
-    write(path, data)
-    _say(path)
-    _say(_write_meta(path, command, cfg))
-
-
 def _input_series(args, modality: Modality | None) -> Series:
     """The series of `--in` for `--node` and `modality`."""
     return select_series(ingest_csv(args.infile).series, args.node, modality, args.infile)
@@ -90,36 +76,29 @@ def _llse_series(path: str, target: str, modality: Modality | None,
 
 
 # --------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns its output files as (name, write, *args).
 # --------------------------------------------------------------------------
 
-def cmd_synth(args, cfg: dict, out: Path) -> None:
+def cmd_synth(args, cfg: dict) -> list[tuple]:
     series, events, schedule, _ = build_synth_config(section(cfg, "synth"), seed_of(cfg),
                                                      modality=modality_of(cfg))
-    _write_with_meta(out / "series.csv", write_series_csv, series, "synth", cfg)
-    _write_with_meta(out / "events.csv", write_events_csv, events, "synth", cfg)
-    sched_path = out / "schedule.json"
-    write_json(sched_path, _echo("synth", cfg) | {
+    doc = _echo("synth", cfg) | {
         "schedule": [{"start": ev.window.start, "end": ev.window.end,
-                      "rain_mm": ev.rain_mm} for ev in schedule]})
-    _say(sched_path)
+                      "rain_mm": ev.rain_mm} for ev in schedule]}
+    return [("series.csv", write_series_csv, series),
+            ("events.csv", write_events_csv, events),
+            ("schedule.json", write_json, doc)]
 
 
-def cmd_inject(args, cfg: dict, out: Path) -> None:
-    seed = seed_of(cfg)
-    inject_cfg = section(cfg, "inject")
-    if args.kind:
-        inject_cfg = inject_cfg | {"kind": args.kind}
-    s = _input_series(args, modality_of(cfg))
-    s, labels, plan = inject_from_config(s, inject_cfg, seed, None)
-
-    _write_with_meta(out / "faulted.csv", write_series_csv, [s], "inject", cfg)
-    labels_path = out / "faulted.labels.json"
-    save_labels(labels_path, labels, plan)
-    _say(labels_path)
+def cmd_inject(args, cfg: dict) -> list[tuple]:
+    inject_cfg = section(cfg, "inject") | ({"kind": args.kind} if args.kind else {})
+    injection = parse_inject(inject_cfg, seed_of(cfg), trained=False)
+    s, labels = inject_from_config(_input_series(args, modality_of(cfg)), injection)
+    return [("faulted.csv", write_series_csv, [s]),
+            ("faulted.labels.json", save_labels, labels, injection.plan)]
 
 
-def cmd_train(args, cfg: dict, out: Path) -> None:
+def cmd_train(args, cfg: dict) -> list[tuple]:
     modality = modality_of(cfg)
     if args.detector == "short":
         delta = args.delta if args.delta is not None else cfg.get("delta")
@@ -138,10 +117,7 @@ def cmd_train(args, cfg: dict, out: Path) -> None:
                       vote_q=number(llse_cfg.get("vote_q", 2), "llse.vote_q", int),
                       signed=boolean(llse_cfg.get("signed", False), "llse.signed"))
         model = fit_llse_model(*_llse_series(args.infile, args.target, modality), **params)
-
-    model_path = out / "model.json"
-    save_model(model_path, model, config_echo=_echo("train", cfg))
-    _say(model_path)
+    return [("model.json", save_model, model, _echo("train", cfg))]
 
 
 def _model(args, cls):
@@ -175,12 +151,11 @@ def _detect(args, cfg: dict) -> DetectionResult:
     return noise_detect(_input_series(args, modality), model, multiplier)
 
 
-def cmd_detect(args, cfg: dict, out: Path) -> None:
-    _write_with_meta(out / "flags.csv", write_detection_csv, _detect(args, cfg).to_flags(),
-                     "detect", cfg)
+def cmd_detect(args, cfg: dict) -> list[tuple]:
+    return [("flags.csv", write_detection_csv, _detect(args, cfg).to_flags())]
 
 
-def cmd_evaluate(args, cfg: dict, out: Path) -> None:
+def cmd_evaluate(args, cfg: dict) -> list[tuple]:
     modality = modality_of(cfg)
     events = read_events_csv(args.events)
     by_source = read_detection_csv(args.flags)
@@ -189,35 +164,15 @@ def cmd_evaluate(args, cfg: dict, out: Path) -> None:
                         f"found {sorted(by_source)}")
     result = DetectionResult(*next(iter(by_source.items())))
     truth = load_labels(args.labels) if args.labels else None
-
     report = assemble_report(_input_series(args, modality), result, events, truth=truth,
-                             kind=args.fault_kind,
-                             parameters=_echo("evaluate", cfg))
-    report_path = out / "report.json"
-    save_report(report_path, report)
-    _say(report_path)
+                             kind=args.fault_kind, parameters=_echo("evaluate", cfg))
+    return [("report.json", save_report, report)]
 
 
-def cmd_sweep(args, cfg: dict, out: Path) -> None:
-    seed = seed_of(cfg)
-    modality = modality_of(cfg, Modality.BOX_TEMP)
-    written: list[Path] = []
-    try:
-        result = run_sweep_points(cfg, seed, modality)
-        sweep_path = out / "sweep.csv"
-        write_csv(sweep_path, SWEEP_HEADER, sweep_rows(result))
-        written.append(sweep_path)
-        written.append(_write_meta(sweep_path, "sweep", cfg))
-        for i, pt in enumerate(result.points):
-            report_path = out / f"report_{i:03d}.json"
-            save_report(report_path, pt.report)
-            written.append(report_path)
-    except FaultLabError:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
-    for path in written:
-        _say(path)
+def cmd_sweep(args, cfg: dict) -> list[tuple]:
+    result = run_sweep_points(cfg, seed_of(cfg), modality_of(cfg, Modality.BOX_TEMP))
+    return [("sweep.csv", write_csv, SWEEP_HEADER, sweep_rows(result))] + [
+        (f"report_{i:03d}.json", save_report, pt.report) for i, pt in enumerate(result.points)]
 
 
 # --------------------------------------------------------------------------
@@ -289,7 +244,14 @@ def main(argv=None) -> int:
     try:
         if args.command == "train" and args.detector != "short" and not args.infile:
             raise ConfigError("--in is required for noise/llse training")
-        args.func(args, resolve_config(args), _out_dir(args))
+        cfg, out = resolve_config(args), _out_dir(args)
+        files = []
+        for file in args.func(args, cfg):
+            files.append(file)
+            if file[0].endswith(".csv"):  # the config sidecar of every CSV output
+                files.append((file[0] + ".meta.json", write_json, _echo(args.command, cfg)))
+        for path in write_outputs(out, files):
+            print(f"wrote {path}")
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -42,6 +43,7 @@ __all__ = [
     "read_detection_csv",
     "read_json",
     "write_json",
+    "write_outputs",
     "json_number",
     "json_fields",
     "json_list",
@@ -69,6 +71,37 @@ def _open_out(path: str | Path):
         return Path(path).open("w", newline="")
     except OSError as exc:  # a directory at the path, no permission, ...
         raise ConfigError(f"{path}: cannot write ({exc.strerror or exc})") from None
+
+
+def write_outputs(out: Path, files: Sequence[tuple]) -> list[Path]:
+    """Write each `(name, write, *args)` of `files` into `out` as
+    `write(path, *args)`, all or none, and return the paths.
+
+    A directory at any target is refused first. Each file is written to
+    `.<name>.tmp` beside its target, and all are renamed into place once
+    every one is written; any exception, KeyboardInterrupt too, removes them.
+    """
+    targets = [out / name for name, *_ in files]
+    for target in targets:
+        if target.is_dir():
+            raise ConfigError(f"{target}: cannot write (Is a directory)")
+    temps: list[Path] = []
+    try:
+        for target, (_, write, *args) in zip(targets, files):
+            temp = target.with_name(f".{target.name}.tmp")
+            try:
+                temp.touch()
+            except OSError as exc:  # no permission, a read-only file system, ...
+                raise ConfigError(f"{target}: cannot write ({exc.strerror or exc})") from None
+            temps.append(temp)
+            write(temp, *args)
+        for temp, target in zip(temps, targets):
+            os.replace(temp, target)
+    except BaseException:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        raise
+    return targets
 
 
 # Most data rows read or written per block: enough to amortise the bulk

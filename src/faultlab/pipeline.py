@@ -9,7 +9,7 @@ and score a parameter grid against the event windows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .config import (boolean, injection_plan, json_numbers, nodes_from_config,
                      number, section)
@@ -137,32 +137,42 @@ class MaterializedRun:
     plan: InjectionPlan | None
 
 
-def inject_from_config(test: Series, inject_cfg: dict, seed: int,
-                       noise_model: NoiseModel | None):
-    """Inject the faults of an `inject` block; returns (series, labels, plan).
+class Injection(NamedTuple):
+    """A checked `inject` block; a `base_sigma` of None takes sigma_train."""
+    kind: str
+    plan: InjectionPlan
+    base_sigma: float | None
 
-    Noise bursts take `base_sigma`, or else the trained model's sigma_train.
-    """
+
+def parse_inject(inject_cfg: dict, seed: int, trained: bool) -> Injection:
+    """The `inject` block, checked before any series work. Noise injection
+    needs `base_sigma` unless a noise model is `trained`."""
     kind = inject_cfg.get("kind")
     if kind not in ("short", "noise", "both"):
         raise ConfigError(f"inject.kind must be short, noise, or both, got {kind!r}")
     plan = injection_plan(inject_cfg, seed)
+    base_sigma = inject_cfg.get("base_sigma") if kind != "short" else None
+    if base_sigma is not None:
+        base_sigma = number(base_sigma, "inject.base_sigma")
+    elif kind != "short" and not trained:
+        raise ConfigError("noise injection needs inject.base_sigma or a "
+                          "trained noise model to take sigma_train from")
+    return Injection(kind, plan, base_sigma)
 
+
+def inject_from_config(test: Series, injection: Injection,
+                       noise_model: NoiseModel | None = None):
+    """Inject the faults of a parsed `inject` block; returns (series, labels)."""
     labels = GroundTruthLabels()
-    if kind in ("noise", "both"):
-        base_sigma = inject_cfg.get("base_sigma")
-        if base_sigma is None:
-            if noise_model is None:
-                raise ConfigError("noise injection needs inject.base_sigma or a "
-                                  "trained noise model to take sigma_train from")
-            base_sigma = noise_model.sigma_train
-        test, noise_labels = inject_noise(test, plan, number(base_sigma, "inject.base_sigma"))
+    if injection.kind in ("noise", "both"):
+        sigma = noise_model.sigma_train if injection.base_sigma is None else injection.base_sigma
+        test, noise_labels = inject_noise(test, injection.plan, sigma)
         labels = merge_labels(labels, noise_labels)
-    if kind in ("short", "both"):
+    if injection.kind in ("short", "both"):
         # Spikes go in second so they land on the already-noised series.
-        test, short_labels = inject_short(test, plan)
+        test, short_labels = inject_short(test, injection.plan)
         labels = merge_labels(labels, short_labels)
-    return test, labels, plan
+    return test, labels
 
 
 def materialize(config: dict, seed: int, modality: Modality) -> MaterializedRun:
@@ -173,6 +183,8 @@ def materialize(config: dict, seed: int, modality: Modality) -> MaterializedRun:
 
     if ("synth" in config) == ("data" in config):
         raise ConfigError("config needs exactly one of 'synth' or 'data'")
+    injection = (parse_inject(section(config, "inject"), seed, detector == "noise")
+                 if "inject" in config else None)
 
     labels: GroundTruthLabels | None = None
     if "synth" in config:
@@ -212,12 +224,10 @@ def materialize(config: dict, seed: int, modality: Modality) -> MaterializedRun:
 
     noise_model = noise_train(train, window_len) if detector == "noise" else None
 
-    plan = None
-    if "inject" in config:
-        test, labels, plan = inject_from_config(test, section(config, "inject"), seed,
-                                                noise_model)
+    if injection is not None:
+        test, labels = inject_from_config(test, injection, noise_model)
     return MaterializedRun(train=train, test=test, events=events, labels=labels,
-                           noise_model=noise_model, plan=plan)
+                           noise_model=noise_model, plan=injection and injection.plan)
 
 
 def run_sweep_points(config: dict, seed: int, modality: Modality) -> SweepResult:

@@ -155,13 +155,6 @@ class GroundTruthLabels:
         object.__setattr__(self, "short_indices", idx)
         object.__setattr__(self, "noise_windows", wins)
 
-    @property
-    def noise_sample_indices(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for s, n in self.noise_windows:
-            out.extend(range(s, s + n))
-        return tuple(out)
-
     def check_bounds(self, n: int) -> None:
         """Validate that every labeled position fits a series of length n."""
         if self.short_indices and self.short_indices[-1] >= n:

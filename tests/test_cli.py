@@ -1,5 +1,6 @@
 """End-to-end command-line tests: subcommand chains, exit codes, sidecars."""
 
+import itertools
 import json
 
 import numpy as np
@@ -128,17 +129,56 @@ def test_llse_train_and_detect_three_nodes(tmp_path):
     assert (det_dir / "flags.csv").exists()
 
 
-def test_meta_sidecar_echoes_config_without_paths(tmp_path):
-    cfg_doc = {"seed": 11, "synth": SYNTH_SMALL}
-    cfg = write_cfg(tmp_path / "cfg.json", cfg_doc)
-    out = tmp_path / "out"
-    main(["synth", "--config", cfg, "--seed", "7", "--out", str(out)])
-    meta = json.loads((out / "series.csv.meta.json").read_text())
-    assert set(meta) == {"command", "config"}
-    assert meta["command"] == "synth"
-    assert meta["config"]["seed"] == 7
-    assert meta["config"]["synth"] == SYNTH_SMALL
-    assert "out" not in meta["config"]
+# Every command's output files, in the order it writes them and prints them.
+OUTPUTS = {
+    "synth": ["series.csv", "series.csv.meta.json", "events.csv", "events.csv.meta.json",
+              "schedule.json"],
+    "inject": ["faulted.csv", "faulted.csv.meta.json", "faulted.labels.json"],
+    "train": ["model.json"],
+    "detect": ["flags.csv", "flags.csv.meta.json"],
+    "evaluate": ["report.json"],
+    "sweep": ["sweep.csv", "sweep.csv.meta.json", "report_000.json"],
+}
+
+CFG_ALL = {"seed": 3, "synth": SYNTH_SMALL, "detector": "short", "grid": [0.5],
+           "inject": {"kind": "short"}}
+
+
+def command_argvs(tmp_path):
+    """A working argv, without --out, for every command of OUTPUTS."""
+    cfg = write_cfg(tmp_path / "cfg.json", CFG_ALL)
+    series, events, flags = write_site(tmp_path)
+    node = ["--in", series, "--node", "n1"]
+    return {
+        "synth": ["synth", "--config", cfg],
+        "inject": ["inject", "--config", cfg, *node],
+        "train": ["train", "--detector", "short", "--delta", "0.05"],
+        "detect": ["detect", "--detector", "short", "--delta", "0.01", *node],
+        "evaluate": ["evaluate", *node, "--flags", flags, "--events", events],
+        "sweep": ["sweep", "--config", cfg],
+    }
+
+
+def snapshot(directory):
+    """{name: bytes} of a directory's entries, None for a subdirectory."""
+    return {p.name: p.read_bytes() if p.is_file() else None for p in directory.iterdir()}
+
+
+def test_meta_sidecar_echoes_config_without_paths(tmp_path, capsys):
+    for command, argv in command_argvs(tmp_path).items():
+        out = tmp_path / f"out_{command}"
+        assert main([*argv, "--seed", "7", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [f"wrote {out / name}"
+                                                       for name in OUTPUTS[command]]
+        assert sorted(snapshot(out)) == sorted(OUTPUTS[command])
+        for name in OUTPUTS[command]:
+            assert not name.endswith(".json.meta.json")
+            if name.endswith(".csv"):
+                meta = json.loads((out / f"{name}.meta.json").read_text())
+                assert set(meta) == {"command", "config"}
+                assert meta["command"] == command
+                assert meta["config"] == (CFG_ALL if "--config" in argv else {}) | {"seed": 7}
+                assert "out" not in meta["config"]
 
 
 def test_seed_override_controls_determinism(tmp_path):
@@ -317,25 +357,47 @@ def test_out_at_a_file_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_output_file_at_a_directory_exits_2(tmp_path, capsys):
-    cfg = write_cfg(tmp_path / "cfg.json", {"seed": 3, "synth": SYNTH_SMALL, "detector": "short",
-                                            "grid": [0.5], "inject": {"kind": "short"}})
-    series, events, flags = write_site(tmp_path)
-    node = ["--in", series, "--node", "n1"]
-    commands = [
-        (["synth", "--config", cfg], "series.csv"),
-        (["inject", "--config", cfg, *node], "faulted.csv"),
-        (["train", "--detector", "short", "--delta", "0.05"], "model.json"),
-        (["detect", "--detector", "short", "--delta", "0.01", *node], "flags.csv"),
-        (["evaluate", *node, "--flags", flags, "--events", events], "report.json"),
-        (["sweep", "--config", cfg], "sweep.csv"),
-    ]
-    for n, (argv, name) in enumerate(commands):
-        out = tmp_path / f"out{n}"
-        (out / name).mkdir(parents=True)
-        assert main([*argv, "--out", str(out)]) == 2, argv
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: {out / name}: cannot write (")
-        assert len(err.splitlines()) == 1
+    # A run into a directory holding an earlier run's outputs, with a
+    # directory at any one output's path, writes none of its outputs.
+    for command, argv in command_argvs(tmp_path).items():
+        for k, name in enumerate(OUTPUTS[command]):
+            out = tmp_path / f"out_{command}_{k}"
+            assert main([*argv, "--out", str(out)]) == 0
+            (out / name).unlink()
+            (out / name).mkdir()
+            before = snapshot(out)
+            capsys.readouterr()
+            assert main([*argv, "--seed", "4", "--out", str(out)]) == 2, (argv, name)
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"config error: {out / name}: cannot write (")
+            assert len(captured.err.splitlines()) == 1 and captured.out == ""
+            assert snapshot(out) == before, (argv, name)
+
+
+@pytest.mark.parametrize("error", [DataError("disk full"), KeyboardInterrupt()])
+def test_a_writer_failing_mid_file_leaves_out_as_it_was(tmp_path, capsys, monkeypatch, error):
+    cfg = write_cfg(tmp_path / "cfg.json", {"seed": 11, "synth": SYNTH_SMALL})
+    out = tmp_path / "out"
+    assert main(["synth", "--config", cfg, "--out", str(out)]) == 0
+    before = snapshot(out)
+
+    def partial(path, events):
+        with open(path, "w") as fh:
+            fh.write("start,end\n3600,")
+        raise error
+
+    monkeypatch.setattr(cli, "write_events_csv", partial)
+    capsys.readouterr()
+    argv = ["synth", "--config", cfg, "--seed", "12", "--out", str(out)]
+    if isinstance(error, KeyboardInterrupt):
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "data error: disk full\n"
+    assert capsys.readouterr().out == ""
+    assert snapshot(out) == before
+    assert list(out.glob(".*.tmp")) == []
 
 
 def test_sweep_unwritable_report_removes_partial_outputs(tmp_path, capsys):
@@ -362,6 +424,12 @@ def test_sweep_unwritable_report_removes_partial_outputs(tmp_path, capsys):
     ("evaluate, no events file", 3, "absent.csv: cannot read ("),
     ("evaluate, two flag sources", 3, "expected flags from exactly one detector"),
     ("evaluate, fractional label", 3, "integer within int64"),
+    ("inject, unknown kind", 2, "inject.kind must be short, noise, or both"),
+    ("inject, bad short_fraction", 2, "inject.short_fraction must be a number"),
+    ("inject, one-sample bursts", 2, "burst lengths must be integers >= 2"),
+    ("inject, bad base_sigma", 2, "inject.base_sigma must be a finite number"),
+    ("inject noise, no base_sigma", 2, "noise injection needs inject.base_sigma"),
+    ("sweep, bad inject", 2, "inject.short_fraction must be a number"),
 ])
 def test_cheap_errors_come_before_any_series_work(tmp_path, capsys, monkeypatch,
                                                   case, code, message):
@@ -373,6 +441,13 @@ def test_cheap_errors_come_before_any_series_work(tmp_path, capsys, monkeypatch,
     labels = tmp_path / "labels.json"
     labels.write_text('{"short": [1.7]}')
     node = ["--in", series, "--node", "n1"]
+
+    configs = itertools.count()
+
+    def inject(block):
+        return ["inject", *node, "--config",
+                write_cfg(tmp_path / f"inject{next(configs)}.cfg.json", {"inject": block})]
+
     argv = {
         "detect short, no delta": ["detect", *node, "--detector", "short"],
         "detect noise, no model": ["detect", *node, "--detector", "noise", "--multiplier", "2"],
@@ -389,6 +464,15 @@ def test_cheap_errors_come_before_any_series_work(tmp_path, capsys, monkeypatch,
                                        "--events", events],
         "evaluate, fractional label": ["evaluate", *node, "--flags", flags, "--events", events,
                                        "--labels", str(labels)],
+        "inject, unknown kind": inject({"kind": "spike"}),
+        "inject, bad short_fraction": inject({"kind": "short", "short_fraction": "x"}),
+        "inject, one-sample bursts": inject({"kind": "noise", "base_sigma": 0.01,
+                                             "noise_burst_lengths": [1]}),
+        "inject, bad base_sigma": inject({"kind": "noise", "base_sigma": "x"}),
+        "inject noise, no base_sigma": ["inject", *node, "--kind", "noise"],
+        "sweep, bad inject": ["sweep", "--config", write_cfg(
+            tmp_path / "sweep.cfg.json", {"synth": SYNTH_SMALL, "detector": "short", "grid": [0.1],
+                                          "inject": {"kind": "short", "short_fraction": "x"}})],
     }[case]
     no_series_work(monkeypatch)
     out = tmp_path / "out"

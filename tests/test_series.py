@@ -108,7 +108,6 @@ def test_labels_normalize_and_validate():
     lab = GroundTruthLabels(short_indices=(5, 2, 9), noise_windows=((10, 3), (2, 4)))
     assert lab.short_indices == (2, 5, 9)
     assert lab.noise_windows == ((2, 4), (10, 3))
-    assert lab.noise_sample_indices == (2, 3, 4, 5, 10, 11, 12)
     with pytest.raises(DataError):
         GroundTruthLabels(short_indices=(1, 1))
     with pytest.raises(DataError):
