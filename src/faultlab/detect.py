@@ -122,12 +122,19 @@ class DetectionResult:
     source: str
     flagged_samples: np.ndarray = ()
 
-    flagged_windows = ()  # not a field: bench/spans.py reads it until ROADMAP item 4
+    flagged_windows = ()  # not a field: bench/spans.py reads it until ROADMAP item 2
 
     def __post_init__(self):
         if self.source not in ("short", "noise", "llse"):
             raise ConfigError(f"unknown flag source {self.source!r}")
-        flags = np.unique(np.asarray(self.flagged_samples, np.int64))
+        raw = self.flagged_samples
+        flags = np.asarray(raw, np.int64)
+        # Detectors pass np.nonzero output, already sorted and distinct, so
+        # np.unique (a sort) runs only for other input.
+        if flags.ndim != 1 or not (flags[1:] > flags[:-1]).all():
+            flags = np.unique(flags)
+        elif flags is raw or flags.base is not None:  # never alias the caller's memory
+            flags = flags.copy()
         flags.flags.writeable = False
         object.__setattr__(self, "flagged_samples", flags)
 

@@ -11,7 +11,7 @@ Undefined metrics (empty denominators) are reported as absent, never as 0.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -139,17 +139,28 @@ def assemble_report(s: Series, result: DetectionResult,
 
 
 def report_to_dict(report: EvalReport) -> dict:
-    doc = {key: value for key, value in asdict(report).items() if value is not None}
-    return {"version": REPORT_FORMAT_VERSION} | doc
+    """The JSON form: `version`, then every field that is not None. Built
+    field by field, since `dataclasses.asdict` deep-copies every value."""
+    doc = {"version": REPORT_FORMAT_VERSION}
+    for f in fields(EvalReport):
+        value = getattr(report, f.name)
+        if value is not None:
+            doc[f.name] = value
+    doc["per_event"] = [dict(vars(st)) for st in report.per_event]
+    doc["parameters"] = dict(report.parameters)
+    return doc
 
 
 def report_from_dict(doc: dict) -> EvalReport:
     if not isinstance(doc, dict) or doc.get("version") != REPORT_FORMAT_VERSION:
         raise DataError("unsupported report document")
     values = {f.name: doc.get(f.name) for f in fields(EvalReport)}
+    per_event, parameters = doc.get("per_event", []), doc.get("parameters", {})
+    if not (isinstance(per_event, list) and isinstance(parameters, dict)):
+        raise DataError("malformed report document")
     try:
-        values["per_event"] = tuple(PerEventStat(**st) for st in doc.get("per_event", []))
-        values["parameters"] = dict(doc.get("parameters", {}))
+        values["per_event"] = tuple(PerEventStat(**st) for st in per_event)
+        values["parameters"] = dict(parameters)
         return EvalReport(**values)
     except (KeyError, TypeError):
         raise DataError("malformed report document") from None

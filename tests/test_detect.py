@@ -380,6 +380,44 @@ def test_detection_result_normalization():
         DetectionResult("spiky")
 
 
+@st.composite
+def flag_inputs(draw):
+    """Flag indices as a caller may pass them: sorted or not, with or without
+    duplicates, as a list, a 2-D array, a strided view or a buffer."""
+    values = draw(st.lists(st.integers(-2**63, 2**63 - 1), max_size=40))
+    drawn = np.array(values, dtype=np.int64)
+    distinct = np.unique(drawn)
+    forms = {
+        "sorted distinct": lambda: distinct,
+        "sorted": lambda: np.sort(drawn),
+        "as drawn": lambda: drawn,
+        "list": lambda: values,
+        "tuple": lambda: tuple(values),
+        "int32": lambda: (drawn % 2**31).astype(np.int32),
+        "2-D": lambda: drawn[:len(values) // 2 * 2].reshape(-1, 2),
+        "every other": lambda: distinct[::2],
+        "reversed": lambda: distinct[::-1],
+        "buffer": lambda: memoryview(distinct),
+    }
+    return forms[draw(st.sampled_from(sorted(forms)))]()
+
+
+@settings(max_examples=400, deadline=None)
+@given(flag_inputs())
+def test_flag_fast_path_matches_np_unique(raw):
+    expected = np.unique(np.asarray(raw, dtype=np.int64))
+    owned = np.asarray(raw) if isinstance(raw, (np.ndarray, memoryview)) else None
+    before = None if owned is None else owned.copy()
+    flags = DetectionResult("short", raw).flagged_samples
+    assert flags.dtype == np.int64 and flags.ndim == 1
+    assert flags.tolist() == expected.tolist()
+    assert not flags.flags.writeable
+    if owned is not None:  # the caller's memory is neither frozen, changed nor shared
+        assert owned.flags.writeable
+        assert owned.shape == before.shape and np.array_equal(owned, before)
+        assert not np.shares_memory(flags, owned)
+
+
 # ----------------------------------- the former tuple-based result, as oracle
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
 """Event-misclassification and false-negative metrics plus report round-trips."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from faultlab import (
     ConfigError,
@@ -14,7 +17,9 @@ from faultlab import (
     assemble_report,
     event_sample_indices,
 )
-from faultlab.metrics import load_report, report_from_dict, report_to_dict, save_report
+from faultlab.io import write_json
+from faultlab.metrics import (REPORT_FORMAT_VERSION, EvalReport, PerEventStat, load_report,
+                              report_from_dict, report_to_dict, save_report)
 
 
 def mk(n, interval=600.0, start=0.0):
@@ -207,3 +212,57 @@ def test_report_from_dict_rejects_bad_documents():
         report_from_dict({"version": 1, "per_event": [{"bogus": 1}]})
     with pytest.raises(DataError):
         report_from_dict("not a dict")
+    # `parameters` must be a JSON object and `per_event` a list, not whatever
+    # dict() or tuple() happens to accept.
+    for parameters in ("xy", [[1]], [["a", 1]], 3):
+        with pytest.raises(DataError, match="malformed report document"):
+            report_from_dict({"version": 1, "parameters": parameters})
+    for per_event in ({}, "xy", 3):
+        with pytest.raises(DataError, match="malformed report document"):
+            report_from_dict({"version": 1, "per_event": per_event})
+
+
+def asdict_report_to_dict(report: EvalReport) -> dict:
+    """The former `report_to_dict`, through `dataclasses.asdict`: the oracle."""
+    doc = {key: value for key, value in asdict(report).items() if value is not None}
+    return {"version": REPORT_FORMAT_VERSION} | doc
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=5)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,
+                                                               max_size=3),
+    max_leaves=12)
+counts = st.integers(0, 10**6)
+maybe_ratio = st.none() | st.floats(0, 1)
+reports = st.builds(
+    EvalReport,
+    mu=maybe_ratio, mu_first_half_hour=maybe_ratio, false_negative_ratio=maybe_ratio,
+    per_event=st.lists(st.builds(PerEventStat, counts, counts, counts, counts, counts),
+                       max_size=4).map(tuple),
+    parameters=st.one_of(
+        st.fixed_dictionaries({"detector": st.sampled_from(["short", "noise"]),
+                               "param": st.floats(0, 100), "seed": st.integers(0, 2**32),
+                               "modality": st.sampled_from(["box_temp", "soil_moisture"])}),
+        st.fixed_dictionaries({"command": st.just("evaluate"),
+                               "config": st.dictionaries(st.text(max_size=5), json_values,
+                                                         max_size=4)}),
+        st.just({})),
+    fault_kind=st.sampled_from([None, "short", "noise"]),
+    noise_fn_per_sample=maybe_ratio)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reports)
+def test_report_to_dict_matches_asdict(tmp_path_factory, report):
+    doc, expected = report_to_dict(report), asdict_report_to_dict(report)
+    # The one intended difference: per_event is a list, as a parsed file holds it.
+    expected["per_event"] = list(expected["per_event"])
+    assert doc == expected and list(doc) == list(expected)
+    assert all(type(row) is dict for row in doc["per_event"])
+    tmp = tmp_path_factory.getbasetemp()
+    save_report(tmp / "new.json", report)
+    write_json(tmp / "old.json", asdict_report_to_dict(report))
+    assert (tmp / "new.json").read_bytes() == (tmp / "old.json").read_bytes()
+    assert report_from_dict(doc) == report

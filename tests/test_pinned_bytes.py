@@ -1,0 +1,116 @@
+"""Output bytes pinned by hash.
+
+Criterion 8 reruns the same code, so it cannot see a change that alters
+output bytes. These runs read integer-valued CSVs written here (no synth,
+no injection), so their bytes depend neither on numpy's transcendental
+functions nor on its random streams, and any change to them is a change to
+what faultlab writes.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from faultlab.cli import main
+
+N = 288  # two days at 600 s
+SHORT_LABELS = [50, 120, 250]
+NOISE_BURST = (180, 36)
+
+
+def series_csv(values) -> str:
+    rows = [f"{600 * k},n1,soil_moisture,{v}" for k, v in enumerate(values)]
+    return "timestamp,node_id,modality,value\n" + "\n".join(rows) + "\n"
+
+
+def train_values():
+    return [20 + (k * 5) % 11 for k in range(N)]
+
+
+def faulted_values():
+    values = train_values()
+    for k in range(10, 20):  # a rain step inside the first event
+        values[k] += 6 * (k - 9)
+    for k in range(100, 120):  # the second event rises and falls
+        values[k] += 3 * min(k - 99, 120 - k)
+    for k in SHORT_LABELS:
+        values[k] += 40
+    start, length = NOISE_BURST
+    for k in range(start, start + length):
+        values[k] += 9 if k % 2 else -9
+    return values
+
+
+def write_inputs(tmp_path):
+    (tmp_path / "train.csv").write_text(series_csv(train_values()))
+    (tmp_path / "test.csv").write_text(series_csv(faulted_values()))
+    (tmp_path / "events.csv").write_text("start,end\n6000,12000\n60000,72000\n")
+    (tmp_path / "short.labels.json").write_text(json.dumps({"short": SHORT_LABELS}))
+    start, length = NOISE_BURST
+    (tmp_path / "noise.labels.json").write_text(
+        json.dumps({"noise": [{"start": start, "len": length}]}))
+    (tmp_path / "short.flags.csv").write_text(
+        "index,flag_source\n120,short\n10,short\n50,short\n11,short\n")
+    (tmp_path / "noise.flags.csv").write_text("index,flag_source\n" + "".join(
+        f"{k},noise\n" for k in [*range(0, 18), *range(180, 198)]))
+
+
+def digests(out) -> dict:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir()) if not p.name.endswith(".meta.json")}
+
+
+SWEEPS = {
+    "short": ([2, 5, 10, 30, 60], {
+        "report_000.json": "4b961beaca1a633c11889d50a74e48d711c32a7e2e18c26aab66650ec22ef49a",
+        "report_001.json": "ae78340086b9f227bf25e4f68d6c963621571417226ac3a29bd2b590a600bc86",
+        "report_002.json": "478e4646520aee2928641c6c0b66c4e7a19876c3ebdf58b836d1452fb2de1f59",
+        "report_003.json": "1209a324aa2245b3f081455a5ee330014707d09bd0f8a38a6da2923d8dd1f33e",
+        "report_004.json": "83f320d174ba919f0bc652154005ea0512a53aa68819928e08407fdc28ba3b60",
+        "sweep.csv": "6fdac8b2bcef488e8e14e1eea7354704053e4673cd335c539ac7f8b29aac35a7",
+    }),
+    "noise": ([0, 1, 2, 50, 100, 150, 250], {
+        "report_000.json": "910cf60642d068a7b7eb12797c58032a6835204bca7e67fb91c5d4cd8f6340a9",
+        "report_001.json": "508578e0129d933ff48201d67600b029aecc60ccaa1c2144d9d8a46a100458ec",
+        "report_002.json": "7487b8b1573e5b29a28ee470957c2ecfc1721924ff2a76b3aaef3f5c6f04ca23",
+        "report_003.json": "0dac10929deae269b391623f804f0dea5289225aeace4b0d656a77bc52b5cc64",
+        "report_004.json": "ea3ea398b2a18cc998e305ccdd8160e99284cb405878355e29d9acbf1d8bbeb1",
+        "report_005.json": "a5819645024c43c4db13475f9ef62fc80417f1ca5768cc380259122ba9033ea8",
+        "report_006.json": "1a12a5372b4ba90322e59fd0dc0ab491f8f46931f91ec75e934eaee72d6a652c",
+        "sweep.csv": "44221f2e7cc7d0d818a8022e4670652ad34029aa1a0fe936a631af5ee1ee81c8",
+    }),
+}
+
+
+@pytest.mark.parametrize("detector", sorted(SWEEPS))
+def test_sweep_bytes_are_pinned(tmp_path, detector):
+    write_inputs(tmp_path)
+    grid, expected = SWEEPS[detector]
+    data = {"train_csv": str(tmp_path / "train.csv"), "test_csv": str(tmp_path / "test.csv"),
+            "events_csv": str(tmp_path / "events.csv"), "node_id": "n1",
+            "labels_json": str(tmp_path / f"{detector}.labels.json")}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"detector": detector, "grid": grid, "data": data,
+                               "smooth": False, "modality": "soil_moisture"}))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 0
+    assert digests(out) == expected
+
+
+EVALUATES = {
+    "short": "6e0dab9d6c66f3f286ac697fe283e257b6d228ceeb548a710ffaec6ec17f89cc",
+    "noise": "6a259d90721562193fb8d426b4ce0487727924769e66608eed7d6e41c186a5df",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EVALUATES))
+def test_evaluate_bytes_are_pinned(tmp_path, kind):
+    write_inputs(tmp_path)
+    out = tmp_path / "out"
+    assert main(["evaluate", "--in", str(tmp_path / "test.csv"),
+                 "--flags", str(tmp_path / f"{kind}.flags.csv"),
+                 "--events", str(tmp_path / "events.csv"),
+                 "--labels", str(tmp_path / f"{kind}.labels.json"),
+                 "--out", str(out)]) == 0
+    assert digests(out) == {"report.json": EVALUATES[kind]}
