@@ -77,23 +77,22 @@ def write_outputs(out: Path, files: Sequence[tuple]) -> list[Path]:
     """Write each `(name, write, *args)` of `files` into `out` as
     `write(path, *args)`, all or none, and return the paths.
 
-    A directory at any target is refused first. Each file is written to
-    `.<name>.tmp` beside its target, and all are renamed into place once
-    every one is written; any exception, KeyboardInterrupt too, removes them.
+    A directory at a target or at its temporary path is refused first. Each
+    file is written to `.<name>.tmp` beside its target, and all are renamed
+    into place once every one is written; any exception, KeyboardInterrupt
+    too, removes every target's `.<name>.tmp`, also one a killed run left.
     """
     targets = [out / name for name, *_ in files]
-    for target in targets:
-        if target.is_dir():
-            raise ConfigError(f"{target}: cannot write (Is a directory)")
-    temps: list[Path] = []
+    temps = [target.with_name(f".{target.name}.tmp") for target in targets]
+    for target, path in zip(targets * 2, targets + temps):
+        if path.is_dir():
+            raise ConfigError(f"{target}: cannot write ({path.name} is a directory)")
     try:
-        for target, (_, write, *args) in zip(targets, files):
-            temp = target.with_name(f".{target.name}.tmp")
+        for target, temp, (_, write, *args) in zip(targets, temps, files):
             try:
                 temp.touch()
             except OSError as exc:  # no permission, a read-only file system, ...
                 raise ConfigError(f"{target}: cannot write ({exc.strerror or exc})") from None
-            temps.append(temp)
             write(temp, *args)
         for temp, target in zip(temps, targets):
             os.replace(temp, target)
@@ -356,18 +355,11 @@ def _floats(cells: list[str]) -> np.ndarray | None:
         return None
 
 
-def _value(cell: str) -> float:
-    """A value cell as a number; an empty one is a missing sample (NaN)."""
-    raw = cell.strip()
-    return float(raw) if raw else math.nan
-
-
-def _series_block(path: Path, linenos: Sequence[int], columns: list[list[str]],
-                  groups: dict[tuple[str, str], int]) -> tuple[np.ndarray, ...]:
-    """Times, values and group numbers of a block's rows with a finite value.
-
-    A (node_id, modality) key seen for the first time is numbered in
-    `groups`. A block with a bad row raises the error of the first one.
+def _series_block(path: Path, linenos: Sequence[int],
+                  columns: list[list[str]]) -> dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]:
+    """{(node_id, modality): (times, values)} of a block's rows with a finite
+    value, keys in order of first appearance (a key with no such row maps to
+    empty arrays). A block with a bad row raises the error of the first one.
     """
     stamps, nodes, modalities, values = columns
     n = len(stamps)
@@ -383,6 +375,7 @@ def _series_block(path: Path, linenos: Sequence[int], columns: list[list[str]],
 
     one_pair = nodes.count(nodes[0]) == n and modalities.count(modalities[0]) == n
     pairs = [(nodes[0], modalities[0])] if one_pair else dict.fromkeys(zip(nodes, modalities))
+    keys: dict[tuple[str, str], int] = {}
     number = {}
     for pair in pairs:
         try:
@@ -391,20 +384,23 @@ def _series_block(path: Path, linenos: Sequence[int], columns: list[list[str]],
             key = ("", "")
         if not key[0]:
             _raise_first_bad_row(path, linenos, columns)
-        number[pair] = groups.setdefault(key, len(groups))
-    g = (np.full(n, number[pairs[0]]) if one_pair
-         else np.fromiter(map(number.__getitem__, zip(nodes, modalities)), np.int64, n))
+        number[pair] = keys.setdefault(key, len(keys))
 
     v = _floats(values)
     if v is None:  # empty cells are missing samples
         v = _floats([cell or "nan" for cell in values])
+    if v is None:  # and so are blank ones
+        v = _floats([cell.strip() or "nan" for cell in values])
     if v is None:
-        try:
-            v = np.array([_value(cell) for cell in values])
-        except ValueError:
-            _raise_first_bad_row(path, linenos, columns)
+        _raise_first_bad_row(path, linenos, columns)
     keep = np.isfinite(v)
-    return t[keep], v[keep], g[keep]
+    if len(keys) == 1:  # the writer's layout: one series after another
+        return {key: (t[keep], v[keep])}
+    g = np.fromiter(map(number.__getitem__, zip(nodes, modalities)), np.int64, n)
+    rows = np.flatnonzero(keep)[np.argsort(g[keep], kind="stable")]  # grouped, in file order
+    cuts = np.searchsorted(g[rows], np.arange(1, len(keys)))
+    # A gather per key, not views of one array: a key's arrays go when it is repaired.
+    return {key: (t[r], v[r]) for key, r in zip(keys, np.split(rows, cuts))}
 
 
 def _raise_first_bad_row(path: Path, linenos: Sequence[int], columns: list[list[str]]) -> NoReturn:
@@ -419,7 +415,7 @@ def _raise_first_bad_row(path: Path, linenos: Sequence[int], columns: list[list[
         if not node.strip():
             raise DataError(f"{path}:{lineno}: malformed row (empty node_id)")
         try:
-            _value(cell)
+            float(cell.strip() or "nan")  # a blank cell is a missing sample
         except ValueError:
             raise DataError(
                 f"{path}:{lineno}: malformed row (bad value {cell.strip()!r})") from None
@@ -437,20 +433,17 @@ def ingest_csv(path: str | Path) -> IngestReport:
     series into separate pieces.
     """
     path = Path(path)
-    groups: dict[tuple[str, str], int] = {}  # in order of first appearance
-    blocks = [_series_block(path, linenos, cells, groups)
-              for linenos, cells in _blocks(path, SERIES_COLUMNS)]
+    groups: dict[tuple[str, str], list] = {}  # each key's blocks, in order of first appearance
+    for linenos, cells in _blocks(path, SERIES_COLUMNS):
+        for key, block in _series_block(path, linenos, cells).items():
+            groups.setdefault(key, []).append(block)
     if not groups:
         raise DataError(f"{path}: no data rows")
-    t, v, g = (np.concatenate(column) for column in zip(*blocks))
-    del blocks  # the per-block arrays are not held through the repair
-    order = np.argsort(g, kind="stable")
-    bounds = np.searchsorted(g[order], np.arange(len(groups) + 1))
 
     report = IngestReport(series=[])
-    for n, key in enumerate(groups):
-        rows = order[bounds[n]:bounds[n + 1]]
-        report.series.extend(_repair_group(key, t[rows], v[rows], report))
+    for key in list(groups):  # each key's blocks are freed once it is repaired
+        t, v = (np.concatenate(column) for column in zip(*groups.pop(key)))
+        report.series.extend(_repair_group(key, t, v, report))
     return report
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .detect import DetectionResult
 from .errors import ConfigError, DataError
 from .events import FIRST_HALF_HOUR_S, event_ranges
-from .io import read_json, write_json
+from .io import json_fields, json_number, read_json, write_json
 from .series import EventWindow, GroundTruthLabels, Series, validate_events
 
 __all__ = [
@@ -152,18 +152,25 @@ def report_to_dict(report: EvalReport) -> dict:
 
 
 def report_from_dict(doc: dict) -> EvalReport:
+    """The report of a `report_to_dict` document: its metrics are JSON numbers
+    or absent, its per-event counts JSON integers."""
     if not isinstance(doc, dict) or doc.get("version") != REPORT_FORMAT_VERSION:
         raise DataError("unsupported report document")
-    values = {f.name: doc.get(f.name) for f in fields(EvalReport)}
+    json_fields(doc, "report", ["version", *(f.name for f in fields(EvalReport))])
     per_event, parameters = doc.get("per_event", []), doc.get("parameters", {})
     if not (isinstance(per_event, list) and isinstance(parameters, dict)):
         raise DataError("malformed report document")
-    try:
-        values["per_event"] = tuple(PerEventStat(**st) for st in per_event)
-        values["parameters"] = dict(parameters)
-        return EvalReport(**values)
-    except (KeyError, TypeError):
-        raise DataError("malformed report document") from None
+    kind = doc.get("fault_kind")
+    if kind not in (None, "short", "noise"):
+        raise DataError(f"report fault_kind must be short or noise, got {kind!r}")
+    metrics = {key: None if doc.get(key) is None else json_number(doc[key], f"report {key}")
+               for key in ("mu", "mu_first_half_hour", "false_negative_ratio",
+                           "noise_fn_per_sample")}
+    keys = [f.name for f in fields(PerEventStat)]
+    stats = (json_fields(st, "report per_event entry", keys, keys) for st in per_event)
+    return EvalReport(**metrics, parameters=dict(parameters), fault_kind=kind, per_event=tuple(
+        PerEventStat(**{k: json_number(v, f"report per_event {k}", int) for k, v in st.items()})
+        for st in stats))
 
 
 def save_report(path: str | Path, report: EvalReport) -> None:

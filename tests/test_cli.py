@@ -358,20 +358,23 @@ def test_out_at_a_file_exits_2(tmp_path, capsys, monkeypatch):
 
 def test_output_file_at_a_directory_exits_2(tmp_path, capsys):
     # A run into a directory holding an earlier run's outputs, with a
-    # directory at any one output's path, writes none of its outputs.
+    # directory at any one output's path or at its temporary path, writes
+    # none of its outputs.
     for command, argv in command_argvs(tmp_path).items():
         for k, name in enumerate(OUTPUTS[command]):
             out = tmp_path / f"out_{command}_{k}"
             assert main([*argv, "--out", str(out)]) == 0
             (out / name).unlink()
-            (out / name).mkdir()
-            before = snapshot(out)
-            capsys.readouterr()
-            assert main([*argv, "--seed", "4", "--out", str(out)]) == 2, (argv, name)
-            captured = capsys.readouterr()
-            assert captured.err.startswith(f"config error: {out / name}: cannot write (")
-            assert len(captured.err.splitlines()) == 1 and captured.out == ""
-            assert snapshot(out) == before, (argv, name)
+            for directory in (name, f".{name}.tmp"):
+                (out / directory).mkdir()
+                before = snapshot(out)
+                capsys.readouterr()
+                assert main([*argv, "--seed", "4", "--out", str(out)]) == 2, (argv, directory)
+                captured = capsys.readouterr()
+                assert captured.err.startswith(f"config error: {out / name}: cannot write (")
+                assert len(captured.err.splitlines()) == 1 and captured.out == ""
+                assert snapshot(out) == before, (argv, directory)
+                (out / directory).rmdir()
 
 
 @pytest.mark.parametrize("error", [DataError("disk full"), KeyboardInterrupt()])
@@ -387,6 +390,9 @@ def test_a_writer_failing_mid_file_leaves_out_as_it_was(tmp_path, capsys, monkey
         raise error
 
     monkeypatch.setattr(cli, "write_events_csv", partial)
+    # A killed run's temporary file of an output written after events.csv
+    # goes too.
+    (out / ".schedule.json.tmp").write_text("{")
     capsys.readouterr()
     argv = ["synth", "--config", cfg, "--seed", "12", "--out", str(out)]
     if isinstance(error, KeyboardInterrupt):

@@ -220,6 +220,27 @@ def test_report_from_dict_rejects_bad_documents():
     for per_event in ({}, "xy", 3):
         with pytest.raises(DataError, match="malformed report document"):
             report_from_dict({"version": 1, "per_event": per_event})
+    # Values are checked as in labels and model files: metrics are JSON
+    # numbers or absent, per-event counts JSON integers under exactly the
+    # five names, and no other key is allowed.
+    stat = {"event_index": 0, "samples": 4, "misclassified": 1, "opening_samples": 2,
+            "opening_misclassified": 1}
+    for bad in ({"mu": "abc", "per_event": [{"event_index": "x", "samples": None,
+                                            "misclassified": [], "opening_samples": 1,
+                                            "opening_misclassified": 2}]},
+                {"mu": True}, {"mu": float("nan")}, {"noise_fn_per_sample": "0.5"},
+                {"false_negative_ratio": [0.5]}, {"fault_kind": 7}, {"fault_kind": "none"},
+                {"flags": []}, {"per_event": [stat | {"samples": None}]},
+                {"per_event": [stat | {"samples": 4.0}]}, {"per_event": [stat | {"samples": True}]},
+                {"per_event": [stat | {"extra": 1}]},
+                {"per_event": [{k: v for k, v in stat.items() if k != "samples"}]},
+                {"per_event": [[0, 4, 1, 2, 1]]}):
+        with pytest.raises(DataError):
+            report_from_dict({"version": 1} | bad)
+    report = report_from_dict({"version": 1, "mu": 0.25, "mu_first_half_hour": None,
+                               "fault_kind": "short", "per_event": [stat]})
+    assert report.mu == 0.25 and report.false_negative_ratio is None
+    assert report.per_event == (PerEventStat(0, 4, 1, 2, 1),)
 
 
 def asdict_report_to_dict(report: EvalReport) -> dict:
@@ -266,3 +287,4 @@ def test_report_to_dict_matches_asdict(tmp_path_factory, report):
     write_json(tmp / "old.json", asdict_report_to_dict(report))
     assert (tmp / "new.json").read_bytes() == (tmp / "old.json").read_bytes()
     assert report_from_dict(doc) == report
+    assert load_report(tmp / "new.json") == report
