@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
 from .io import json_fields, json_list, json_number, read_json, write_json
-from .series import Series
+from .series import Series, index_array
 
 __all__ = [
     "ShortParams",
@@ -127,16 +127,7 @@ class DetectionResult:
     def __post_init__(self):
         if self.source not in ("short", "noise", "llse"):
             raise ConfigError(f"unknown flag source {self.source!r}")
-        raw = self.flagged_samples
-        flags = np.asarray(raw, np.int64)
-        # Detectors pass np.nonzero output, already sorted and distinct, so
-        # np.unique (a sort) runs only for other input.
-        if flags.ndim != 1 or not (flags[1:] > flags[:-1]).all():
-            flags = np.unique(flags)
-        elif flags is raw or flags.base is not None:  # never alias the caller's memory
-            flags = flags.copy()
-        flags.flags.writeable = False
-        object.__setattr__(self, "flagged_samples", flags)
+        object.__setattr__(self, "flagged_samples", index_array(self.flagged_samples))
 
     def sample_indices(self) -> np.ndarray:
         """All flagged sample indices, sorted and distinct."""

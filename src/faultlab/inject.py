@@ -85,7 +85,7 @@ def inject_short(s: Series, plan: InjectionPlan) -> tuple[Series, GroundTruthLab
     idx = rng.choice(n, size=count, replace=False)
     out = s.values.copy()
     out[idx] = out[idx] * (1.0 + plan.short_intensity)
-    return s.with_values(out), GroundTruthLabels(short_indices=tuple(int(i) for i in idx))
+    return s.with_values(out), GroundTruthLabels(short_indices=idx)
 
 
 def inject_noise(s: Series, plan: InjectionPlan,
@@ -142,13 +142,13 @@ def inject_noise(s: Series, plan: InjectionPlan,
 
 def merge_labels(a: GroundTruthLabels, b: GroundTruthLabels) -> GroundTruthLabels:
     """Union of two label sets (e.g. after chaining both injectors)."""
-    return GroundTruthLabels(short_indices=a.short_indices + b.short_indices,
+    return GroundTruthLabels(short_indices=np.concatenate([a.short_indices, b.short_indices]),
                              noise_windows=a.noise_windows + b.noise_windows)
 
 
 def labels_to_dict(labels: GroundTruthLabels, plan: InjectionPlan) -> dict:
     return {
-        "short": [int(i) for i in labels.short_indices],
+        "short": labels.short_indices.tolist(),
         "noise": [{"start": int(s), "len": int(ln)} for s, ln in labels.noise_windows],
         "seed": plan.seed,
         "plan": asdict(plan) | {"noise_burst_lengths": list(plan.noise_burst_lengths)},

@@ -29,7 +29,7 @@ from typing import Callable, Generator, Iterable, Iterator, NoReturn, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .series import EventWindow, Modality, PrecipRecord, Series
+from .series import EventWindow, Modality, PrecipRecord, Series, index_array
 
 __all__ = [
     "IngestReport",
@@ -516,8 +516,7 @@ def read_detection_csv(path: str | Path) -> dict[str, np.ndarray]:
         if src not in ("short", "noise", "llse"):
             raise DataError(f"{path}:{lineno}: unknown flag_source {src!r}")
         by_source.setdefault(src, []).append(idx)
-    return {src: np.unique(np.array(idxs, dtype=np.int64))
-            for src, idxs in by_source.items()}
+    return {src: index_array(idxs) for src, idxs in by_source.items()}
 
 
 def read_json(path: str | Path, error: type[Exception] = DataError):

@@ -1,11 +1,11 @@
 """Event-misclassification and detection-quality metrics.
 
 The central quantity is mu, the fraction of event samples flagged as faulty.
-`assemble_report` scores every detector the same way: its flagged samples
-become one mask over the series, and one prefix sum of that mask counts the
-flagged samples in any index range. Event windows map to index ranges
-through `events.event_ranges`, so mu, its first-half-hour variant and the
-false-negative ratios are all differences of that sum.
+`assemble_report` scores every detector the same way: a binary search of its
+sorted flag array counts the flagged samples below any index, so the flags in
+an index range are a difference of two such counts. Event windows map to
+index ranges through `events.event_ranges`, and mu, its first-half-hour
+variant and the false-negative ratios are all such differences.
 Undefined metrics (empty denominators) are reported as absent, never as 0.
 """
 
@@ -62,10 +62,10 @@ class EvalReport:
 
 
 def _infer_kind(truth: GroundTruthLabels) -> str:
-    has_short = bool(truth.short_indices)
+    has_short = truth.short_indices.size > 0
     has_noise = bool(truth.noise_windows)
     if has_short and has_noise:
-        raise ConfigError("labels hold both fault kinds; pass kind explicitly")
+        raise ConfigError("labels hold both fault kinds; pass --fault-kind (kind=) to pick one")
     if has_short:
         return "short"
     if has_noise:
@@ -93,17 +93,14 @@ def assemble_report(s: Series, result: DetectionResult,
     if flag_idx.size and (flag_idx[0] < 0 or flag_idx[-1] >= len(s)):
         raise DataError(f"flagged indices {flag_idx[0]}..{flag_idx[-1]} fall outside "
                         f"[0, {len(s)})")
-    flagged = np.zeros(len(s), dtype=bool)
-    flagged[flag_idx] = True
-    # c[k] = flags among samples [0, k), so range [lo, hi) holds c[hi] - c[lo].
-    c = np.zeros(len(s) + 1, dtype=np.int64)
-    np.cumsum(flagged, out=c[1:])
+    # c(k) = flags among samples [0, k), so range [lo, hi) holds c(hi) - c(lo).
+    c = flag_idx.searchsorted
 
     t = s.times()
     lo, hi = event_ranges(t, ordered)
     _, op_hi = event_ranges(t, ordered, FIRST_HALF_HOUR_S)
-    counts = zip((hi - lo).tolist(), (c[hi] - c[lo]).tolist(),
-                 (op_hi - lo).tolist(), (c[op_hi] - c[lo]).tolist())
+    counts = zip((hi - lo).tolist(), (c(hi) - c(lo)).tolist(),
+                 (op_hi - lo).tolist(), (c(op_hi) - c(lo)).tolist())
     stats = tuple(PerEventStat(i, *row) for i, row in enumerate(counts))
     total = sum(st.samples for st in stats)
     hit = sum(st.misclassified for st in stats)
@@ -120,13 +117,13 @@ def assemble_report(s: Series, result: DetectionResult,
         if resolved_kind == "none":
             resolved_kind = None
         elif resolved_kind == "short":
-            if truth.short_indices:
-                missed = int(np.count_nonzero(~flagged[list(truth.short_indices)]))
-                fn = missed / len(truth.short_indices)
+            short = truth.short_indices
+            if short.size:
+                fn = int(np.count_nonzero(c(short + 1) == c(short))) / short.size
         elif resolved_kind == "noise":
             if truth.noise_windows:
                 start, length = np.array(truth.noise_windows, dtype=np.int64).T
-                inside = c[start + length] - c[start]
+                inside = c(start + length) - c(start)
                 fn = int(np.count_nonzero(inside == 0)) / len(truth.noise_windows)
                 burst_samples = int(length.sum())
                 per_sample = (burst_samples - int(inside.sum())) / burst_samples

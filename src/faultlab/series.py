@@ -28,6 +28,18 @@ class Modality(str, Enum):
     SOIL_MOISTURE = "soil_moisture"
 
 
+def index_array(raw) -> np.ndarray:
+    """`raw` as a read-only, sorted, distinct int64 index array. np.unique (a
+    sort) runs only when `raw` is not already strictly increasing."""
+    idx = np.asarray(raw, np.int64)
+    if idx.ndim != 1 or not (idx[1:] > idx[:-1]).all():
+        idx = np.unique(idx)
+    elif idx is raw or idx.base is not None:  # never alias the caller's memory
+        idx = idx.copy()
+    idx.flags.writeable = False
+    return idx
+
+
 def _as_modality(value: "Modality | str") -> Modality:
     try:
         return Modality(value)
@@ -131,19 +143,19 @@ class PrecipRecord:
             raise DataError(f"precipitation amount must be >= 0, got {self.amount_mm}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruthLabels:
-    """Positions of injected faults: sample indices for spikes, (start, length)
-    windows for noise bursts."""
+    """Positions of injected faults: spike samples as a read-only, sorted int64
+    array, noise bursts as sorted (start, length) pairs of Python ints."""
 
-    short_indices: tuple[int, ...] = ()
+    short_indices: np.ndarray = ()
     noise_windows: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        idx = tuple(sorted(int(i) for i in self.short_indices))
-        if any(i < 0 for i in idx):
+        idx = index_array(self.short_indices)
+        if idx.size and idx[0] < 0:
             raise DataError("short fault indices must be >= 0")
-        if len(set(idx)) != len(idx):
+        if idx.size != np.size(self.short_indices):
             raise DataError("short fault indices must be distinct")
         wins = tuple(sorted((int(s), int(n)) for s, n in self.noise_windows))
         for s, n in wins:
@@ -157,7 +169,7 @@ class GroundTruthLabels:
 
     def check_bounds(self, n: int) -> None:
         """Validate that every labeled position fits a series of length n."""
-        if self.short_indices and self.short_indices[-1] >= n:
+        if self.short_indices.size and self.short_indices[-1] >= n:
             raise DataError(f"short fault index {self.short_indices[-1]} out of bounds for n={n}")
         for s, ln in self.noise_windows:
             if s + ln > n:

@@ -303,6 +303,29 @@ def test_evaluate_rejects_mixed_flag_sources(tmp_path):
     assert code == 3
 
 
+def test_evaluate_of_both_label_kinds_names_the_fault_kind_flag(tmp_path, capsys):
+    series = tmp_path / "series.csv"
+    write_series_csv(series, [Series("n1", Modality.SOIL_MOISTURE, 0.0, 600.0,
+                                     np.linspace(0.2, 0.3, 288))])
+    cfg = write_cfg(tmp_path / "cfg.json", {"seed": 5, "inject": {
+        "base_sigma": 0.01, "noise_burst_lengths": [12, 30], "noise_total_fraction": 0.2}})
+    inj_dir = tmp_path / "inj"
+    assert main(["inject", "--config", cfg, "--in", str(series), "--kind", "both",
+                 "--out", str(inj_dir)]) == 0
+    (tmp_path / "events.csv").write_text("start,end\n6000,12000\n")
+    (tmp_path / "flags.csv").write_text("index,flag_source\n3,short\n")
+    argv = ["evaluate", "--in", str(inj_dir / "faulted.csv"), "--flags",
+            str(tmp_path / "flags.csv"), "--events", str(tmp_path / "events.csv"),
+            "--labels", str(inj_dir / "faulted.labels.json"), "--out", str(tmp_path / "ev")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == ("config error: labels hold both fault kinds; "
+                                       "pass --fault-kind (kind=) to pick one\n")
+    assert list((tmp_path / "ev").iterdir()) == []
+    assert main([*argv, "--fault-kind", "short"]) == 0
+    assert json.loads((tmp_path / "ev" / "report.json").read_text())["fault_kind"] == "short"
+
+
 def test_numeric_failure_exits_4(tmp_path, capsys):
     huge = np.array([1e300, -1e300, 1e300, -1e300, 1e300, -1e300])
     series = tmp_path / "series.csv"

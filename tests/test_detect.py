@@ -381,10 +381,10 @@ def test_detection_result_normalization():
 
 
 @st.composite
-def flag_inputs(draw):
+def flag_inputs(draw, lo=-2**63):
     """Flag indices as a caller may pass them: sorted or not, with or without
     duplicates, as a list, a 2-D array, a strided view or a buffer."""
-    values = draw(st.lists(st.integers(-2**63, 2**63 - 1), max_size=40))
+    values = draw(st.lists(st.integers(lo, 2**63 - 1), max_size=40))
     drawn = np.array(values, dtype=np.int64)
     distinct = np.unique(drawn)
     forms = {
@@ -416,6 +416,29 @@ def test_flag_fast_path_matches_np_unique(raw):
         assert owned.flags.writeable
         assert owned.shape == before.shape and np.array_equal(owned, before)
         assert not np.shares_memory(flags, owned)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(flag_inputs(), flag_inputs(lo=0)))
+def test_spike_labels_take_the_flag_forms(raw):
+    """Spike labels go through the flags' normaliser: distinct, non-negative
+    input gives the flag array, and a negative or a repeated index raises."""
+    drawn = np.asarray(raw, dtype=np.int64).ravel()
+    owned = np.asarray(raw) if isinstance(raw, (np.ndarray, memoryview)) else None
+    if (drawn < 0).any():
+        with pytest.raises(DataError, match=">= 0"):
+            GroundTruthLabels(short_indices=raw)
+    elif np.unique(drawn).size != drawn.size:
+        with pytest.raises(DataError, match="distinct"):
+            GroundTruthLabels(short_indices=raw)
+    else:
+        labels = GroundTruthLabels(short_indices=raw).short_indices
+        flags = DetectionResult("short", raw).flagged_samples
+        assert labels.dtype == np.int64 and labels.ndim == 1
+        assert labels.tolist() == flags.tolist()
+        assert not labels.flags.writeable
+        if owned is not None:
+            assert owned.flags.writeable and not np.shares_memory(labels, owned)
 
 
 # ----------------------------------- the former tuple-based result, as oracle

@@ -1,6 +1,7 @@
 """Event-misclassification and false-negative metrics plus report round-trips."""
 
-from dataclasses import asdict
+import json
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from faultlab import (
     assemble_report,
     event_sample_indices,
 )
+from faultlab.events import FIRST_HALF_HOUR_S, event_ranges
+from faultlab.inject import InjectionPlan, labels_from_dict, labels_to_dict
 from faultlab.io import write_json
 from faultlab.metrics import (REPORT_FORMAT_VERSION, EvalReport, PerEventStat, load_report,
                               report_from_dict, report_to_dict, save_report)
@@ -288,3 +291,142 @@ def test_report_to_dict_matches_asdict(tmp_path_factory, report):
     assert (tmp / "new.json").read_bytes() == (tmp / "old.json").read_bytes()
     assert report_from_dict(doc) == report
     assert load_report(tmp / "new.json") == report
+
+
+# --------------------- the former tuple labels and mask scoring, as oracle
+
+@dataclass(frozen=True)
+class TupleLabels:
+    """GroundTruthLabels as it was: sorted tuples of Python ints."""
+
+    short_indices: tuple[int, ...] = ()
+    noise_windows: tuple[tuple[int, int], ...] = ()
+
+    def __post_init__(self):
+        idx = tuple(sorted(int(i) for i in self.short_indices))
+        if any(i < 0 for i in idx):
+            raise DataError("short fault indices must be >= 0")
+        if len(set(idx)) != len(idx):
+            raise DataError("short fault indices must be distinct")
+        wins = tuple(sorted((int(s), int(n)) for s, n in self.noise_windows))
+        for s, n in wins:
+            if s < 0 or n <= 0:
+                raise DataError(f"noise burst ({s}, {n}) must have start >= 0 and length > 0")
+        for (s1, n1), (s2, _) in zip(wins, wins[1:]):
+            if s2 < s1 + n1:
+                raise DataError("noise bursts must not overlap")
+        object.__setattr__(self, "short_indices", idx)
+        object.__setattr__(self, "noise_windows", wins)
+
+
+def tuple_labels_to_dict(labels: TupleLabels, plan: InjectionPlan) -> dict:
+    """The former `labels_to_dict`, over tuples of Python ints."""
+    return {
+        "short": [int(i) for i in labels.short_indices],
+        "noise": [{"start": int(s), "len": int(ln)} for s, ln in labels.noise_windows],
+        "seed": plan.seed,
+        "plan": asdict(plan) | {"noise_burst_lengths": list(plan.noise_burst_lengths)},
+    }
+
+
+def mask_report(s, flag_idx, events, truth, kind, parameters) -> EvalReport:
+    """The former `assemble_report` body: one n-long mask of the flags and its
+    (n+1)-long prefix sum c, so range [lo, hi) holds c[hi] - c[lo]."""
+    ordered = sorted(events, key=lambda e: e.start)
+    flagged = np.zeros(len(s), dtype=bool)
+    flagged[flag_idx] = True
+    c = np.zeros(len(s) + 1, dtype=np.int64)
+    np.cumsum(flagged, out=c[1:])
+    t = s.times()
+    lo, hi = event_ranges(t, ordered)
+    _, op_hi = event_ranges(t, ordered, FIRST_HALF_HOUR_S)
+    counts = zip((hi - lo).tolist(), (c[hi] - c[lo]).tolist(),
+                 (op_hi - lo).tolist(), (c[op_hi] - c[lo]).tolist())
+    stats = tuple(PerEventStat(i, *row) for i, row in enumerate(counts))
+    total = sum(st.samples for st in stats)
+    hit = sum(st.misclassified for st in stats)
+    op_total = sum(st.opening_samples for st in stats)
+    op_hit = sum(st.opening_misclassified for st in stats)
+    fn = per_sample = resolved_kind = None
+    if truth is not None:
+        resolved_kind = kind
+        if kind is None:
+            if truth.short_indices and truth.noise_windows:
+                raise ConfigError("labels hold both fault kinds")
+            resolved_kind = ("short" if truth.short_indices
+                             else "noise" if truth.noise_windows else None)
+        if resolved_kind == "short" and truth.short_indices:
+            missed = int(np.count_nonzero(~flagged[list(truth.short_indices)]))
+            fn = missed / len(truth.short_indices)
+        elif resolved_kind == "noise" and truth.noise_windows:
+            start, length = np.array(truth.noise_windows, dtype=np.int64).T
+            inside = c[start + length] - c[start]
+            fn = int(np.count_nonzero(inside == 0)) / len(truth.noise_windows)
+            burst_samples = int(length.sum())
+            per_sample = (burst_samples - int(inside.sum())) / burst_samples
+    return EvalReport(mu=hit / total if total else None,
+                      mu_first_half_hour=op_hit / op_total if op_total else None,
+                      false_negative_ratio=fn, per_event=stats, parameters=dict(parameters),
+                      fault_kind=resolved_kind, noise_fn_per_sample=per_sample)
+
+
+def index_sets(n):
+    """Sets of sample indices below n: empty, every sample, both ends (with
+    or without others), or drawn."""
+    ends = st.sets(st.integers(0, n - 1)).map(lambda s: s | {0, n - 1})
+    return st.one_of(st.just(set()), st.just(set(range(n))), ends,
+                     st.sets(st.integers(0, n - 1)))
+
+
+@st.composite
+def scoring_inputs(draw):
+    """(series, flags, events, short labels, noise bursts, kind) for one report.
+
+    Spike labels come in drawn order, as `inject_short` passes them; bursts
+    may start at sample 0 and end on the last sample.
+    """
+    n = draw(st.integers(1, 40))
+    flag_idx = sorted(draw(index_sets(n)))
+    events, cursor = [], draw(st.sampled_from([-1200.0, 0.0]))
+    for _ in range(draw(st.integers(0, 3))):
+        start = cursor + draw(st.integers(0, 10)) * 600.0 + draw(st.sampled_from([0.0, 300.0]))
+        cursor = start + draw(st.integers(1, 15)) * 600.0
+        events.append(EventWindow(start, cursor))
+    labels = draw(st.sampled_from(["none", "short", "noise", "both"]))
+    short, bursts = [], []
+    if labels in ("short", "both"):
+        short = draw(st.permutations(sorted(draw(index_sets(n)))))
+    if labels in ("noise", "both"):
+        at = draw(st.integers(0, n - 1))
+        while at < n:
+            length = draw(st.integers(1, n - at))
+            bursts.append((at, length))
+            at += length + draw(st.integers(1, n))
+    kind = draw(st.sampled_from([None, "short", "noise"]))
+    return mk(n), flag_idx, events, labels != "none", short, bursts, kind
+
+
+@settings(max_examples=400, deadline=None)
+@given(scoring_inputs())
+def test_search_scoring_matches_the_mask_oracle(run):
+    s, flag_idx, events, labeled, short, bursts, kind = run
+    truth = GroundTruthLabels(short_indices=short, noise_windows=bursts) if labeled else None
+    old = TupleLabels(short, bursts) if labeled else None
+    result = DetectionResult("short", flag_idx)
+    params = {"detector": "short"}
+    if labeled:
+        plan = InjectionPlan(seed=3)
+        doc = labels_to_dict(truth, plan)
+        assert doc == tuple_labels_to_dict(old, plan)
+        assert json.dumps(doc) == json.dumps(tuple_labels_to_dict(old, plan))
+        assert truth.short_indices.tolist() == list(old.short_indices)
+        assert labels_from_dict(doc).short_indices.tolist() == list(old.short_indices)
+        assert truth.noise_windows == old.noise_windows
+    if labeled and short and bursts and kind is None:
+        with pytest.raises(ConfigError, match="--fault-kind"):
+            assemble_report(s, result, events, truth, kind, params)
+        with pytest.raises(ConfigError):
+            mask_report(s, result.flagged_samples, events, old, kind, params)
+        return
+    assert report_to_dict(assemble_report(s, result, events, truth, kind, params)) == \
+        report_to_dict(mask_report(s, result.flagged_samples, events, old, kind, params))

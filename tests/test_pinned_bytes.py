@@ -1,10 +1,11 @@
 """Output bytes pinned by hash.
 
 Criterion 8 reruns the same code, so it cannot see a change that alters
-output bytes. These runs read integer-valued CSVs written here (no synth,
-no injection), so their bytes depend neither on numpy's transcendental
-functions nor on its random streams, and any change to them is a change to
-what faultlab writes.
+output bytes. These runs read integer-valued CSVs written here (no synth),
+so their bytes do not depend on numpy's transcendental functions, and any
+change to them is a change to what faultlab writes. The inject runs draw
+their fault positions from PCG64's integer stream, which numpy keeps stable,
+and add noise of zero scale, so no normal draw reaches the output either.
 """
 
 import hashlib
@@ -114,3 +115,32 @@ def test_evaluate_bytes_are_pinned(tmp_path, kind):
                  "--labels", str(tmp_path / f"{kind}.labels.json"),
                  "--out", str(out)]) == 0
     assert digests(out) == {"report.json": EVALUATES[kind]}
+
+
+INJECTS = {
+    "both": {
+        "faulted.csv": "461d201a2cbd9765a808f03cae24239e9af18de050b4c31537473491113fc338",
+        "faulted.labels.json": "81ec8e80f8382e8faecb343843ab3cc40754f0962f50b31de5f7b6a7084793d0",
+    },
+    "noise": {
+        "faulted.csv": "5019a11c4da16e829c4474434baa7ffb701c6055073b2dfa68ddcb3ef39bfcea",
+        "faulted.labels.json": "84f446d48210950ed284e19376114e0b86a3d8b386b50a9569bf052e789ae988",
+    },
+    "short": {
+        "faulted.csv": "461d201a2cbd9765a808f03cae24239e9af18de050b4c31537473491113fc338",
+        "faulted.labels.json": "d0ae97ad8b7feebaf94972683ad349c561ec27991ab6ccaa8d8c40d9ec32b48c",
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INJECTS))
+def test_inject_bytes_are_pinned(tmp_path, kind):
+    write_inputs(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 7, "inject": {
+        "short_intensity": 0.5, "noise_multiplier": 0.0, "base_sigma": 1.0,
+        "noise_burst_lengths": [12, 30], "noise_total_fraction": 0.2}}))
+    out = tmp_path / "out"
+    assert main(["inject", "--config", str(cfg), "--in", str(tmp_path / "train.csv"),
+                 "--kind", kind, "--out", str(out)]) == 0
+    assert digests(out) == INJECTS[kind]

@@ -106,11 +106,15 @@ def test_precip_record_validation():
 
 def test_labels_normalize_and_validate():
     lab = GroundTruthLabels(short_indices=(5, 2, 9), noise_windows=((10, 3), (2, 4)))
-    assert lab.short_indices == (2, 5, 9)
+    assert lab.short_indices.dtype == np.int64
+    assert lab.short_indices.tolist() == [2, 5, 9]
+    assert not lab.short_indices.flags.writeable
     assert lab.noise_windows == ((2, 4), (10, 3))
-    with pytest.raises(DataError):
+    assert all(type(x) is int for w in lab.noise_windows for x in w)
+    assert GroundTruthLabels().short_indices.tolist() == []
+    with pytest.raises(DataError, match="distinct"):
         GroundTruthLabels(short_indices=(1, 1))
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=">= 0"):
         GroundTruthLabels(short_indices=(-1,))
     with pytest.raises(DataError):
         GroundTruthLabels(noise_windows=((0, 5), (4, 2)))
