@@ -463,15 +463,26 @@ def _csv_line(cells: Sequence[str]) -> str:
 
 
 def write_series_csv(path: str | Path, series: Iterable[Series]) -> None:
-    """Write series to the sensor-data CSV format, one row per sample."""
+    """Write series to the sensor-data CSV format, one row per sample.
+
+    Stamps are written `_BLOCK` rows at a time. When every time of a block is
+    whole and inside ±2**63, the block's stamps are one int64 cast, whose
+    `str` is what `format_timestamp` writes for a whole float (`-0.0`
+    included). Any other block, such as one with a 0.5 s interval or a time
+    at or past 2**63, calls `format_timestamp` per row.
+    """
     with _open_out(path) as fh:
         fh.write(_csv_line(SERIES_COLUMNS))
         for s in series:
             middle = _csv_line(["", s.node_id, s.modality.value, ""])[:-1]
             for lo in range(0, len(s), _BLOCK):
                 times = s.start_time + np.arange(lo, min(lo + _BLOCK, len(s))) * s.sample_interval
-                fh.write("".join([f"{format_timestamp(t)}{middle}{val!r}\n" for t, val
-                                  in zip(times.tolist(), s.values[lo:lo + _BLOCK].tolist())]))
+                if np.array_equal(times, np.trunc(times)) and np.abs(times).max() < 2.0**63:
+                    stamps = times.astype(np.int64).tolist()
+                else:
+                    stamps = map(format_timestamp, times.tolist())
+                fh.write("".join([f"{stamp}{middle}{val!r}\n" for stamp, val
+                                  in zip(stamps, s.values[lo:lo + _BLOCK].tolist())]))
 
 
 def read_precip_csv(path: str | Path) -> list[PrecipRecord]:

@@ -28,10 +28,32 @@ class Modality(str, Enum):
     SOIL_MOISTURE = "soil_moisture"
 
 
+def _int64(raw) -> np.ndarray:
+    """`raw` as an int64 array. DataError unless every entry is an integer
+    that int64 holds: numpy would truncate a float, wrap a uint64, turn NaN
+    into INT64_MIN and raise OverflowError past int64."""
+    arr = np.asarray(raw)
+    kind = arr.dtype.kind
+    if kind == "u":
+        ok = not arr.size or arr.max() < 2**63
+    elif kind == "f":
+        ok = ((-2.0**63 <= arr) & (arr < 2.0**63) & (arr == np.trunc(arr))).all()
+    elif kind == "O":
+        try:
+            ok = all(-2**63 <= int(v) == v < 2**63 for v in arr.flat)
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+    else:
+        ok = kind in "bi"
+    if not ok:
+        raise DataError("indices must be integers within the int64 range")
+    return np.asarray(arr, np.int64)
+
+
 def index_array(raw) -> np.ndarray:
     """`raw` as a read-only, sorted, distinct int64 index array. np.unique (a
     sort) runs only when `raw` is not already strictly increasing."""
-    idx = np.asarray(raw, np.int64)
+    idx = _int64(raw)
     if idx.ndim != 1 or not (idx[1:] > idx[:-1]).all():
         idx = np.unique(idx)
     elif idx is raw or idx.base is not None:  # never alias the caller's memory
@@ -66,9 +88,15 @@ class Series:
         object.__setattr__(self, "modality", _as_modality(self.modality))
         if not (self.sample_interval > 0):
             raise DataError(f"sample_interval must be > 0, got {self.sample_interval}")
+        if not (math.isfinite(self.start_time) and math.isfinite(self.sample_interval)):
+            raise DataError(f"start_time and sample_interval must be finite, "
+                            f"got {self.start_time} and {self.sample_interval}")
         vals = np.asarray(self.values, dtype=np.float64).copy()
         if vals.ndim != 1:
             raise DataError("values must be one-dimensional")
+        if vals.size and not math.isfinite(self.time_at(vals.size - 1)):
+            raise DataError(f"sample {vals.size - 1} sits at time "
+                            f"{self.time_at(vals.size - 1)}, not a finite time")
         if not np.all(np.isfinite(vals)):
             raise DataError("values must be finite (no NaN/inf)")
         vals.flags.writeable = False

@@ -665,7 +665,8 @@ NODE_IDS = st.sampled_from(["n1", "a,b", 'say "hi"', " lead", "line\nbreak", "cr
 @settings(max_examples=100, deadline=None)
 @given(series=st.lists(st.builds(
     Series, NODE_IDS, st.sampled_from(list(Modality)),
-    st.sampled_from([0.0, -0.0, 600.0, 0.5, -1200.25, 1743465600.0, 1e19, 2.0**63]),
+    st.sampled_from([0.0, -0.0, 600.0, 0.5, -1200.25, 1743465600.0, 1e19,
+                     2.0**63 - 2048, 2.0**63, -2.0**63]),
     st.sampled_from([600.0, 0.5, 1.0 / 3.0, 86400.0]),
     st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                        st.sampled_from([-0.0, 5e-324, 1e308, 0.1])), max_size=9)), max_size=3))

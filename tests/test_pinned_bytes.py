@@ -11,9 +11,12 @@ and add noise of zero scale, so no normal draw reaches the output either.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from faultlab import Modality, Series
 from faultlab.cli import main
+from faultlab.io import write_series_csv
 
 N = 288  # two days at 600 s
 SHORT_LABELS = [50, 120, 250]
@@ -144,3 +147,15 @@ def test_inject_bytes_are_pinned(tmp_path, kind):
     assert main(["inject", "--config", str(cfg), "--in", str(tmp_path / "train.csv"),
                  "--kind", kind, "--out", str(out)]) == 0
     assert digests(out) == INJECTS[kind]
+
+
+def test_fractional_stamp_bytes_are_pinned(tmp_path):
+    # No stamp of the first series is whole, and every other stamp of the
+    # second is, so both take the per-row format_timestamp path of the writer.
+    # 5,000 rows each span two 4,096-row blocks.
+    values = np.arange(5_000) * 0.1
+    series = [Series("n1", Modality.SOIL_MOISTURE, 1743465600.25, 0.5, values),
+              Series("n2", Modality.SOIL_MOISTURE, 1743465600.0, 0.5, values)]
+    write_series_csv(tmp_path / "series.csv", series)
+    assert digests(tmp_path) == {
+        "series.csv": "a0ee914e6e6a0d3088c5625ffcfb903f54bc48b307876e50a7b58d9b1bbb1c63"}

@@ -1,10 +1,15 @@
 """Domain type validation: series placement, event windows, fault labels."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faultlab import (
     DataError,
+    DetectionResult,
     EventWindow,
     GroundTruthLabels,
     Modality,
@@ -12,6 +17,8 @@ from faultlab import (
     Series,
     validate_events,
 )
+from faultlab.io import ingest_csv, write_series_csv
+from faultlab.series import index_array
 
 
 def mk(values, interval=600.0, start=0.0, node="n1", modality=Modality.SOIL_MOISTURE):
@@ -54,6 +61,23 @@ def test_series_rejects_bad_inputs():
         mk([1.0, 2.0], interval=-5.0)
     with pytest.raises(DataError):
         Series("n1", Modality.BOX_TEMP, 0.0, 600.0, np.zeros((2, 2)))
+
+
+def test_series_rejects_a_grid_without_finite_times(tmp_path):
+    inf, nan = math.inf, math.nan
+    for start, interval in ((inf, 600.0), (-inf, 600.0), (nan, 600.0), (0.0, inf)):
+        with pytest.raises(DataError, match="finite"):
+            mk([1.0, 2.0], interval=interval, start=start)
+    with pytest.raises(DataError, match="not a finite time"):
+        mk([1.0, 2.0], interval=1e308, start=1e308)
+    # A lone sample sits at the finite start; an empty series has no time to check.
+    assert len(mk([1.0], interval=1e308, start=1e308)) == 1
+    assert len(mk([], interval=1e308, start=1e308)) == 0
+    # So every series the writer gets has finite stamps, which ingest reads.
+    s = mk([1.0, 2.0], interval=1e307, start=1e308)
+    write_series_csv(tmp_path / "s.csv", [s])
+    back = ingest_csv(tmp_path / "s.csv").series[0]
+    assert back.start_time == s.start_time and np.array_equal(back.values, s.values)
 
 
 def test_with_values_and_same_grid():
@@ -129,3 +153,48 @@ def test_labels_check_bounds():
         lab.check_bounds(7)
     with pytest.raises(DataError):
         GroundTruthLabels(noise_windows=((5, 4),)).check_bounds(8)
+
+
+def test_bad_indices_raise_data_error():
+    for raw in ([2**64], [1.5, 2.7], np.array([2**63 + 5], np.uint64), [math.nan, 3.0]):
+        with pytest.raises(DataError, match="int64"):
+            GroundTruthLabels(short_indices=raw)
+        with pytest.raises(DataError, match="int64"):
+            DetectionResult("short", raw)
+
+
+def edges(at):
+    return st.integers(at - 3, at + 3)
+
+
+INT_ENTRIES = st.one_of(edges(2**63), edges(-2**63), edges(2**64), st.integers(-50, 50))
+FLOAT_ENTRIES = st.one_of(
+    st.floats(), st.integers(-50, 50).map(float),
+    st.sampled_from([2.0**63, -2.0**63, 2.0**63 - 1024, 2.0**64, -0.0, 0.5, 1e300]))
+UINT64_ARRAYS = st.lists(st.one_of(edges(2**63), st.integers(0, 50), edges(2**64 - 4))).map(
+    lambda xs: np.array(xs, np.uint64))
+
+
+def expected_indices(values):
+    """Sorted distinct ints of `values`, or None when one is no int64."""
+    out = set()
+    for v in values:
+        if isinstance(v, float) and not v.is_integer():  # also NaN and inf
+            return None
+        if not -2**63 <= int(v) < 2**63:
+            return None
+        out.add(int(v))
+    return sorted(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.one_of(st.lists(INT_ENTRIES), st.lists(FLOAT_ENTRIES), UINT64_ARRAYS))
+def test_index_array_takes_exactly_the_int64_integers(raw):
+    want = expected_indices(raw.tolist() if isinstance(raw, np.ndarray) else raw)
+    if want is None:
+        with pytest.raises(DataError):
+            index_array(raw)
+    else:
+        idx = index_array(raw)
+        assert idx.dtype == np.int64 and not idx.flags.writeable
+        assert idx.tolist() == want
