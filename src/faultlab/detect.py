@@ -122,7 +122,7 @@ class DetectionResult:
     source: str
     flagged_samples: np.ndarray = ()
 
-    flagged_windows = ()  # not a field: bench/spans.py reads it until ROADMAP item 2
+    flagged_windows = ()  # not a field: bench/spans.py reads it until ROADMAP item 3
 
     def __post_init__(self):
         if self.source not in ("short", "noise", "llse"):

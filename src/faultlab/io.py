@@ -299,6 +299,7 @@ def _nominal_interval(diffs: np.ndarray) -> float:
     return float(np.median(np.repeat(spacings[members], counts[members])))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the checks below refuse what overflows
 def _repair_group(key: tuple[str, str], t: np.ndarray, v: np.ndarray,
                   report: IngestReport) -> list[Series]:
     node_id, modality = key
@@ -312,34 +313,32 @@ def _repair_group(key: tuple[str, str], t: np.ndarray, v: np.ndarray,
                         f"modality {modality!r}")
     nominal = _nominal_interval(diffs)
 
-    k = np.rint(diffs / nominal)  # grid steps spanned by each diff
-    off_grid = (k < 1) | (np.abs(diffs - k * nominal) > SPACING_RTOL * nominal)
+    k = np.rint(diffs / nominal)  # grid steps spanned by each diff, NaN for inf / inf
+    off_grid = ~(k >= 1) | (np.abs(diffs - k * nominal) > SPACING_RTOL * nominal)
     if off_grid.any():
         d = diffs[np.argmax(off_grid)]
         raise DataError(
             f"irregular spacing for node {node_id!r} modality {modality!r}: "
             f"gap of {d} s is not a whole multiple of {nominal} s")
     split = k - 1 > MAX_INTERPOLATED_RUN
-    # Diff i contributes its interpolated points and then v[i + 1], or only
-    # v[i + 1] as the first sample of a new segment when it splits.
-    steps = np.where(split, 1, k).astype(np.int64)
-    offsets = np.cumsum(steps) - steps
-    src = np.repeat(np.arange(diffs.size), steps)
-    j = np.arange(1, src.size + 1) - offsets[src]
-    out = v[1:][src]
-    fill = j < steps[src]
-    i = src[fill]
-    out[fill] = v[i] + (v[i + 1] - v[i]) * j[fill] / k[i]
-    values = np.concatenate([v[:1], out])
+    k[split] = 1  # the first sample of a new segment sits one step on, with nothing filled
+    k = k.astype(np.int64)  # only now: a split's k can be inf or past int64
+    pos = np.zeros(t.size, np.int64)  # each sample's grid position
+    np.cumsum(k, out=pos[1:])
+    values = np.empty(pos[-1] + 1)
+    values[pos] = v
+    for j in range(1, MAX_INTERPOLATED_RUN + 1):  # the j-th point of every longer gap
+        i = np.flatnonzero(k > j)
+        values[pos[i] + j] = v[i] + (v[i + 1] - v[i]) * j / k[i]
 
-    filled, splits = int(np.count_nonzero(fill)), int(np.count_nonzero(split))
+    filled, splits = values.size - v.size, int(np.count_nonzero(split))
     if filled:
         report.filled[key] = filled
     if splits:
         report.splits[key] = splits
     starts = [float(t[0]), *t[1:][split].tolist()]
     return [Series(node_id, modality, start, nominal, vals)
-            for start, vals in zip(starts, np.split(values, 1 + offsets[split]))]
+            for start, vals in zip(starts, np.split(values, pos[1:][split]))]
 
 
 # Interval assigned to a degenerate one-row series, where spacing cannot

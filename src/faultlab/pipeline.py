@@ -42,7 +42,6 @@ class SweepPoint:
 
 @dataclass
 class SweepResult:
-    detector: str
     points: list[SweepPoint]
 
 
@@ -253,7 +252,7 @@ def run_sweep_points(config: dict, seed: int, modality: Modality) -> SweepResult
             parameters={"detector": detector, "param": param,
                         "seed": seed, "modality": modality.value})
         points.append(SweepPoint(param=param, report=report))
-    return SweepResult(detector=detector, points=points)
+    return SweepResult(points=points)
 
 
 def sweep_rows(result: SweepResult) -> list[tuple[str, str, str, str]]:

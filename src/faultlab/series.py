@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -62,6 +62,11 @@ def index_array(raw) -> np.ndarray:
     return idx
 
 
+def _finite(x) -> bool:
+    """math.isfinite, but False, not OverflowError, for an int past the float range."""
+    return abs(x) <= sys.float_info.max
+
+
 def _as_modality(value: "Modality | str") -> Modality:
     try:
         return Modality(value)
@@ -88,13 +93,13 @@ class Series:
         object.__setattr__(self, "modality", _as_modality(self.modality))
         if not (self.sample_interval > 0):
             raise DataError(f"sample_interval must be > 0, got {self.sample_interval}")
-        if not (math.isfinite(self.start_time) and math.isfinite(self.sample_interval)):
+        if not (_finite(self.start_time) and _finite(self.sample_interval)):
             raise DataError(f"start_time and sample_interval must be finite, "
                             f"got {self.start_time} and {self.sample_interval}")
         vals = np.asarray(self.values, dtype=np.float64).copy()
         if vals.ndim != 1:
             raise DataError("values must be one-dimensional")
-        if vals.size and not math.isfinite(self.time_at(vals.size - 1)):
+        if vals.size and not _finite(self.time_at(vals.size - 1)):
             raise DataError(f"sample {vals.size - 1} sits at time "
                             f"{self.time_at(vals.size - 1)}, not a finite time")
         if not np.all(np.isfinite(vals)):
@@ -138,7 +143,7 @@ class EventWindow:
     end: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.start) and math.isfinite(self.end)):
+        if not (_finite(self.start) and _finite(self.end)):
             raise DataError("event window bounds must be finite")
         if not self.start < self.end:
             raise DataError(f"event window needs start < end, got [{self.start}, {self.end})")
@@ -165,9 +170,9 @@ class PrecipRecord:
     amount_mm: float
 
     def __post_init__(self):
-        if not math.isfinite(self.time):
+        if not _finite(self.time):
             raise DataError("precipitation record time must be finite")
-        if not (math.isfinite(self.amount_mm) and self.amount_mm >= 0):
+        if not (_finite(self.amount_mm) and self.amount_mm >= 0):
             raise DataError(f"precipitation amount must be >= 0, got {self.amount_mm}")
 
 

@@ -289,6 +289,25 @@ def test_non_finite_timestamp_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err == f"data error: {series}:7: malformed row\n"
 
 
+@pytest.mark.parametrize("rows, message", [
+    # the point filled between 1e308 and -1e308 overflows
+    ([(0, 1), (600, 1e308), (1800, -1e308), (2400, 1)], "values must be finite"),
+    # a gap over the subnormal spacing overflows
+    ([(0, 1), (5e-324, 1), (1e-323, 1), (1.5e-323, 1), (1, 1)], "irregular spacing"),
+    # the gap between the stamps overflows
+    ([(-1e308, 1), (1e308, 2)], "irregular spacing"),
+    ([(-1e308, 1), (1e308, 2), (1e308, 3)], "not strictly increasing"),
+], ids=["fill", "gap-over-spacing", "gap", "gap-then-repeat"])
+def test_repair_overflow_is_one_data_error(tmp_path, capsys, rows, message):
+    series = tmp_path / "x.csv"
+    series.write_text("timestamp,node_id,modality,value\n"
+                      + "".join(f"{t!r},n1,box_temp,{v!r}\n" for t, v in rows))
+    assert main(["train", "--detector", "noise", "--in", str(series),
+                 "--modality", "box_temp", "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error:") and message in err[0]
+
+
 def test_evaluate_rejects_mixed_flag_sources(tmp_path):
     cfg = write_cfg(tmp_path / "cfg.json", {"seed": 1, "synth": SYNTH_SMALL})
     synth_dir = tmp_path / "synth"

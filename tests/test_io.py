@@ -710,3 +710,45 @@ def test_interleaved_ingest_memory_grows_with_the_arrays(tmp_path):
     p = write(tmp_path, interleaved_rows(n, nodes))
     arrays_mb = n * nodes * 16 / 1e6  # a float64 time and value per row
     assert traced_peak(ingest_csv, p) <= 3 * arrays_mb
+
+
+@pytest.mark.parametrize("holes", [False, True], ids=["gap-free", "holes-and-a-split"])
+def test_repair_memory_is_a_few_copies_of_its_input(holes):
+    n = 200_000
+    keep = np.ones(n, bool)
+    if holes:  # 2 % of the samples missing one at a time, and a 10-sample gap that splits
+        keep[::50] = False
+        keep[n // 2:n // 2 + 10] = False
+    t = (T0 + 600.0 * np.arange(n))[keep]
+    v = np.random.default_rng(4).normal(0.2, 0.01, n)[keep]
+    # Gathering each output sample from its source index peaked at about 4.8x the input.
+    peak = traced_peak(fio._repair_group, ("n1", "box_temp"), t, v, IngestReport(series=[]))
+    assert peak <= 3.5 * (t.nbytes + v.nbytes) / 1e6
+
+
+def repair_outcome(repair, t, v):
+    """What a repair of one group gives, in comparable form (see `outcome`)."""
+    report = IngestReport(series=[])
+    try:
+        series = repair(("n1", "box_temp"), t, v, report)
+    except DataError as exc:
+        return str(exc)
+    return ([(s.start_time, s.sample_interval, s.values.tobytes()) for s in series],
+            report.filled, report.splits)
+
+
+# Mostly single steps, so the grid has a dominant spacing. A step of 2-4 grid
+# points is interpolated; one of 5-9 splits the series.
+SAMPLES = st.tuples(st.sampled_from([1] * 5 + [2, 3, 4, 5, 9]),
+                    st.one_of(st.just(0.0), st.floats(-0.005, 0.005)),
+                    st.builds(lambda m, e: m * 10.0**e, st.floats(-10, 10), st.integers(-300, 299)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(interval=st.sampled_from([600.0, 1.0, 0.25, 86400.0]),
+       samples=st.lists(SAMPLES, max_size=40))
+def test_repair_matches_the_oracle_on_arrays(interval, samples):
+    steps, jitter, values = np.array(samples).reshape(-1, 3).T
+    t = T0 + interval * (np.cumsum(steps) + jitter)  # each stamp off its grid point by < 0.5 %
+    assert repair_outcome(fio._repair_group, t, values) == \
+        repair_outcome(oracle_repair_group, t, values)

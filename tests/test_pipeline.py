@@ -127,7 +127,6 @@ def test_run_sweep_points_short_monotone():
            "synth": synth_block(),
            "inject": {"kind": "short", "short_intensity": 0.2}}
     out = run_sweep_points(cfg, seed=19, modality=Modality.SOIL_MOISTURE)
-    assert out.detector == "short"
     assert [pt.param for pt in out.points] == [0.002, 0.005, 0.01, 0.05]
     mus = [pt.report.mu for pt in out.points]
     fns = [pt.report.false_negative_ratio for pt in out.points]

@@ -80,6 +80,20 @@ def test_series_rejects_a_grid_without_finite_times(tmp_path):
     assert back.start_time == s.start_time and np.array_equal(back.values, s.values)
 
 
+def test_value_types_refuse_ints_past_the_float_range():
+    # math.isfinite raises OverflowError on these, not DataError.
+    for big in (10**400, -10**400):
+        for start, interval in ((big, 600.0), (0.0, big)):
+            with pytest.raises(DataError):
+                mk([1.0], interval=interval, start=start)
+        for make in (lambda: EventWindow(big, 2 * abs(big)), lambda: EventWindow(-abs(big), big),
+                     lambda: PrecipRecord(big, 1.0), lambda: PrecipRecord(0.0, big)):
+            with pytest.raises(DataError):
+                make()
+    with pytest.raises(DataError, match="not a finite time"):
+        mk([1.0, 2.0], interval=10**308, start=10**308)
+
+
 def test_with_values_and_same_grid():
     a = mk([1.0, 2.0, 3.0])
     b = a.with_values([4.0, 5.0, 6.0])
