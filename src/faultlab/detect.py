@@ -30,7 +30,9 @@ __all__ = [
     "NeighborFit",
     "LlseModel",
     "DetectionResult",
+    "short_jumps",
     "short_detect",
+    "window_stds",
     "noise_train",
     "noise_detect",
     "llse_fit",
@@ -138,26 +140,37 @@ class DetectionResult:
         return [(i, self.source) for i in self.flagged_samples.tolist()]
 
 
-def short_detect(s: Series, params: ShortParams) -> DetectionResult:
+def short_jumps(s: Series) -> np.ndarray:
+    """|s[k] - s[k-1]| for every k >= 1, the jumps the short rule thresholds;
+    an infinite jump reads inf."""
+    with np.errstate(over="ignore"):
+        return np.abs(np.diff(s.values))
+
+
+def short_detect(s: Series, params: ShortParams, *,
+                 jumps: np.ndarray | None = None) -> DetectionResult:
     """Flag samples whose jump from the previous raw sample exceeds delta.
 
     Sample k >= 1 is flagged iff |s[k] - s[k-1]| > delta (strictly); sample 0
     is never flagged. The predecessor is always the raw value, even when it
-    was itself flagged.
+    was itself flagged. `jumps`, when given, is `short_jumps(s)` computed
+    once for several thresholds; it must come from this same series.
     """
     if len(s) < 2:
         raise DataError("short_detect needs at least 2 samples")
-    with np.errstate(over="ignore"):  # an infinite jump exceeds every delta
-        jumps = np.abs(np.diff(s.values))
+    if jumps is None:
+        jumps = short_jumps(s)
+    elif jumps.shape != (len(s) - 1,):
+        raise DataError(f"jumps of shape {jumps.shape} do not fit a series of {len(s)} samples")
     return DetectionResult("short", np.nonzero(jumps > params.delta)[0] + 1)
 
 
-def _window_stds(values: np.ndarray, window_len: int) -> np.ndarray:
-    """Sample std (n-1 denominator) of each full tumbling window from index 0;
-    a window whose std overflows reads inf."""
-    m = values.shape[0] // window_len
+def window_stds(s: Series, window_len: int) -> np.ndarray:
+    """Sample std (n-1 denominator) of each full tumbling window of `s` from
+    index 0; a window whose std overflows reads inf."""
+    m = len(s) // window_len
     with np.errstate(over="ignore"):
-        return values[: m * window_len].reshape(m, window_len).std(axis=1, ddof=1)
+        return s.values[: m * window_len].reshape(m, window_len).std(axis=1, ddof=1)
 
 
 def noise_train(train: Series, window_len: int = 18) -> NoiseModel:
@@ -174,7 +187,7 @@ def noise_train(train: Series, window_len: int = 18) -> NoiseModel:
         raise DataError(
             f"insufficient training data: need >= {2 * window_len} samples, "
             f"got {len(train)}")
-    stds = _window_stds(train.values, window_len)
+    stds = window_stds(train, window_len)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite band raises below
         sigma_train, spread = float(stds.mean()), float(stds.std(ddof=1))
     if not (math.isfinite(sigma_train) and math.isfinite(spread)):
@@ -182,20 +195,27 @@ def noise_train(train: Series, window_len: int = 18) -> NoiseModel:
     return NoiseModel(window_len, sigma_train, spread)
 
 
-def noise_detect(s: Series, model: NoiseModel, allow_multiplier: float) -> DetectionResult:
+def noise_detect(s: Series, model: NoiseModel, allow_multiplier: float, *,
+                 stds: np.ndarray | None = None) -> DetectionResult:
     """Flag every sample of the tumbling windows whose sample std leaves the band.
 
     The band is sigma_train +/- allow_multiplier * sigma_hist_spread and is
     inclusive: a window is flagged only when its std falls strictly outside.
     Windows tile the series from sample 0; a trailing remainder shorter than
-    the window is not evaluated.
+    the window is not evaluated. `stds`, when given, is
+    `window_stds(s, model.window_len)` computed once for several multipliers;
+    it must come from this same series.
     """
     if not (math.isfinite(allow_multiplier) and allow_multiplier >= 0):
         raise ConfigError(f"allow_multiplier must be >= 0, got {allow_multiplier}")
     if len(s) < model.window_len:
         raise DataError(
             f"series shorter than one window ({len(s)} < {model.window_len})")
-    stds = _window_stds(s.values, model.window_len)
+    if stds is None:
+        stds = window_stds(s, model.window_len)
+    elif stds.shape != (len(s) // model.window_len,):
+        raise DataError(f"window stds of shape {stds.shape} do not fit a series of "
+                        f"{len(s)} samples in windows of {model.window_len}")
     allow = allow_multiplier * model.sigma_hist_spread
     lo = model.sigma_train - allow
     hi = model.sigma_train + allow

@@ -42,6 +42,7 @@ __all__ = [
     "write_detection_csv",
     "read_detection_csv",
     "read_json",
+    "write_text",
     "write_json",
     "write_outputs",
     "json_number",
@@ -296,7 +297,12 @@ def _nominal_interval(diffs: np.ndarray) -> float:
     if sizes[best] * 2 <= diffs.size:
         raise DataError("irregular spacing: no dominant sample interval")
     members = slice(firsts[best], (firsts + [spacings.size])[best + 1])
-    return float(np.median(np.repeat(spacings[members], counts[members])))
+    # The median of the cluster's diffs, read from its run lengths: the
+    # middle diff, or for an even count the mean of the two middle ones.
+    ends = np.cumsum(counts[members])
+    n = int(ends[-1])
+    lo, hi = spacings[members][np.searchsorted(ends, [(n - 1) // 2, n // 2], "right")].tolist()
+    return lo if n % 2 else (lo + hi) / 2
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the checks below refuse what overflows
@@ -538,10 +544,15 @@ def read_json(path: str | Path, error: type[Exception] = DataError):
             raise error(f"{path}: not valid JSON ({exc})") from None
 
 
+def write_text(path: str | Path, text: str) -> None:
+    """`text` and a final newline."""
+    with _open_out(path) as fh:
+        fh.write(text + "\n")
+
+
 def write_json(path: str | Path, doc) -> None:
     """`doc` as indented JSON with sorted keys and a final newline."""
-    with _open_out(path) as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_text(path, json.dumps(doc, indent=2, sort_keys=True))
 
 
 def json_number(raw, what: str, kind: type = float, error: type[Exception] = DataError):

@@ -11,7 +11,10 @@ Undefined metrics (empty denominators) are reported as absent, never as 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import json
+from dataclasses import dataclass, fields, replace
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -20,12 +23,13 @@ import numpy as np
 from .detect import DetectionResult
 from .errors import ConfigError, DataError
 from .events import FIRST_HALF_HOUR_S, event_ranges
-from .io import json_fields, json_number, read_json, write_json
+from .io import json_fields, json_number, read_json, write_text
 from .series import EventWindow, GroundTruthLabels, Series, validate_events
 
 __all__ = [
     "PerEventStat",
     "EvalReport",
+    "event_sample_ranges",
     "assemble_report",
     "save_report",
     "load_report",
@@ -73,20 +77,38 @@ def _infer_kind(truth: GroundTruthLabels) -> str:
     return "none"
 
 
+def event_sample_ranges(s: Series, events: Sequence[EventWindow]) -> np.ndarray:
+    """The sample ranges `assemble_report` scores, one column per window in
+    order of start: window i covers samples [r[0, i], r[1, i]) of `s` and its
+    opening half hour [r[0, i], r[2, i]). Refuses overlapping windows."""
+    ordered = sorted(events, key=lambda e: e.start)
+    validate_events(ordered)
+    t = s.times()
+    lo, hi = event_ranges(t, ordered)
+    _, op_hi = event_ranges(t, ordered, FIRST_HALF_HOUR_S)
+    return np.stack([lo, hi, op_hi])
+
+
 def assemble_report(s: Series, result: DetectionResult,
                     events: Sequence[EventWindow],
                     truth: GroundTruthLabels | None = None,
                     kind: str | None = None,
-                    parameters: dict | None = None) -> EvalReport:
+                    parameters: dict | None = None, *,
+                    ranges: np.ndarray | None = None) -> EvalReport:
     """Combine flags, events, and (optionally) fault labels into one report.
 
     mu and mu_first_half_hour cover the event windows; the false-negative
     ratio covers the labeled faults of `kind` (inferred when the labels hold
     a single kind). Metrics without a denominator come back as None. Flags
-    and labels must index into `s`.
+    and labels must index into `s`. `ranges`, when given, is
+    `event_sample_ranges(s, events)` computed once for several reports; it
+    must come from this same series and these same events.
     """
-    ordered = sorted(events, key=lambda e: e.start)
-    validate_events(ordered)
+    if ranges is None:
+        ranges = event_sample_ranges(s, events)
+    elif ranges.shape != (3, len(events)) or np.any((ranges < 0) | (ranges > len(s))):
+        raise DataError(f"event ranges of shape {ranges.shape} do not fit {len(events)} "
+                        f"events on a series of {len(s)} samples")
     if truth is not None:
         truth.check_bounds(len(s))
     flag_idx = result.sample_indices()
@@ -96,16 +118,12 @@ def assemble_report(s: Series, result: DetectionResult,
     # c(k) = flags among samples [0, k), so range [lo, hi) holds c(hi) - c(lo).
     c = flag_idx.searchsorted
 
-    t = s.times()
-    lo, hi = event_ranges(t, ordered)
-    _, op_hi = event_ranges(t, ordered, FIRST_HALF_HOUR_S)
-    counts = zip((hi - lo).tolist(), (c(hi) - c(lo)).tolist(),
-                 (op_hi - lo).tolist(), (c(op_hi) - c(lo)).tolist())
-    stats = tuple(PerEventStat(i, *row) for i, row in enumerate(counts))
-    total = sum(st.samples for st in stats)
-    hit = sum(st.misclassified for st in stats)
-    op_total = sum(st.opening_samples for st in stats)
-    op_hit = sum(st.opening_misclassified for st in stats)
+    lo, hi, op_hi = ranges
+    c_lo = c(lo)
+    samples, hits = (hi - lo).tolist(), (c(hi) - c_lo).tolist()
+    opening, op_hits = (op_hi - lo).tolist(), (c(op_hi) - c_lo).tolist()
+    stats = tuple(map(PerEventStat, range(len(samples)), samples, hits, opening, op_hits))
+    total, hit, op_total, op_hit = map(sum, (samples, hits, opening, op_hits))
     mu = hit / total if total else None
     mu_fhh = op_hit / op_total if op_total else None
 
@@ -170,8 +188,33 @@ def report_from_dict(doc: dict) -> EvalReport:
         for st in stats))
 
 
+# One per-event row as `json.dumps(indent=2, sort_keys=True)` lays it out
+# inside a report.
+_ROW_KEYS = sorted(f.name for f in fields(PerEventStat))
+_ROW = "\n    {" + ",".join(f'\n      "{key}": %d' for key in _ROW_KEYS) + "\n    }"
+_row_counts = attrgetter(*_ROW_KEYS)
+
+
+def report_json(report: EvalReport) -> str:
+    """`json.dumps(report_to_dict(report), indent=2, sort_keys=True)`.
+
+    With `indent` set, `json` encodes in pure Python, and the per-event rows
+    are most of a report, so rows of int counts are written from a template
+    into the top-level `"per_event": []` of the report without them (a
+    nested key sits deeper, and a string holds no raw newline).
+    """
+    rows = list(map(_row_counts, report.per_event))
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        return json.dumps(report_to_dict(report), indent=2, sort_keys=True)  # json's own forms
+    head = json.dumps(report_to_dict(replace(report, per_event=())), indent=2, sort_keys=True)
+    if not rows:
+        return head
+    body = ",".join(map(_ROW.__mod__, rows))
+    return head.replace('\n  "per_event": []', f'\n  "per_event": [{body}\n  ]', 1)
+
+
 def save_report(path: str | Path, report: EvalReport) -> None:
-    write_json(path, report_to_dict(report))
+    write_text(path, report_json(report))
 
 
 def load_report(path: str | Path) -> EvalReport:

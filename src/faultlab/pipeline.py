@@ -13,11 +13,12 @@ from typing import NamedTuple, Sequence
 
 from .config import (boolean, injection_plan, json_numbers, nodes_from_config,
                      number, section)
-from .detect import NoiseModel, ShortParams, noise_detect, noise_train, short_detect
+from .detect import (NoiseModel, ShortParams, noise_detect, noise_train, short_detect,
+                     short_jumps, window_stds)
 from .errors import ConfigError, DataError
 from .inject import InjectionPlan, inject_noise, inject_short, load_labels, merge_labels
 from .io import ingest_csv, read_events_csv
-from .metrics import EvalReport, assemble_report
+from .metrics import EvalReport, assemble_report, event_sample_ranges
 from .preprocess import smooth_pairs
 from .series import EventWindow, GroundTruthLabels, Modality, Series
 from .synth import (BoxTempProfile, DeploymentSpec, SoilMoistureProfile,
@@ -240,17 +241,31 @@ def run_sweep_points(config: dict, seed: int, modality: Modality) -> SweepResult
     grid = [number(raw, "grid") for raw in grid]
     run = materialize(config, seed, modality)
 
-    points = []
+    # Every grid point scores the same test series: its jumps or window stds
+    # and its event ranges are computed once, and each point only thresholds.
+    test = run.test
+    if detector == "short":
+        jumps = short_jumps(test)
+
+        def detect(param):
+            return short_detect(test, ShortParams(param), jumps=jumps)
+    else:
+        stds = window_stds(test, run.noise_model.window_len)
+
+        def detect(param):
+            return noise_detect(test, run.noise_model, param, stds=stds)
+
+    scored_kind = detector if run.labels is not None else None
+    points, ranges = [], None
     for param in grid:
-        if detector == "short":
-            result = short_detect(run.test, ShortParams(param))
-        else:
-            result = noise_detect(run.test, run.noise_model, param)
-        scored_kind = detector if run.labels is not None else None
+        result = detect(param)
+        if ranges is None:  # after the first detector run: a bad grid value is reported first
+            ranges = event_sample_ranges(test, run.events)
         report = assemble_report(
-            run.test, result, run.events, truth=run.labels, kind=scored_kind,
+            test, result, run.events, truth=run.labels, kind=scored_kind,
             parameters={"detector": detector, "param": param,
-                        "seed": seed, "modality": modality.value})
+                        "seed": seed, "modality": modality.value},
+            ranges=ranges)
         points.append(SweepPoint(param=param, report=report))
     return SweepResult(points=points)
 

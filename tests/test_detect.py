@@ -28,7 +28,7 @@ from faultlab import (
     noise_train,
     short_detect,
 )
-from faultlab.detect import _window_stds, load_model, model_from_dict, model_to_dict, save_model
+from faultlab.detect import load_model, model_from_dict, model_to_dict, save_model, window_stds
 from faultlab.metrics import assemble_report, report_to_dict
 
 
@@ -476,7 +476,7 @@ def tuple_short(s, delta):
 
 def tuple_noise(s, model, multiplier):
     """The former noise_detect result: one (start, length) pair per rejected window."""
-    stds = _window_stds(s.values, model.window_len)
+    stds = window_stds(s, model.window_len)
     allow = multiplier * model.sigma_hist_spread
     flagged = np.nonzero((stds < model.sigma_train - allow) |
                          (stds > model.sigma_train + allow))[0]

@@ -258,8 +258,8 @@ json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,
                                                                max_size=3),
     max_leaves=12)
-counts = st.integers(0, 10**6)
-maybe_ratio = st.none() | st.floats(0, 1)
+counts = st.integers(0, 10**6) | st.sampled_from([-1, 2**63 - 1])
+maybe_ratio = st.none() | st.floats(0, 1) | st.sampled_from([1e-300, -0.0, 1e16, 5e-324])
 reports = st.builds(
     EvalReport,
     mu=maybe_ratio, mu_first_half_hour=maybe_ratio, false_negative_ratio=maybe_ratio,
@@ -270,6 +270,7 @@ reports = st.builds(
                                "param": st.floats(0, 100), "seed": st.integers(0, 2**32),
                                "modality": st.sampled_from(["box_temp", "soil_moisture"])}),
         st.fixed_dictionaries({"command": st.just("evaluate"),
+                               "site": st.sampled_from(["Zürich", "雨量計", "a\nb\"c"]),
                                "config": st.dictionaries(st.text(max_size=5), json_values,
                                                          max_size=4)}),
         st.just({})),
@@ -291,6 +292,27 @@ def test_report_to_dict_matches_asdict(tmp_path_factory, report):
     assert (tmp / "new.json").read_bytes() == (tmp / "old.json").read_bytes()
     assert report_from_dict(doc) == report
     assert load_report(tmp / "new.json") == report
+
+
+# Counts json.dumps writes otherwise than an int (a bool, a float) or refuses
+# (numpy's int64), next to plain ints.
+odd_counts = st.integers(0, 9) | st.booleans() | st.floats() | st.integers(0, 9).map(np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(PerEventStat, odd_counts, odd_counts, odd_counts, odd_counts,
+                          odd_counts), max_size=3))
+def test_report_writer_follows_json_on_counts_of_other_types(tmp_path_factory, per_event):
+    report = EvalReport(0.5, None, None, tuple(per_event), {"seed": 1})
+    path = tmp_path_factory.getbasetemp() / "odd.json"
+    try:
+        expected = json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+    except TypeError:
+        with pytest.raises(TypeError):
+            save_report(path, report)
+    else:
+        save_report(path, report)
+        assert path.read_text() == expected
 
 
 # --------------------- the former tuple labels and mask scoring, as oracle

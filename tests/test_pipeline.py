@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from faultlab import ConfigError, DataError, Modality, Series
-from faultlab.io import write_events_csv, write_series_csv
+from faultlab import ConfigError, DataError, DetectionResult, EventWindow, Modality, Series
+from faultlab.detect import (NoiseModel, ShortParams, noise_detect, short_detect, short_jumps,
+                             window_stds)
+from faultlab.io import write_events_csv, write_json, write_series_csv
+from faultlab.metrics import assemble_report, event_sample_ranges
 from faultlab.pipeline import (
     SWEEP_HEADER,
     build_synth_config,
@@ -179,3 +182,74 @@ def test_sweep_rows_formatting():
     assert param == "0.01"
     assert float(mu) == out.points[0].report.mu
     assert fn == ""  # no injection: the miss ratio has no denominator
+
+
+def data_sweep_config(tmp_path, detector, labels):
+    """A data sweep on a 301-sample test file (not a whole number of 18-sample
+    noise windows) with spikes, a noise burst and event windows out of order."""
+    rng = np.random.default_rng(29)
+    train = Series("n9", Modality.BOX_TEMP, 0.0, 600.0, rng.normal(25, 0.5, size=288))
+    values = rng.normal(25, 0.5, size=301)
+    values[[40, 90, 200]] += 6.0
+    values[150:186] += rng.normal(0, 3, size=36)
+    test = Series("n9", Modality.BOX_TEMP, 288 * 600.0, 600.0, values)
+    write_series_csv(tmp_path / "train.csv", [train])
+    write_series_csv(tmp_path / "test.csv", [test])
+    write_events_csv(tmp_path / "events.csv", [EventWindow(test.time_at(a), test.time_at(b))
+                                               for a, b in [(100, 130), (20, 60), (180, 300)]])
+    data = {"node_id": "n9", "train_csv": str(tmp_path / "train.csv"),
+            "test_csv": str(tmp_path / "test.csv"), "events_csv": str(tmp_path / "events.csv")}
+    if labels:
+        write_json(tmp_path / "labels.json", {"short": [40, 90, 200],
+                                              "noise": [{"start": 150, "len": 36}]})
+        data["labels_json"] = str(tmp_path / "labels.json")
+    return {"detector": detector, "smooth": False, "data": data}
+
+
+@pytest.mark.parametrize("detector", ["short", "noise"])
+@pytest.mark.parametrize("source", ["data", "data with labels", "synth with injection"])
+def test_sweep_points_match_reports_computed_from_scratch(tmp_path, detector, source):
+    if source == "synth with injection":
+        cfg = {"detector": detector, "synth": synth_block(train_days=2, test_days=3),
+               "inject": {"kind": detector, "short_intensity": 0.2, "base_sigma": 0.05,
+                          "noise_burst_lengths": [12, 24]}}
+    else:
+        cfg = data_sweep_config(tmp_path, detector, labels=source == "data with labels")
+    cfg["grid"] = [0.001, 0.01, 0.5, 3.0] if detector == "short" else [0.0, 0.5, 2.0, 5.0]
+    modality = Modality.SOIL_MOISTURE if "synth" in cfg else Modality.BOX_TEMP
+    out = run_sweep_points(cfg, seed=17, modality=modality)
+
+    run = materialize(cfg, seed=17, modality=modality)
+    assert (run.labels is not None) == (source != "data")
+    for param, pt in zip(cfg["grid"], out.points, strict=True):
+        if detector == "short":
+            result = short_detect(run.test, ShortParams(param))
+        else:
+            result = noise_detect(run.test, run.noise_model, param)
+        expected = assemble_report(
+            run.test, result, run.events, truth=run.labels,
+            kind=detector if run.labels is not None else None,
+            parameters={"detector": detector, "param": param,
+                        "seed": 17, "modality": modality.value})
+        assert pt.report == expected
+    assert len({pt.report.mu for pt in out.points}) > 1  # the grid reaches both sides
+
+
+def test_precomputed_arrays_that_do_not_fit_the_series_raise():
+    s = Series("n1", Modality.BOX_TEMP, 0.0, 600.0,
+               np.random.default_rng(3).normal(25, 1, size=301))
+    jumps, stds = short_jumps(s), window_stds(s, 18)
+    for bad in (jumps[1:], jumps[:, None], short_jumps(s.subseries(0, 300))):
+        with pytest.raises(DataError, match="^jumps of shape"):
+            short_detect(s, ShortParams(1.0), jumps=bad)
+    model = NoiseModel(18, 1.0, 0.2)
+    for bad in (stds[1:], stds[:, None], window_stds(s, 17)):
+        with pytest.raises(DataError, match="^window stds of shape"):
+            noise_detect(s, model, 1.0, stds=bad)
+    events = [EventWindow(6000.0, 12000.0), EventWindow(60000.0, 72000.0)]
+    ranges = event_sample_ranges(s, events)
+    for bad in (ranges[:, 1:], ranges[:2], ranges.T, ranges + len(s), ranges - 21):
+        with pytest.raises(DataError, match="^event ranges of shape"):
+            assemble_report(s, DetectionResult("short"), events, ranges=bad)
+    assert assemble_report(s, DetectionResult("short", [25]), events, ranges=ranges) == \
+        assemble_report(s, DetectionResult("short", [25]), events)
