@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -134,10 +134,6 @@ class DetectionResult:
     def sample_indices(self) -> np.ndarray:
         """All flagged sample indices, sorted and distinct."""
         return self.flagged_samples
-
-    def to_flags(self) -> list[tuple[int, str]]:
-        """(index, flag_source) pairs for CSV export."""
-        return [(i, self.source) for i in self.flagged_samples.tolist()]
 
 
 def short_jumps(s: Series) -> np.ndarray:
@@ -296,16 +292,15 @@ def fit_llse_model(target: Series, neighbors: Sequence[Series],
                      int(vote_q), bool(signed))
 
 
-def llse_detect(target: Series, neighbors: Mapping[str, Series] | Sequence[Series],
-                model: LlseModel) -> DetectionResult:
+def llse_detect(target: Series, neighbors: Sequence[Series], model: LlseModel) -> DetectionResult:
     """Flag samples where at least vote_q neighbors disagree with the target.
 
-    For each fitted neighbor j the error is beta0 + beta1 * s_j(t) minus the
-    target sample; it counts as a disagreement when it exceeds the pair's
-    threshold (absolute value by default, signed when the model is signed).
+    For each fitted neighbor j, the series of `neighbors` with its node id,
+    the error is beta0 + beta1 * s_j(t) minus the target sample; it counts as
+    a disagreement when it exceeds the pair's threshold (absolute value by
+    default, signed when the model is signed).
     """
-    if not isinstance(neighbors, Mapping):
-        neighbors = {nb.node_id: nb for nb in neighbors}
+    neighbors = {nb.node_id: nb for nb in neighbors}
     votes = np.zeros(len(target), dtype=np.int64)
     for fit in model.neighbors:
         nb = neighbors.get(fit.node_id)

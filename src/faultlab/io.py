@@ -511,14 +511,14 @@ def write_events_csv(path: str | Path, events: Sequence[EventWindow]) -> None:
               ([format_timestamp(ev.start), format_timestamp(ev.end)] for ev in events))
 
 
-def write_detection_csv(path: str | Path, flags: Sequence[tuple[int, str]]) -> None:
-    """Write flagged samples as rows of ``index,flag_source``.
+def write_detection_csv(path: str | Path, flags: Sequence[int] | np.ndarray, source: str) -> None:
+    """Write one detector's flags as rows of ``index,flag_source``.
 
-    `flags` holds (sample index, source) pairs with source one of
-    short/noise/llse; rows are written sorted by index then source.
+    `flags` holds the flagged sample indices (anything `index_array` takes)
+    and `source` is short/noise/llse; rows are distinct and sorted by index.
     """
     write_csv(path, ("index", "flag_source"),
-              ([int(idx), source] for idx, source in sorted(flags)))
+              zip(index_array(flags).tolist(), repeat(source)))
 
 
 def read_detection_csv(path: str | Path) -> dict[str, np.ndarray]:

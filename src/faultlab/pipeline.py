@@ -25,7 +25,6 @@ from .synth import (BoxTempProfile, DeploymentSpec, SoilMoistureProfile,
                     check_grid, gen_deployment, make_event_schedule)
 
 __all__ = [
-    "SweepPoint",
     "SweepResult",
     "build_synth_config",
     "materialize",
@@ -35,15 +34,9 @@ __all__ = [
 SWEEP_HEADER = ("param", "mu", "mu_first_half_hour", "fn_ratio")
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    param: float
-    report: EvalReport
-
-
 @dataclass
 class SweepResult:
-    points: list[SweepPoint]
+    points: list[EvalReport]  # one per grid point; its parameters hold the "param"
 
 
 SCHEDULE_KEYS = ("min_duration_s", "max_duration_s", "min_rain_mm", "max_rain_mm")
@@ -261,12 +254,11 @@ def run_sweep_points(config: dict, seed: int, modality: Modality) -> SweepResult
         result = detect(param)
         if ranges is None:  # after the first detector run: a bad grid value is reported first
             ranges = event_sample_ranges(test, run.events)
-        report = assemble_report(
+        points.append(assemble_report(
             test, result, run.events, truth=run.labels, kind=scored_kind,
             parameters={"detector": detector, "param": param,
                         "seed": seed, "modality": modality.value},
-            ranges=ranges)
-        points.append(SweepPoint(param=param, report=report))
+            ranges=ranges))
     return SweepResult(points=points)
 
 
@@ -275,9 +267,5 @@ def sweep_rows(result: SweepResult) -> list[tuple[str, str, str, str]]:
     def fmt(x):
         return "" if x is None else repr(float(x))
 
-    rows = []
-    for pt in result.points:
-        rep = pt.report
-        rows.append((repr(pt.param), fmt(rep.mu), fmt(rep.mu_first_half_hour),
-                     fmt(rep.false_negative_ratio)))
-    return rows
+    return [(repr(rep.parameters["param"]), fmt(rep.mu), fmt(rep.mu_first_half_hour),
+             fmt(rep.false_negative_ratio)) for rep in result.points]

@@ -140,18 +140,6 @@ def check_grid(days: int, interval_s: float) -> int:
     return n
 
 
-def _windows(events: Sequence[ScheduledEvent] | Sequence[EventWindow]) -> list[tuple[EventWindow, float]]:
-    out = []
-    for ev in events:
-        if isinstance(ev, ScheduledEvent):
-            out.append((ev.window, ev.rain_mm))
-        elif isinstance(ev, EventWindow):
-            out.append((ev, 0.0))
-        else:
-            raise ConfigError(f"expected ScheduledEvent or EventWindow, got {type(ev).__name__}")
-    return out
-
-
 def _occlusion(t: np.ndarray, windows: Sequence[EventWindow], recovery_s: float) -> np.ndarray:
     """Largest occlusion of any window: a ramp 0 -> 1 across it, a linear fall to 0 after."""
     occ = np.zeros_like(t)
@@ -163,16 +151,16 @@ def _occlusion(t: np.ndarray, windows: Sequence[EventWindow], recovery_s: float)
     return occ
 
 
-def gen_box_temperature(days: int, profile: BoxTempProfile,
-                        events: Sequence[ScheduledEvent] | Sequence[EventWindow],
+def gen_box_temperature(days: int, profile: BoxTempProfile, events: Sequence[EventWindow],
                         interval_s: float = 600.0, seed=0,
                         node_id: str = "node1", start_time: float = 0.0) -> Series:
-    """Generate a box-temperature series starting at `start_time` (UTC s)."""
+    """Generate a box-temperature series starting at `start_time` (UTC s),
+    depressed during each of the `EventWindow`s `events`."""
     n = check_grid(days, interval_s)
     t = start_time + np.arange(n) * float(interval_s)
     phase = 2.0 * np.pi * np.mod(t, DAY_S) / DAY_S - np.pi / 2.0
     base = profile.mean_c + profile.amplitude_c * np.sin(phase)
-    occ = _occlusion(t, [w for w, _ in _windows(events)], profile.recovery_s)
+    occ = _occlusion(t, events, profile.recovery_s)
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, profile.noise_sigma_c, size=n)
     values = base + noise - profile.event_depression_c * np.clip(occ, 0.0, 1.0)
@@ -185,22 +173,21 @@ def gen_soil_moisture(days: int, profile: SoilMoistureProfile,
                       node_id: str = "node1", start_time: float = 0.0) -> Series:
     """Generate a soil-moisture series starting at `start_time` (UTC s).
 
-    Each event lifts the signal by spike_gain * rain_mm from its first sample
-    on, holds the excess through the event, and decays it exponentially with
-    the profile's time constant afterwards. Responses of overlapping decays
-    add; the final value is clamped to [0, 1].
+    Each of the `ScheduledEvent`s `events` lifts the signal by spike_gain *
+    rain_mm from its first sample on, holds the excess through the event, and
+    decays it exponentially with the profile's time constant afterwards.
+    Responses of overlapping decays add; the final value is clamped to [0, 1].
     """
     n = check_grid(days, interval_s)
     t = start_time + np.arange(n) * float(interval_s)
     excess = np.zeros_like(t)
-    windows = _windows(events)
-    lo, hi = event_ranges(t, [w for w, _ in windows])
-    for (window, rain_mm), a, b in zip(windows, lo.tolist(), hi.tolist()):
-        amp = profile.spike_gain_vwc_per_mm * rain_mm
+    lo, hi = event_ranges(t, [ev.window for ev in events])
+    for ev, a, b in zip(events, lo.tolist(), hi.tolist()):
+        amp = profile.spike_gain_vwc_per_mm * ev.rain_mm
         if amp == 0.0:
             continue
         excess[a:b] += amp
-        excess[b:] += amp * np.exp(-(t[b:] - window.end) / profile.decay_tau_s)
+        excess[b:] += amp * np.exp(-(t[b:] - ev.window.end) / profile.decay_tau_s)
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, profile.baseline_noise_vwc, size=n)
     values = np.clip(profile.baseline_vwc + excess + noise, 0.0, 1.0)
@@ -229,6 +216,7 @@ def gen_deployment(spec: DeploymentSpec,
     box, per node) and the shared (unshifted) event windows.
     """
     series: list[Series] = []
+    windows = [ev.window for ev in spec.schedule]
     for i, node_id in enumerate(spec.node_ids):
         if node is not None and node_id != node:
             continue
@@ -240,10 +228,10 @@ def gen_deployment(spec: DeploymentSpec,
             series.append(gen_soil_moisture(spec.days, soil, shifted, spec.interval_s,
                                             seed=[node_seed, 0], node_id=node_id))
         if modality in (None, Modality.BOX_TEMP):
-            series.append(gen_box_temperature(spec.days, box_profile, spec.schedule,
+            series.append(gen_box_temperature(spec.days, box_profile, windows,
                                               spec.interval_s, seed=[node_seed, 1],
                                               node_id=node_id))
-    return series, [ev.window for ev in spec.schedule]
+    return series, windows
 
 
 def make_event_schedule(days: int, n_events: int, seed,

@@ -201,11 +201,11 @@ def test_criterion_5_spike_rule_modality_contrast(capsys):
         soil = run_sweep_points(soil_cfg, seed, Modality.SOIL_MOISTURE).points
         box = run_sweep_points(box_cfg, seed, Modality.BOX_TEMP).points
 
-        soil_mu = [pt.report.mu for pt in soil]
-        soil_fn = [pt.report.false_negative_ratio for pt in soil]
-        soil_fhh = [pt.report.mu_first_half_hour for pt in soil]
-        box_mu = [pt.report.mu for pt in box]
-        box_fn = [pt.report.false_negative_ratio for pt in box]
+        soil_mu = [rep.mu for rep in soil]
+        soil_fn = [rep.false_negative_ratio for rep in soil]
+        soil_fhh = [rep.mu_first_half_hour for rep in soil]
+        box_mu = [rep.mu for rep in box]
+        box_fn = [rep.false_negative_ratio for rep in box]
 
         assert soil_mu[0] >= 0.40
 
@@ -238,9 +238,9 @@ def test_criterion_6_noise_rule_tradeoff(capsys):
                            "noise_burst_lengths": [36, 54]},
             }
             res = run_sweep_points(cfg, seed, Modality.BOX_TEMP)
-            for k, pt in enumerate(res.points):
-                mus[k] += pt.report.mu / len(multipliers)
-                fns[k] += pt.report.false_negative_ratio / len(multipliers)
+            for k, rep in enumerate(res.points):
+                mus[k] += rep.mu / len(multipliers)
+                fns[k] += rep.false_negative_ratio / len(multipliers)
 
         assert all(a > b for a, b in zip(mus, mus[1:]))
         assert fns[-1] >= 2.0 * fns[0]
@@ -282,7 +282,7 @@ def test_criterion_7_cross_estimation_contrast(capsys):
                     [find(train_series, nd, modality) for nd in others])
                 result = llse_detect(
                     find(test_series, target, modality),
-                    {nd: find(test_series, nd, modality) for nd in others},
+                    [find(test_series, nd, modality) for nd in others],
                     model)
                 report = assemble_report(find(test_series, target, modality),
                                          result, events)

@@ -29,6 +29,7 @@ from faultlab import (
     short_detect,
 )
 from faultlab.detect import load_model, model_from_dict, model_to_dict, save_model, window_stds
+from faultlab.io import write_detection_csv
 from faultlab.metrics import assemble_report, report_to_dict
 
 
@@ -362,7 +363,7 @@ def test_detectors_are_deterministic():
 
 # ------------------------------------------------- results and serialization
 
-def test_detection_result_normalization():
+def test_detection_result_normalization(tmp_path):
     assert [f.name for f in fields(DetectionResult)] == ["source", "flagged_samples"]
     r = DetectionResult("short", flagged_samples=(5, 1, 3, 5))
     assert r.flagged_samples.tolist() == [1, 3, 5]
@@ -372,9 +373,9 @@ def test_detection_result_normalization():
     w = DetectionResult("noise", np.array([6, 7, 8, 0, 1, 2]))
     assert w.sample_indices() is w.flagged_samples
     assert w.sample_indices().tolist() == [0, 1, 2, 6, 7, 8]
-    assert w.to_flags() == [(0, "noise"), (1, "noise"), (2, "noise"),
-                            (6, "noise"), (7, "noise"), (8, "noise")]
-    assert type(w.to_flags()[0][0]) is int
+    write_detection_csv(tmp_path / "flags.csv", w.flagged_samples, w.source)
+    assert (tmp_path / "flags.csv").read_text() == \
+        "index,flag_source\n0,noise\n1,noise\n2,noise\n6,noise\n7,noise\n8,noise\n"
     assert DetectionResult("llse").flagged_samples.tolist() == []
     with pytest.raises(ConfigError):
         DetectionResult("spiky")
@@ -463,9 +464,6 @@ class TupleDetectionResult:
         for start, length in self.flagged_windows:
             idx.extend(range(start, start + length))
         return np.unique(np.array(idx, dtype=np.int64))
-
-    def to_flags(self) -> list[tuple[int, str]]:
-        return [(int(i), self.source) for i in self.sample_indices()]
 
 
 def tuple_short(s, delta):
@@ -567,7 +565,7 @@ def test_flag_array_matches_the_tuple_result(run):
     s, new, old, events, truth, kind = run
     assert new.flagged_samples.dtype == np.int64
     assert new.flagged_samples.tolist() == old.sample_indices().tolist()
-    assert new.to_flags() == old.to_flags()
+    assert new.source == old.source
     params = {"detector": new.source}
     assert report_to_dict(assemble_report(s, new, events, truth, kind, params)) == \
         report_to_dict(assemble_report(s, old, events, truth, kind, params))

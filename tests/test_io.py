@@ -200,9 +200,10 @@ def test_events_and_precip_csv(tmp_path):
 
 def test_detection_csv_round_trip(tmp_path):
     p = tmp_path / "flags.csv"
-    write_detection_csv(p, [(7, "short"), (3, "short"), (3, "noise"), (10, "llse")])
-    text = p.read_text()
-    assert text.splitlines()[0] == "index,flag_source"
+    write_detection_csv(p, [7, 3], "short")
+    assert p.read_text() == "index,flag_source\n3,short\n7,short\n"
+    # `detect` writes one source; the reader also takes a hand-edited file of several
+    p.write_text("index,flag_source\n7,short\n3,short\n3,noise\n10,llse\n")
     out = read_detection_csv(p)
     assert out["short"].tolist() == [3, 7]
     assert out["noise"].tolist() == [3]
@@ -212,6 +213,28 @@ def test_detection_csv_round_trip(tmp_path):
     bad.write_text("index,flag_source\n1,bogus\n")
     with pytest.raises(DataError, match="flag_source"):
         read_detection_csv(bad)
+
+
+FLAG_INDICES = st.lists(st.one_of(st.integers(0, 40), st.sampled_from([0, 2**63 - 1]),
+                                  st.integers(0, 2**63 - 1)), max_size=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(flags=FLAG_INDICES, source=st.sampled_from(["short", "noise", "llse"]),
+       form=st.sampled_from([list, tuple, lambda f: np.array(f, dtype=np.int64)]))
+def test_detection_writer_matches_the_csv_module(tmp_path_factory, flags, source, form):
+    # The oracle is the former writer, csv over sorted (index, source) rows of
+    # a DetectionResult, whose flags were distinct.
+    d = tmp_path_factory.mktemp("flags")
+    with open(d / "oracle.csv", "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(("index", "flag_source"))
+        w.writerows(sorted({(i, source) for i in flags}))
+    write_detection_csv(d / "flags.csv", form(flags), source)
+    assert (d / "flags.csv").read_bytes() == (d / "oracle.csv").read_bytes()
+    out = read_detection_csv(d / "flags.csv")
+    assert {src: idx.tolist() for src, idx in out.items()} == \
+        ({source: sorted(set(flags))} if flags else {})
 
 
 def test_errors_cite_the_files_own_line(tmp_path):

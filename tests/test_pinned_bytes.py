@@ -159,3 +159,55 @@ def test_fractional_stamp_bytes_are_pinned(tmp_path):
     write_series_csv(tmp_path / "series.csv", series)
     assert digests(tmp_path) == {
         "series.csv": "a0ee914e6e6a0d3088c5625ffcfb903f54bc48b307876e50a7b58d9b1bbb1c63"}
+
+
+def llse_csv() -> str:
+    """Three soil nodes with integer values: n2 and n3 follow n1 up to a
+    small periodic offset, and n1 carries three spikes of its own."""
+    base = [20 + (k * 5) % 11 for k in range(N)]
+    nodes = {"n1": [v + (40 if k in SHORT_LABELS else 0) for k, v in enumerate(base)],
+             "n2": [2 * v + 1 + (k * 7) % 5 for k, v in enumerate(base)],
+             "n3": [v + 5 + (k * 3) % 7 for k, v in enumerate(base)]}
+    rows = [f"{600 * k},{node},soil_moisture,{values[k]}"
+            for node, values in nodes.items() for k in range(N)]
+    return "timestamp,node_id,modality,value\n" + "\n".join(rows) + "\n"
+
+
+DETECTS = {
+    "llse": {
+        "flags.csv": "5b620a1f2e3f0aa5a6cc74d65ad7005e0120a2624c3b10b79a180bd6c7be5ac1",
+        "flags.csv.meta.json": "a0ac98c0d1e9b9ec58de40509b30485a91385aac67bb78a573dd3d57a8527a56",
+    },
+    "noise": {
+        "flags.csv": "46bbd666315554b96a35ad61604c1ffc606b44eaeecd423d34d153ceccae8e34",
+        "flags.csv.meta.json": "beafd79ba79819f7a4d53e5a46dc45664a81f66db3295593338d93c543fcab49",
+    },
+    "short": {
+        "flags.csv": "82ba6bde144534c811de224a1a57bc4e4122cabf43cd2132d58b11be220d7f0d",
+        "flags.csv.meta.json": "beafd79ba79819f7a4d53e5a46dc45664a81f66db3295593338d93c543fcab49",
+    },
+}
+
+
+def detect_argvs(tmp_path, detector):
+    """The `train` arguments of `detector` (None for short) and its `detect` arguments."""
+    test, model = str(tmp_path / "test.csv"), str(tmp_path / "model" / "model.json")
+    llse = ["--in", str(tmp_path / "llse.csv"), "--modality", "soil_moisture"]
+    return {"short": (None, ["--in", test, "--delta", "10"]),
+            "noise": (["--in", str(tmp_path / "train.csv")],
+                      ["--in", test, "--model", model, "--multiplier", "2"]),
+            "llse": ([*llse, "--target", "n1"], [*llse, "--model", model])}[detector]
+
+
+@pytest.mark.parametrize("detector", sorted(DETECTS))
+def test_detect_bytes_are_pinned(tmp_path, detector):
+    write_inputs(tmp_path)
+    (tmp_path / "llse.csv").write_text(llse_csv())
+    train, detect = detect_argvs(tmp_path, detector)
+    if train:
+        assert main(["train", "--detector", detector, *train,
+                     "--out", str(tmp_path / "model")]) == 0
+    out = tmp_path / "out"
+    assert main(["detect", "--detector", detector, *detect, "--out", str(out)]) == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir())} == DETECTS[detector]

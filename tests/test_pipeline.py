@@ -130,15 +130,14 @@ def test_run_sweep_points_short_monotone():
            "synth": synth_block(),
            "inject": {"kind": "short", "short_intensity": 0.2}}
     out = run_sweep_points(cfg, seed=19, modality=Modality.SOIL_MOISTURE)
-    assert [pt.param for pt in out.points] == [0.002, 0.005, 0.01, 0.05]
-    mus = [pt.report.mu for pt in out.points]
-    fns = [pt.report.false_negative_ratio for pt in out.points]
+    assert [rep.parameters["param"] for rep in out.points] == [0.002, 0.005, 0.01, 0.05]
+    mus = [rep.mu for rep in out.points]
+    fns = [rep.false_negative_ratio for rep in out.points]
     assert all(b <= a for a, b in zip(mus, mus[1:]))  # mu non-increasing in delta
     assert all(b >= a for a, b in zip(fns, fns[1:]))  # misses non-decreasing
-    for pt in out.points:
-        assert pt.report.parameters["detector"] == "short"
-        assert pt.report.parameters["param"] == pt.param
-        assert pt.report.parameters["modality"] == "soil_moisture"
+    for rep in out.points:
+        assert rep.parameters["detector"] == "short"
+        assert rep.parameters["modality"] == "soil_moisture"
 
 
 def test_sweep_generates_only_its_target_series(monkeypatch):
@@ -180,7 +179,7 @@ def test_sweep_rows_formatting():
     assert len(rows) == 1
     param, mu, fhh, fn = rows[0]
     assert param == "0.01"
-    assert float(mu) == out.points[0].report.mu
+    assert float(mu) == out.points[0].mu
     assert fn == ""  # no injection: the miss ratio has no denominator
 
 
@@ -221,7 +220,7 @@ def test_sweep_points_match_reports_computed_from_scratch(tmp_path, detector, so
 
     run = materialize(cfg, seed=17, modality=modality)
     assert (run.labels is not None) == (source != "data")
-    for param, pt in zip(cfg["grid"], out.points, strict=True):
+    for param, rep in zip(cfg["grid"], out.points, strict=True):
         if detector == "short":
             result = short_detect(run.test, ShortParams(param))
         else:
@@ -231,8 +230,8 @@ def test_sweep_points_match_reports_computed_from_scratch(tmp_path, detector, so
             kind=detector if run.labels is not None else None,
             parameters={"detector": detector, "param": param,
                         "seed": 17, "modality": modality.value})
-        assert pt.report == expected
-    assert len({pt.report.mu for pt in out.points}) > 1  # the grid reaches both sides
+        assert rep == expected
+    assert len({rep.mu for rep in out.points}) > 1  # the grid reaches both sides
 
 
 def test_precomputed_arrays_that_do_not_fit_the_series_raise():

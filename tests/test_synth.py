@@ -36,7 +36,7 @@ def test_box_noise_free_is_exact_sinusoid():
 
 def test_box_zero_depression_matches_event_free_bitwise():
     prof = BoxTempProfile(event_depression_c=0.0)
-    ev = [ScheduledEvent(EventWindow(3600.0, 10800.0), 5.0)]
+    ev = [EventWindow(3600.0, 10800.0)]
     a = gen_box_temperature(1, prof, ev, seed=42)
     b = gen_box_temperature(1, prof, [], seed=42)
     assert np.array_equal(a.values, b.values)
@@ -60,7 +60,7 @@ def test_box_occlusion_ramp_and_recovery():
 
 def test_box_average_nonevent_day_recovers_sinusoid():
     prof = BoxTempProfile()  # noise 0.3
-    ev = [ScheduledEvent(EventWindow(2 * DAY, 2 * DAY + 14400.0), 8.0)]
+    ev = [EventWindow(2 * DAY, 2 * DAY + 14400.0)]
     s = gen_box_temperature(35, prof, ev, interval_s=600.0, seed=123)
     per_day = s.values.reshape(35, 144)
     clean_days = np.r_[0:2, 4:35]  # skip the event day and the recovery tail
@@ -117,7 +117,7 @@ def test_soil_clamped_to_unit_interval():
 
 def test_generators_deterministic_and_seed_moves_noise_only():
     prof = BoxTempProfile()
-    ev = [ScheduledEvent(EventWindow(3600.0, 7200.0), 4.0)]
+    ev = [EventWindow(3600.0, 7200.0)]
     a = gen_box_temperature(1, prof, ev, seed=5)
     b = gen_box_temperature(1, prof, ev, seed=5)
     c = gen_box_temperature(1, prof, ev, seed=6)
@@ -318,16 +318,16 @@ def synth_layouts(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(layout=synth_layouts(), windows_only=st.booleans(), seed=st.integers(0, 3))
-def test_generators_match_the_mask_code(layout, windows_only, seed):
+@given(layout=synth_layouts(), seed=st.integers(0, 3))
+def test_generators_match_the_mask_code(layout, seed):
     start, interval, days, events, recovery_s, tau = layout
     box = BoxTempProfile(recovery_s=recovery_s)
-    box_events = [ev.window for ev in events] if windows_only else events
-    s = gen_box_temperature(days, box, box_events, interval, seed=seed, start_time=start)
+    windows = [ev.window for ev in events]
+    s = gen_box_temperature(days, box, windows, interval, seed=seed, start_time=start)
     clean = gen_box_temperature(days, box, [], interval, seed=seed, start_time=start)
-    assert np.array_equal(s.values, mask_box_temperature(clean, box, [ev.window for ev in events]))
+    assert np.array_equal(s.values, mask_box_temperature(clean, box, windows))
 
     soil = SoilMoistureProfile(decay_tau_s=tau)
-    s = gen_soil_moisture(days, soil, box_events, interval, seed=seed, start_time=start)
-    expected = mask_soil_moisture(s.times(), soil, [] if windows_only else events, seed)
+    s = gen_soil_moisture(days, soil, events, interval, seed=seed, start_time=start)
+    expected = mask_soil_moisture(s.times(), soil, events, seed)
     assert np.array_equal(s.values, expected)
