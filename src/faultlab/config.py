@@ -112,6 +112,10 @@ def nodes_from_config(synth: dict) -> tuple[tuple[str, ...], tuple[float, ...], 
         raise ConfigError("each synth node needs an 'id' and optional "
                           "'response_scale'/'lag_s'")
     ids = tuple(str(nd["id"]) for nd in nodes)
+    for node_id in ids:  # ingest strips a node_id cell and refuses an empty one
+        if not node_id or node_id != node_id.strip():
+            raise ConfigError(f"synth node id {node_id!r} must be non-empty, without "
+                              "leading or trailing whitespace")
     scales = tuple(number(nd.get("response_scale", 1.0), "response_scale") for nd in nodes)
     lags = tuple(number(nd.get("lag_s", 0.0), "lag_s") for nd in nodes)
     return ids, scales, lags

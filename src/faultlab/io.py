@@ -22,7 +22,8 @@ import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from io import StringIO
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, repeat
+from operator import not_, or_
 from pathlib import Path
 from typing import Callable, Generator, Iterable, Iterator, NoReturn, Sequence
 
@@ -136,10 +137,11 @@ def _split_block(lines: list[str], first: int, ncols: int,
     if '"' in text or "\x00" in text:
         return None
     linenos: Sequence[int] = range(first, first + len(lines))
-    if "#" in text or any(map(str.isspace, lines)):
-        kept = [i for i, line in enumerate(lines) if _data_line(line)]
-        lines = [lines[i] for i in kept]
-        linenos = [first + i for i in kept]
+    if "#" in text or any(map(str.isspace, lines)):  # `_data_line`, a map at a time
+        kept = list(map(not_, map(or_, map(str.startswith, lines, repeat("#")),
+                                  map(str.isspace, lines))))
+        lines = list(compress(lines, kept))
+        linenos = list(compress(linenos, kept))
         text = "".join(lines)
     n = len(lines)
     if (list(map(str.count, lines, repeat(","))).count(ncols - 1) != n
@@ -275,6 +277,45 @@ def parse_timestamp(text: str) -> float:
     return t
 
 
+# Positions of the digits in `YYYY-MM-DD hh:mm:ss`.
+_ISO_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+
+def _iso_seconds(cells: list[str]) -> np.ndarray:
+    """Epoch seconds of each cell spelled exactly `YYYY-MM-DDThh:mm:ss`, with
+    `T` or a space, and nothing, `Z` or `+00:00` after it: the float
+    `parse_timestamp` gives it. NaN for every other cell, and for all of
+    them when one is not ASCII.
+    """
+    n = len(cells)
+    out = np.full(n, np.nan)
+    if not "".join(cells).isascii():
+        return out
+    size = np.fromiter(map(len, cells), np.int64, n)
+    b = np.array(cells, "S25").view(np.uint8).reshape(n, 25)  # longer cells cut, refused by size
+    digits = b[:, _ISO_DIGITS] - np.uint8(48)  # wraps past 9 for anything not a digit
+    ok = ((size == 19) | ((size == 20) & (b[:, 19] == ord("Z")))
+          | ((size == 25) & (b[:, 19:25] == np.frombuffer(b"+00:00", np.uint8)).all(1)))
+    ok &= (digits < 10).all(1) & ((b[:, 10] == ord("T")) | (b[:, 10] == ord(" ")))
+    ok &= (b[:, [4, 7, 13, 16]] == np.frombuffer(b"--::", np.uint8)).all(1)
+    pairs = digits[:, 0::2].astype(np.int64) * 10 + digits[:, 1::2]  # the two-digit numbers
+    century, year, month, day, hour, minute, second = pairs.T
+    year = year + 100 * century
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+    ok &= day <= _MONTH_DAYS[np.where(ok, month, 0)] + (leap & (month == 2))
+    ok &= (hour < 24) & (minute < 60) & (second < 60)
+    # Days since 1970-01-01 of the proleptic Gregorian date, counted in
+    # 400-year eras of years that start on March 1st.
+    y = year - (month <= 2)
+    era, yoe = np.divmod(y, 400)
+    doy = (153 * (month + np.where(month > 2, -3, 9)) + 2) // 5 + day - 1
+    days = era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
+    out[ok] = (days * 86400 + hour * 3600 + minute * 60 + second)[ok]
+    return out
+
+
 def format_timestamp(t: float) -> str:
     return str(int(t)) if float(t).is_integer() else repr(float(t))
 
@@ -370,26 +411,20 @@ def _series_block(path: Path, linenos: Sequence[int],
     n = len(stamps)
     t = _floats(stamps)
     if t is None or not np.isfinite(t).all():  # ISO spellings: parse each distinct one once
-        seen = {}
-        for cell in dict.fromkeys(stamps):
+        distinct = list(dict.fromkeys(stamps))
+        seconds = _iso_seconds(distinct)
+        for i in np.flatnonzero(np.isnan(seconds)).tolist():  # the spellings the kernel declines
             try:
-                seen[cell] = parse_timestamp(cell)
+                seconds[i] = parse_timestamp(distinct[i])
             except DataError:
                 _raise_first_bad_row(path, linenos, columns)
+        seen = dict(zip(distinct, seconds.tolist()))
         t = np.fromiter(map(seen.__getitem__, stamps), np.float64, n)
 
-    one_pair = nodes.count(nodes[0]) == n and modalities.count(modalities[0]) == n
-    pairs = [(nodes[0], modalities[0])] if one_pair else dict.fromkeys(zip(nodes, modalities))
-    keys: dict[tuple[str, str], int] = {}
-    number = {}
-    for pair in pairs:
-        try:
-            key = (pair[0].strip(), Modality(pair[1].strip()).value)
-        except ValueError:
-            key = ("", "")
-        if not key[0]:
-            _raise_first_bad_row(path, linenos, columns)
-        number[pair] = keys.setdefault(key, len(keys))
+    try:
+        keys, g = _row_keys(nodes, modalities)
+    except ValueError:
+        _raise_first_bad_row(path, linenos, columns)
 
     v = _floats(values)
     if v is None:  # empty cells are missing samples
@@ -399,13 +434,57 @@ def _series_block(path: Path, linenos: Sequence[int],
     if v is None:
         _raise_first_bad_row(path, linenos, columns)
     keep = np.isfinite(v)
-    if len(keys) == 1:  # the writer's layout: one series after another
-        return {key: (t[keep], v[keep])}
-    g = np.fromiter(map(number.__getitem__, zip(nodes, modalities)), np.int64, n)
+    if g is None:  # the writer's layout: one series after another
+        return {keys[0]: (t[keep], v[keep])}
     rows = np.flatnonzero(keep)[np.argsort(g[keep], kind="stable")]  # grouped, in file order
     cuts = np.searchsorted(g[rows], np.arange(1, len(keys)))
     # A gather per key, not views of one array: a key's arrays go when it is repaired.
     return {key: (t[r], v[r]) for key, r in zip(keys, np.split(rows, cuts))}
+
+
+def _row_keys(nodes: list[str], modalities: list[str]) -> tuple[list[tuple[str, str]],
+                                                                 np.ndarray | None]:
+    """The distinct (node_id, modality) keys of a block's cells, in order of
+    first appearance, and each row's index into them (None when every row
+    spells the same pair). An empty node_id or an unknown modality raises
+    ValueError.
+
+    Each column's distinct spellings are read once and coded; a row's key
+    is the pair of its two codes as one number.
+    """
+    n = len(nodes)
+    if nodes.count(nodes[0]) == n and modalities.count(modalities[0]) == n:
+        return [(_node_key(nodes[0]), _modality_key(modalities[0]))], None
+    node_codes, node_keys = _column_codes(nodes, _node_key)
+    mod_codes, mod_keys = _column_codes(modalities, _modality_key)
+    m = len(mod_keys)
+    codes, firsts, g = np.unique(node_codes * m + mod_codes, return_index=True,
+                                 return_inverse=True)
+    order = np.argsort(firsts)
+    keys = [(node_keys[c // m], mod_keys[c % m]) for c in codes[order].tolist()]
+    return keys, np.argsort(order)[g]  # a code's rank in `order` is its key's index
+
+
+def _node_key(cell: str) -> str:
+    key = cell.strip()
+    if not key:
+        raise ValueError("empty node_id")
+    return key
+
+
+def _modality_key(cell: str) -> str:
+    return Modality(cell.strip()).value
+
+
+def _column_codes(cells: list[str], key: Callable[[str], str]) -> tuple[np.ndarray, list[str]]:
+    """(each cell's code, the distinct `key(cell)` in order of first
+    appearance), code i standing for the i-th key; `key` runs once per
+    distinct spelling, so `" n1"` and `"n1"` share a code."""
+    spellings = dict.fromkeys(cells)
+    keys: dict[str, int] = {}
+    for cell in spellings:
+        spellings[cell] = keys.setdefault(key(cell), len(keys))
+    return np.fromiter(map(spellings.__getitem__, cells), np.int64, len(cells)), list(keys)
 
 
 def _raise_first_bad_row(path: Path, linenos: Sequence[int], columns: list[list[str]]) -> NoReturn:

@@ -230,6 +230,28 @@ def test_sweep_failure_removes_partial_outputs(tmp_path, monkeypatch):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("nodes", [
+    [{"id": ""}], [{"id": " n1 "}], [{"id": "a"}, {"id": "a "}], [{"id": "\tn1"}]])
+def test_synth_refuses_node_ids_ingest_would_read_otherwise(tmp_path, capsys, nodes):
+    """Ingest strips a node_id cell and refuses an empty one, so synth writes
+    no id that would read back as another or not at all."""
+    cfg = write_cfg(tmp_path / "cfg.json", {"synth": {**SYNTH_SMALL, "nodes": nodes}})
+    out = tmp_path / "out"
+    assert main(["synth", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: synth node id")
+    assert list(out.iterdir()) == []
+
+
+def test_synth_node_ids_read_back_as_written(tmp_path):
+    nodes = [{"id": "n 1"}, {"id": "n,2"}, {"id": 7}]
+    cfg = write_cfg(tmp_path / "cfg.json", {"synth": {**SYNTH_SMALL, "nodes": nodes}})
+    assert main(["synth", "--config", cfg, "--out", str(tmp_path)]) == 0
+    for node in ("n 1", "n,2", "7"):
+        assert main(["inject", "--in", str(tmp_path / "series.csv"), "--node", node,
+                     "--modality", "soil_moisture", "--kind", "short",
+                     "--out", str(tmp_path / "inj")]) == 0
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["train", "--detector", "short", "--out", str(tmp_path)]) == 2
     assert main(["train", "--detector", "noise", "--out", str(tmp_path)]) == 2

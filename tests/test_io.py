@@ -3,13 +3,13 @@
 import csv
 import math
 import tracemalloc
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from operator import itemgetter
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import faultlab.io as fio
 from faultlab import ConfigError, DataError, EventWindow, Modality, PrecipRecord, Series
@@ -506,7 +506,21 @@ def outcome(ingest, path):
 BLOCK_SIZES = (1, 3, fio._BLOCK)
 
 T0 = 1743465600  # 2025-04-01T00:00:00Z
-ISO_SPELLINGS = ("%Y-%m-%dT%H:%M:%SZ", "%Y-%m-%dT%H:%M:%S+00:00", "%Y-%m-%d %H:%M:%S")
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
+def epoch_seconds(*date) -> int:
+    return (datetime(*date, tzinfo=timezone.utc) - EPOCH) // timedelta(seconds=1)
+
+
+# Calendar boundaries the stamps of a drawn file run across: a month's
+# start, the end of a leap day, the end of February in a century that is not
+# a leap year, and the epoch (negative stamps before it); and the first and
+# last second ISO-8601 spells.
+BOUNDARIES = (T0, epoch_seconds(2000, 3, 1), epoch_seconds(2100, 3, 1), 0)
+FIRST_ISO, LAST_ISO = epoch_seconds(1, 1, 1), epoch_seconds(9999, 12, 31, 23, 59, 59)
+# The strict ISO spellings as (date-time separator, zone).
+ISO_SPELLINGS = (("T", "Z"), ("T", "+00:00"), (" ", ""))
 MODALITY_CELLS = st.sampled_from(["soil_moisture", "box_temp", " box_temp "])
 MISSING_CELLS = st.sampled_from(["", " ", "nan", "NaN", "1e400", "-inf", "\t"])
 ODD_NUMBERS = st.sampled_from([" 2.5 ", "1_0", "-0.0", "5e-324", "\u0661"])
@@ -524,21 +538,92 @@ def spell_node(node, variant):
     return node if variant == 1 else f" {node}"
 
 
+def iso(t, separator="T", zone=""):
+    """`t` spelled `YYYY-MM-DD<separator>hh:mm:ss<zone>`, zero-padded (strftime
+    writes year 1 as `1` on glibc)."""
+    d = EPOCH + timedelta(seconds=t)
+    return (f"{d.year:04d}-{d.month:02d}-{d.day:02d}{separator}"
+            f"{d.hour:02d}:{d.minute:02d}:{d.second:02d}{zone}")
+
+
 def stamp(t, spelling):
     if spelling < len(ISO_SPELLINGS):
-        return datetime.fromtimestamp(t, timezone.utc).strftime(ISO_SPELLINGS[spelling])
+        return iso(t, *ISO_SPELLINGS[spelling])
     return repr(float(t)) if spelling == 3 else str(t)
+
+
+@st.composite
+def near_iso_cells(draw):
+    """A cell spelled like the strict ISO stamps, with any field out of range
+    by one, another separator or zone, or one edit: a NUL, an Arabic-Indic
+    digit, padding, or a character dropped or added."""
+    year = draw(st.sampled_from([0, 1, 1900, 1969, 1970, 2000, 2024, 2100, 9999])
+                | st.integers(0, 9999))
+    # Fields in range mostly, so that the kernel reads a fair share of the cells.
+    month = draw(st.sampled_from([*range(1, 13), 0, 13]))
+    day = draw(st.sampled_from([*range(1, 32), 0, 32]))
+    hour, minute, second = (draw(st.sampled_from([*range(top), top])) for top in (24, 60, 60))
+    separator = draw(st.sampled_from(["T", " "] * 3 + ["t", "_", "\x00"]))
+    zone = draw(st.sampled_from(["", "Z", "+00:00"] * 3 + [
+        "z", "-00:00", "+01:00", "+0000", ".5", ".000000", ".5+00:00", "ZZ", "+00:00Z"]))
+    cell = (f"{year:04d}-{month:02d}-{day:02d}{separator}"
+            f"{hour:02d}:{minute:02d}:{second:02d}{zone}")
+    i = draw(st.integers(0, len(cell)))
+    edit = draw(st.sampled_from(["none"] * 5 + ["nul", "arabic", "pad", "drop", "add"]))
+    if edit == "nul":
+        cell = cell[:i] + "\x00" + cell[i:]
+    elif edit == "arabic" and cell[i:i + 1].isdigit():
+        cell = cell[:i] + chr(0x660 + int(cell[i])) + cell[i + 1:]
+    elif edit == "pad":
+        cell = draw(st.sampled_from([" ", ""])) + cell + draw(st.sampled_from([" ", "", "\n"]))
+    elif edit == "drop":
+        cell = cell[:i] + cell[i + 1:]
+    elif edit == "add":
+        cell = cell[:i] + draw(st.sampled_from(["0", "9", " ", "-", ":"])) + cell[i:]
+    return cell
+
+
+@settings(max_examples=1000, deadline=None)
+@given(cells=st.lists(near_iso_cells(), min_size=1, max_size=4))
+@example(cells=["2000-02-29T00:00:00", "1900-02-29T00:00:00", "2100-02-29 12:00:00Z",
+                "2024-02-29 23:59:59+00:00"])
+@example(cells=["0001-01-01T00:00:00", "9999-12-31T23:59:59", "0000-12-31T23:59:59Z"])
+@example(cells=["2025-04-16 00:00:00\x00", "2025-04-16 00:00:00"])
+@example(cells=["2025-04-16T00:00:00", "\u0662025-04-16T00:00:00"])
+def test_iso_kernel_reads_what_parse_timestamp_reads(cells):
+    """Whenever the kernel reads a cell, it reads the float parse_timestamp
+    gives; it may decline any cell, which is then parsed one at a time."""
+    for cell, t in zip(cells, fio._iso_seconds(cells).tolist()):
+        if not math.isnan(t):
+            assert parse_timestamp(cell) == t, cell
+
+
+def test_iso_kernel_reads_every_day_of_leap_and_common_years():
+    days = [epoch_seconds(year, 1, 1) + 86400 * i + 3600 * (i % 24) + 61 * (i % 60)
+            for year in (1, 1900, 1969, 1970, 2000, 2024, 2025, 2100, 9999) for i in range(365)]
+    days.append(LAST_ISO)
+    for separator, zone in ISO_SPELLINGS:
+        cells = [iso(t, separator, zone) for t in days]
+        assert fio._iso_seconds(cells).tolist() == list(map(parse_timestamp, cells)) == days
+    # One cell that is not ASCII sends the whole list to parse_timestamp.
+    assert np.isnan(fio._iso_seconds(["2025-04-01T00:00:00", "\u0661"])).all()
+    assert np.isnan(fio._iso_seconds(["1900-02-29T00:00:00", "2025-04-01T00:00:00\x00",
+                                      "2025-04-01 00:00", " 2025-04-01T00:00:00",
+                                      "2025-04-01T00:00:00+00:00 ", "600"])).all()
 
 
 @st.composite
 def series_csv(draw):
     """A sensor-data CSV of 1-3 groups on a grid, with gaps that interpolate
     (1-3 missing) or split (4+), jitter within the spacing tolerance, every
-    timestamp spelling, missing and odd value cells, columns in any order,
-    rows sequential or interleaved, and then a few hostile edits: comment
-    and blank lines, short and long rows, bad cells and an unterminated
-    quote."""
+    timestamp spelling from just before a calendar boundary on, missing and
+    odd value cells, columns in any order, rows sequential or interleaved,
+    and then a few hostile edits: comment and blank lines, short and long
+    rows, bad cells and an unterminated quote."""
     interval = draw(st.sampled_from([600, 900, 1]))
+    # A group's k stays below 100, and jitter moves a stamp by -2 to +1 s.
+    start = draw(st.sampled_from([*(b - j * interval for b in BOUNDARIES for j in (1, 3)),
+                                  FIRST_ISO + 2, LAST_ISO - 99 * interval - 1]))
     keys = draw(st.lists(st.tuples(st.sampled_from(["n1", "n2", "n,3", 'q"x', "a\nb"]),
                                    MODALITY_CELLS),
                          min_size=1, max_size=3, unique_by=lambda key: (key[0], key[1].strip())))
@@ -551,7 +636,7 @@ def series_csv(draw):
                      draw(MISSING_CELLS) if roll < 36 else
                      draw(ODD_NUMBERS) if roll < 39 else draw(BAD_NUMBERS))
             jitter = draw(st.sampled_from([0, 0, 0, 1, -2])) if interval > 1 else 0
-            rows.append((k, g, {"timestamp": stamp(T0 + k * interval + jitter,
+            rows.append((k, g, {"timestamp": stamp(start + k * interval + jitter,
                                                    draw(st.integers(0, 4))),
                                 "node_id": spell_node(node, draw(st.integers(0, 2))),
                                 "modality": modality, "value": value}))
@@ -594,6 +679,21 @@ def test_block_ingest_matches_the_row_reader(tmp_path_factory, text):
     p = tmp_path_factory.mktemp("ingest") / "data.csv"
     p.write_bytes(text.encode())
     expected = outcome(oracle_ingest_csv, p)
+    for size in BLOCK_SIZES:
+        with mock.patch.object(fio, "_BLOCK", size):
+            assert outcome(ingest_csv, p) == expected, f"_BLOCK = {size}"
+
+
+def test_interleaved_keys_keep_their_order_of_first_appearance(tmp_path):
+    """Series come out in the order their keys first appear, which is not the
+    order of their node and modality spellings' first appearances."""
+    spellings = [("n1", "box_temp"), ("n2", "soil_moisture"), (" n1", "soil_moisture"),
+                 ("n2", " box_temp ")]
+    p = write(tmp_path, "".join(f"{k * 600},{node},{modality},{k}\n"
+                                for k in range(3) for node, modality in spellings))
+    expected = outcome(oracle_ingest_csv, p)
+    assert [(node, modality.value) for node, modality, *_ in expected[0]] == [
+        ("n1", "box_temp"), ("n2", "soil_moisture"), ("n1", "soil_moisture"), ("n2", "box_temp")]
     for size in BLOCK_SIZES:
         with mock.patch.object(fio, "_BLOCK", size):
             assert outcome(ingest_csv, p) == expected, f"_BLOCK = {size}"
