@@ -268,6 +268,8 @@ def parse_timestamp(text: str) -> float:
         t = float(raw)
     except ValueError:
         try:
+            if "\x00" in raw:  # fromisoformat reads a NUL as a separator or an end
+                raise ValueError
             dt = datetime.fromisoformat(raw.replace("Z", "+00:00"))
         except ValueError:
             raise DataError(f"malformed timestamp {text!r}") from None
@@ -426,9 +428,8 @@ def _series_block(path: Path, linenos: Sequence[int],
     except ValueError:
         _raise_first_bad_row(path, linenos, columns)
 
-    v = _floats(values)
-    if v is None:  # empty cells are missing samples
-        v = _floats([cell or "nan" for cell in values])
+    # empty cells are missing samples
+    v = _floats([cell or "nan" for cell in values] if "" in values else values)
     if v is None:  # and so are blank ones
         v = _floats([cell.strip() or "nan" for cell in values])
     if v is None:

@@ -11,6 +11,13 @@ exponentially afterwards; values are clamped to [0, 1].
 Responses sit on the samples `events.event_ranges` gives each window, the
 [start, end) that scoring counts; recovery and decay begin at its end.
 
+Responses are built in place: every decay tail goes through one reused
+buffer and the values are assembled in an array already held, so a
+generator keeps at most three series-length arrays alive. Each sample goes
+through the same operations in the same order as the expression form
+(`clip(baseline + excess + noise, 0, 1)`), so the values are bit-identical
+to it.
+
 All randomness is NumPy PCG64; a seed reproduces a series bit-identically,
 and the noise-free component does not depend on the seed at all.
 """
@@ -158,12 +165,18 @@ def gen_box_temperature(days: int, profile: BoxTempProfile, events: Sequence[Eve
     depressed during each of the `EventWindow`s `events`."""
     n = check_grid(days, interval_s)
     t = start_time + np.arange(n) * float(interval_s)
-    phase = 2.0 * np.pi * np.mod(t, DAY_S) / DAY_S - np.pi / 2.0
-    base = profile.mean_c + profile.amplitude_c * np.sin(phase)
     occ = _occlusion(t, events, profile.recovery_s)
-    rng = np.random.default_rng(seed)
-    noise = rng.normal(0.0, profile.noise_sigma_c, size=n)
-    values = base + noise - profile.event_depression_c * np.clip(occ, 0.0, 1.0)
+    values = np.mod(t, DAY_S, out=t)  # t becomes the phase, the diurnal base, the values
+    values *= 2.0 * np.pi
+    values /= DAY_S
+    values -= np.pi / 2.0
+    np.sin(values, out=values)
+    values *= profile.amplitude_c
+    values += profile.mean_c
+    values += np.random.default_rng(seed).normal(0.0, profile.noise_sigma_c, size=n)
+    np.clip(occ, 0.0, 1.0, out=occ)
+    occ *= profile.event_depression_c
+    values -= occ
     return Series(node_id, Modality.BOX_TEMP, start_time, float(interval_s), values)
 
 
@@ -181,16 +194,23 @@ def gen_soil_moisture(days: int, profile: SoilMoistureProfile,
     n = check_grid(days, interval_s)
     t = start_time + np.arange(n) * float(interval_s)
     excess = np.zeros_like(t)
+    buf = np.empty_like(t)  # each event's decay tail, reused
     lo, hi = event_ranges(t, [ev.window for ev in events])
     for ev, a, b in zip(events, lo.tolist(), hi.tolist()):
         amp = profile.spike_gain_vwc_per_mm * ev.rain_mm
         if amp == 0.0:
             continue
         excess[a:b] += amp
-        excess[b:] += amp * np.exp(-(t[b:] - ev.window.end) / profile.decay_tau_s)
-    rng = np.random.default_rng(seed)
-    noise = rng.normal(0.0, profile.baseline_noise_vwc, size=n)
-    values = np.clip(profile.baseline_vwc + excess + noise, 0.0, 1.0)
+        tail = np.subtract(ev.window.end, t[b:], out=buf[b:])  # -(t - end), exactly
+        tail /= profile.decay_tau_s
+        np.exp(tail, out=tail)
+        tail *= amp
+        excess[b:] += tail
+    del buf, t  # gone before the noise is drawn
+    values = excess  # baseline + excess + noise, clamped, in place
+    values += profile.baseline_vwc
+    values += np.random.default_rng(seed).normal(0.0, profile.baseline_noise_vwc, size=n)
+    np.clip(values, 0.0, 1.0, out=values)
     return Series(node_id, Modality.SOIL_MOISTURE, start_time, float(interval_s), values)
 
 

@@ -746,3 +746,26 @@ def test_malformed_data_files_exit_3(tmp_path, capsys, kind, text, message):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("data error:") and message in err[0]
     assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("stamp", ["2025-04-16T00:00:00\x00", "2025-04-16\x0000:00:00"])
+@pytest.mark.parametrize("kind", ["series", "events"])
+def test_a_nul_in_an_iso_stamp_exits_3(tmp_path, capsys, kind, stamp):
+    """`datetime.fromisoformat` reads both stamps as 2025-04-16T00:00:00 and
+    Python 3.11's csv module lets the NUL through; either way the row is
+    malformed."""
+    series, _, flags = write_site(tmp_path)
+    bad = tmp_path / "input.csv"
+    if kind == "series":
+        bad.write_text("timestamp,node_id,modality,value\n" + f"{stamp},n1,box_temp,1\n"
+                       + "".join(f"2025-04-16T00:{m}0:00,n1,box_temp,1\n" for m in (1, 2)))
+        argv = ["detect", "--in", str(bad), "--detector", "short", "--delta", "1"]
+    else:
+        bad.write_text(f"start,end\n{stamp},2025-04-16T01:00:00\n")
+        argv = ["evaluate", "--in", series, "--node", "n1", "--flags", flags,
+                "--events", str(bad)]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"data error: {bad}:2: malformed row")
+    assert not out.exists() or list(out.iterdir()) == []

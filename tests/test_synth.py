@@ -1,5 +1,7 @@
 """Synthetic deployment generators: closed-form shapes, seeding, node structure."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -317,17 +319,50 @@ def synth_layouts(draw):
     return start, interval, days, events, recovery_s, tau
 
 
+# Soil levels at and between the clamp edges: a baseline at 0, at 1 or
+# between, noise none, mild or wide enough to clamp both ways, and a gain
+# that is 0, the default or large enough (x 50 mm) to clamp at 1.
+SOIL_LEVELS = st.tuples(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                        st.sampled_from([0.0, 0.003, 0.5]),
+                        st.sampled_from([0.0, 0.015, 0.2]))
+
+
 @settings(max_examples=300, deadline=None)
-@given(layout=synth_layouts(), seed=st.integers(0, 3))
-def test_generators_match_the_mask_code(layout, seed):
+@given(layout=synth_layouts(), seed=st.integers(0, 3), levels=SOIL_LEVELS,
+       box_noise=st.sampled_from([0.0, 0.3]))
+def test_generators_match_the_mask_code(layout, seed, levels, box_noise):
     start, interval, days, events, recovery_s, tau = layout
-    box = BoxTempProfile(recovery_s=recovery_s)
+    box = BoxTempProfile(noise_sigma_c=box_noise, recovery_s=recovery_s)
     windows = [ev.window for ev in events]
     s = gen_box_temperature(days, box, windows, interval, seed=seed, start_time=start)
     clean = gen_box_temperature(days, box, [], interval, seed=seed, start_time=start)
     assert np.array_equal(s.values, mask_box_temperature(clean, box, windows))
 
-    soil = SoilMoistureProfile(decay_tau_s=tau)
+    baseline, noise, gain = levels
+    soil = SoilMoistureProfile(baseline_vwc=baseline, baseline_noise_vwc=noise,
+                               spike_gain_vwc_per_mm=gain, decay_tau_s=tau)
     s = gen_soil_moisture(days, soil, events, interval, seed=seed, start_time=start)
     expected = mask_soil_moisture(s.times(), soil, events, seed)
     assert np.array_equal(s.values, expected)
+
+
+@pytest.mark.parametrize("channel", ["soil", "box"])
+def test_generators_peak_at_about_three_series_lengths(channel):
+    """Each generator builds its values in place, so no more than three arrays
+    of the grid's length are alive at once (the expression form held five for
+    soil and seven for box)."""
+    days, interval = 10, 20.0  # 43,200 samples
+    schedule = make_event_schedule(days, 20, seed=3)
+    n = days * int(DAY / interval)
+    if channel == "soil":
+        generate = lambda: gen_soil_moisture(days, SoilMoistureProfile(), schedule, interval)
+    else:
+        windows = [ev.window for ev in schedule]
+        generate = lambda: gen_box_temperature(days, BoxTempProfile(), windows, interval)
+    tracemalloc.start()
+    try:
+        assert len(generate()) == n
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * n * 8
