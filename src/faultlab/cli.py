@@ -161,10 +161,11 @@ def cmd_evaluate(args, cfg: dict) -> list[tuple]:
     modality = modality_of(cfg)
     events = read_events_csv(args.events)
     by_source = read_detection_csv(args.flags)
-    if len(by_source) != 1:
+    if len(by_source) > 1:
         raise DataError(f"{args.flags}: expected flags from exactly one detector, "
                         f"found {sorted(by_source)}")
-    result = DetectionResult(*next(iter(by_source.items())))
+    # A file of no rows is a detector that flagged nothing; a report stores no source.
+    result = DetectionResult(*next(iter(by_source.items()), ("short",)))
     truth = load_labels(args.labels) if args.labels else None
     report = assemble_report(_input_series(args, modality), result, events, truth=truth,
                              kind=args.fault_kind, parameters=_echo("evaluate", cfg))

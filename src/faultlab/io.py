@@ -1,11 +1,12 @@
 """File formats: sensor-data CSV ingestion, precipitation/event/detection CSVs,
 JSON documents.
 
-Every input file crosses one boundary here: `_blocks` reads each CSV in
-blocks of rows, and `json_number`/`json_fields`/`json_list` check each value
-of a JSON document. A block of lines without `"` whose rows all have the
-header's width is split with `str.split`; from the first other block on,
-the csv module reads the file row by row, with the same cells.
+Every input file crosses one boundary here: `_read`, the one row boundary
+of every CSV reader, reads each block of `_blocks` column by column, and
+`json_number`/`json_fields`/`json_list` check each value of a JSON document.
+`_blocks` splits a block of lines without `"` whose rows all have the
+header's width with `str.split`; from the first other block on, the csv
+module reads the file row by row, with the same cells.
 
 Timestamps are accepted as ISO-8601 (UTC assumed when no zone is given) or as
 epoch seconds; written files always use epoch seconds so that byte-identical
@@ -25,7 +26,7 @@ from io import StringIO
 from itertools import chain, compress, islice, repeat
 from operator import not_, or_
 from pathlib import Path
-from typing import Callable, Generator, Iterable, Iterator, NoReturn, Sequence
+from typing import Callable, Generator, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -232,16 +233,28 @@ def _blocks(path: Path, columns: Sequence[str]) -> Iterator[tuple[Sequence[int],
         raise DataError(failure)
 
 
-def _records(path: Path, columns: Sequence[str], parse: Callable) -> Iterator:
-    """(line number, `parse(*cells of columns)`) for each data row of a CSV;
-    a row `parse` rejects is malformed."""
+class _RowError(DataError):
+    """A cell rule's refusal naming the row's fault, cited after `path:line: `."""
+
+
+def _read(path: Path, columns: Sequence[str], read: Callable) -> Iterator:
+    """`read(*cells)` of each `_blocks` block of a CSV, a list of cells per
+    column. A block `read` refuses (DataError, ValueError, OverflowError) is
+    read again a row at a time, so each cell rule is written once: the first
+    row refused raises `path:line: malformed row`, or its `_RowError`'s text."""
     for linenos, cells in _blocks(path, columns):
-        for lineno, *row in zip(linenos, *cells):
-            try:
-                record = parse(*row)
-            except (DataError, ValueError):
-                raise DataError(f"{path}:{lineno}: malformed row") from None
-            yield lineno, record
+        try:
+            block = read(*cells)
+        except (DataError, ValueError, OverflowError):
+            for lineno, *row in zip(linenos, *cells):
+                try:
+                    read(*([cell] for cell in row))
+                except _RowError as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from None
+                except (DataError, ValueError, OverflowError):
+                    raise DataError(f"{path}:{lineno}: malformed row") from None
+            raise
+        yield block
 
 
 @dataclass
@@ -403,37 +416,35 @@ def _floats(cells: list[str]) -> np.ndarray | None:
         return None
 
 
-def _series_block(path: Path, linenos: Sequence[int],
-                  columns: list[list[str]]) -> dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]:
+def _stamps(cells: list[str]) -> np.ndarray:
+    """Epoch seconds of a column of stamps, as `parse_timestamp` reads each:
+    `_floats`, else each distinct cell once, by `_iso_seconds` or, where the
+    kernel declines, by `parse_timestamp`. A bad stamp raises DataError."""
+    t = _floats(cells)
+    if t is not None and np.isfinite(t).all():
+        return t
+    distinct = list(dict.fromkeys(cells))
+    seconds = _iso_seconds(distinct)
+    for i in np.flatnonzero(np.isnan(seconds)).tolist():
+        seconds[i] = parse_timestamp(distinct[i])
+    seen = dict(zip(distinct, seconds.tolist()))
+    return np.fromiter(map(seen.__getitem__, cells), np.float64, len(cells))
+
+
+def _series_block(stamps: list[str], nodes: list[str], modalities: list[str],
+                  values: list[str]) -> dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]:
     """{(node_id, modality): (times, values)} of a block's rows with a finite
     value, keys in order of first appearance (a key with no such row maps to
-    empty arrays). A block with a bad row raises the error of the first one.
-    """
-    stamps, nodes, modalities, values = columns
-    n = len(stamps)
-    t = _floats(stamps)
-    if t is None or not np.isfinite(t).all():  # ISO spellings: parse each distinct one once
-        distinct = list(dict.fromkeys(stamps))
-        seconds = _iso_seconds(distinct)
-        for i in np.flatnonzero(np.isnan(seconds)).tolist():  # the spellings the kernel declines
-            try:
-                seconds[i] = parse_timestamp(distinct[i])
-            except DataError:
-                _raise_first_bad_row(path, linenos, columns)
-        seen = dict(zip(distinct, seconds.tolist()))
-        t = np.fromiter(map(seen.__getitem__, stamps), np.float64, n)
-
-    try:
-        keys, g = _row_keys(nodes, modalities)
-    except ValueError:
-        _raise_first_bad_row(path, linenos, columns)
-
+    empty arrays). A row's rules run in the order timestamp, modality,
+    node_id, value."""
+    t = _stamps(stamps)
+    keys, g = _row_keys(nodes, modalities)
     # empty cells are missing samples
     v = _floats([cell or "nan" for cell in values] if "" in values else values)
     if v is None:  # and so are blank ones
         v = _floats([cell.strip() or "nan" for cell in values])
     if v is None:
-        _raise_first_bad_row(path, linenos, columns)
+        raise _RowError(f"malformed row (bad value {values[0].strip()!r})")  # a row read alone
     keep = np.isfinite(v)
     if g is None:  # the writer's layout: one series after another
         return {keys[0]: (t[keep], v[keep])}
@@ -447,17 +458,18 @@ def _row_keys(nodes: list[str], modalities: list[str]) -> tuple[list[tuple[str, 
                                                                  np.ndarray | None]:
     """The distinct (node_id, modality) keys of a block's cells, in order of
     first appearance, and each row's index into them (None when every row
-    spells the same pair). An empty node_id or an unknown modality raises
-    ValueError.
+    spells the same pair). An unknown modality raises ValueError, and only
+    then an empty node_id `_RowError`.
 
     Each column's distinct spellings are read once and coded; a row's key
     is the pair of its two codes as one number.
     """
     n = len(nodes)
     if nodes.count(nodes[0]) == n and modalities.count(modalities[0]) == n:
-        return [(_node_key(nodes[0]), _modality_key(modalities[0]))], None
-    node_codes, node_keys = _column_codes(nodes, _node_key)
+        modality = _modality_key(modalities[0])
+        return [(_node_key(nodes[0]), modality)], None
     mod_codes, mod_keys = _column_codes(modalities, _modality_key)
+    node_codes, node_keys = _column_codes(nodes, _node_key)
     m = len(mod_keys)
     codes, firsts, g = np.unique(node_codes * m + mod_codes, return_index=True,
                                  return_inverse=True)
@@ -469,7 +481,7 @@ def _row_keys(nodes: list[str], modalities: list[str]) -> tuple[list[tuple[str, 
 def _node_key(cell: str) -> str:
     key = cell.strip()
     if not key:
-        raise ValueError("empty node_id")
+        raise _RowError("malformed row (empty node_id)")
     return key
 
 
@@ -488,25 +500,6 @@ def _column_codes(cells: list[str], key: Callable[[str], str]) -> tuple[np.ndarr
     return np.fromiter(map(spellings.__getitem__, cells), np.int64, len(cells)), list(keys)
 
 
-def _raise_first_bad_row(path: Path, linenos: Sequence[int], columns: list[list[str]]) -> NoReturn:
-    """Raise the error of a block's first malformed row, checking one row at
-    a time: timestamp and modality, then node_id, then value."""
-    for lineno, stamp, node, modality, cell in zip(linenos, *columns):
-        try:
-            parse_timestamp(stamp)
-            Modality(modality.strip())
-        except (DataError, ValueError):
-            raise DataError(f"{path}:{lineno}: malformed row") from None
-        if not node.strip():
-            raise DataError(f"{path}:{lineno}: malformed row (empty node_id)")
-        try:
-            float(cell.strip() or "nan")  # a blank cell is a missing sample
-        except ValueError:
-            raise DataError(
-                f"{path}:{lineno}: malformed row (bad value {cell.strip()!r})") from None
-    raise AssertionError("a block flagged as bad holds no bad row")
-
-
 def ingest_csv(path: str | Path) -> IngestReport:
     """Read a sensor-data CSV into evenly spaced Series.
 
@@ -519,9 +512,9 @@ def ingest_csv(path: str | Path) -> IngestReport:
     """
     path = Path(path)
     groups: dict[tuple[str, str], list] = {}  # each key's blocks, in order of first appearance
-    for linenos, cells in _blocks(path, SERIES_COLUMNS):
-        for key, block in _series_block(path, linenos, cells).items():
-            groups.setdefault(key, []).append(block)
+    for block in _read(path, SERIES_COLUMNS, _series_block):
+        for key, arrays in block.items():
+            groups.setdefault(key, []).append(arrays)
     if not groups:
         raise DataError(f"{path}: no data rows")
 
@@ -572,18 +565,18 @@ def write_series_csv(path: str | Path, series: Iterable[Series]) -> None:
 
 def read_precip_csv(path: str | Path) -> list[PrecipRecord]:
     """Read gauge records from a CSV with header ``timestamp,amount_mm``."""
-    def parse(ts, mm):
-        return PrecipRecord(parse_timestamp(ts), float(mm))
+    def read(stamps, amounts):
+        return list(map(PrecipRecord, _stamps(stamps).tolist(), map(float, amounts)))
 
-    return [rec for _, rec in _records(Path(path), ("timestamp", "amount_mm"), parse)]
+    return list(chain.from_iterable(_read(Path(path), ("timestamp", "amount_mm"), read)))
 
 
 def read_events_csv(path: str | Path) -> list[EventWindow]:
     """Read event windows from a CSV with header ``start,end``."""
-    def parse(start, end):
-        return EventWindow(parse_timestamp(start), parse_timestamp(end))
+    def read(starts, ends):
+        return list(map(EventWindow, _stamps(starts).tolist(), _stamps(ends).tolist()))
 
-    return [ev for _, ev in _records(Path(path), ("start", "end"), parse)]
+    return list(chain.from_iterable(_read(Path(path), ("start", "end"), read)))
 
 
 def write_events_csv(path: str | Path, events: Sequence[EventWindow]) -> None:
@@ -602,17 +595,24 @@ def write_detection_csv(path: str | Path, flags: Sequence[int] | np.ndarray, sou
 
 
 def read_detection_csv(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a detection CSV back into {flag_source: sorted index array}."""
-    def parse(index, src):
-        return json_number(int(index), "index", int), src.strip()
+    """A detection CSV as {flag_source: sorted index array}, sources in file order."""
+    def read(indices, sources):
+        # `int`, not a numpy parse: " 5" and "1_0" read, and past int64 is an OverflowError
+        idx = np.fromiter(map(int, indices), np.int64, len(indices))
+        codes, keys = _column_codes(sources, _flag_source)
+        return {src: idx[codes == i] for i, src in enumerate(keys)}
 
-    path = Path(path)
-    by_source: dict[str, list[int]] = {}
-    for lineno, (idx, src) in _records(path, ("index", "flag_source"), parse):
-        if src not in ("short", "noise", "llse"):
-            raise DataError(f"{path}:{lineno}: unknown flag_source {src!r}")
-        by_source.setdefault(src, []).append(idx)
-    return {src: index_array(idxs) for src, idxs in by_source.items()}
+    by_source: dict[str, list[np.ndarray]] = {}
+    for block in _read(Path(path), ("index", "flag_source"), read):
+        for src, idx in block.items():
+            by_source.setdefault(src, []).append(idx)
+    return {src: index_array(np.concatenate(parts)) for src, parts in by_source.items()}
+
+
+def _flag_source(cell: str) -> str:
+    if cell.strip() not in ("short", "noise", "llse"):
+        raise _RowError(f"unknown flag_source {cell.strip()!r}")
+    return cell.strip()
 
 
 def read_json(path: str | Path, error: type[Exception] = DataError):

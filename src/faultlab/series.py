@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from typing import Sequence
 
@@ -67,6 +68,13 @@ def _finite(x) -> bool:
     return abs(x) <= sys.float_info.max
 
 
+def _shown(x) -> str:
+    """`x` as an error text shows it: an int of 20 digits or more in
+    scientific notation, so that no text spells out hundreds of digits (or
+    hits Python's limit on converting an int to a string)."""
+    return f"{Decimal(x):.6e}" if isinstance(x, int) and abs(x) >= 10**20 else str(x)
+
+
 def _as_modality(value: "Modality | str") -> Modality:
     try:
         return Modality(value)
@@ -92,16 +100,16 @@ class Series:
     def __post_init__(self):
         object.__setattr__(self, "modality", _as_modality(self.modality))
         if not (self.sample_interval > 0):
-            raise DataError(f"sample_interval must be > 0, got {self.sample_interval}")
+            raise DataError(f"sample_interval must be > 0, got {_shown(self.sample_interval)}")
         if not (_finite(self.start_time) and _finite(self.sample_interval)):
-            raise DataError(f"start_time and sample_interval must be finite, "
-                            f"got {self.start_time} and {self.sample_interval}")
+            raise DataError(f"start_time and sample_interval must be finite, got "
+                            f"{_shown(self.start_time)} and {_shown(self.sample_interval)}")
         vals = np.asarray(self.values, dtype=np.float64).copy()
         if vals.ndim != 1:
             raise DataError("values must be one-dimensional")
         if vals.size and not _finite(self.time_at(vals.size - 1)):
             raise DataError(f"sample {vals.size - 1} sits at time "
-                            f"{self.time_at(vals.size - 1)}, not a finite time")
+                            f"{_shown(self.time_at(vals.size - 1))}, not a finite time")
         if not np.all(np.isfinite(vals)):
             raise DataError("values must be finite (no NaN/inf)")
         vals.flags.writeable = False
@@ -146,7 +154,8 @@ class EventWindow:
         if not (_finite(self.start) and _finite(self.end)):
             raise DataError("event window bounds must be finite")
         if not self.start < self.end:
-            raise DataError(f"event window needs start < end, got [{self.start}, {self.end})")
+            raise DataError(f"event window needs start < end, "
+                            f"got [{_shown(self.start)}, {_shown(self.end)})")
 
     @property
     def duration(self) -> float:
@@ -173,7 +182,7 @@ class PrecipRecord:
         if not _finite(self.time):
             raise DataError("precipitation record time must be finite")
         if not (_finite(self.amount_mm) and self.amount_mm >= 0):
-            raise DataError(f"precipitation amount must be >= 0, got {self.amount_mm}")
+            raise DataError(f"precipitation amount must be >= 0, got {_shown(self.amount_mm)}")
 
 
 @dataclass(frozen=True, eq=False)

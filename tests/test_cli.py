@@ -344,6 +344,22 @@ def test_evaluate_rejects_mixed_flag_sources(tmp_path):
     assert code == 3
 
 
+def test_evaluate_scores_a_detector_that_flagged_nothing(tmp_path):
+    # A rule tuned not to flag events writes a flags file of its header only,
+    # which scores as an empty detection: mu 0 over the events' samples.
+    cfg = write_cfg(tmp_path / "cfg.json", {"seed": 1, "synth": SYNTH_SMALL})
+    synth_dir, det_dir, eval_dir = tmp_path / "synth", tmp_path / "det", tmp_path / "eval"
+    assert main(["synth", "--config", cfg, "--out", str(synth_dir)]) == 0
+    node = ["--in", str(synth_dir / "series.csv"), "--modality", "soil_moisture"]
+    assert main(["detect", *node, "--detector", "short", "--delta", "1e9",
+                 "--out", str(det_dir)]) == 0
+    assert (det_dir / "flags.csv").read_text() == "index,flag_source\n"
+    assert main(["evaluate", *node, "--flags", str(det_dir / "flags.csv"),
+                 "--events", str(synth_dir / "events.csv"), "--out", str(eval_dir)]) == 0
+    report = json.loads((eval_dir / "report.json").read_text())
+    assert report["mu"] == 0 and sum(e["samples"] for e in report["per_event"]) > 0
+
+
 def test_evaluate_of_both_label_kinds_names_the_fault_kind_flag(tmp_path, capsys):
     series = tmp_path / "series.csv"
     write_series_csv(series, [Series("n1", Modality.SOIL_MOISTURE, 0.0, 600.0,

@@ -31,6 +31,7 @@ from faultlab.io import (
     write_events_csv,
     write_series_csv,
 )
+from faultlab.series import index_array
 
 HEADER = "timestamp,node_id,modality,value\n"
 
@@ -504,6 +505,107 @@ def outcome(ingest, path):
 
 
 BLOCK_SIZES = (1, 3, fio._BLOCK)
+
+def oracle_precip(path):
+    def parse(ts, mm):
+        return PrecipRecord(parse_timestamp(ts), float(mm))
+
+    return [rec for _, rec in oracle_rows(path, ("timestamp", "amount_mm"), parse)]
+
+
+def oracle_events(path):
+    def parse(start, end):
+        return EventWindow(parse_timestamp(start), parse_timestamp(end))
+
+    return [ev for _, ev in oracle_rows(path, ("start", "end"), parse)]
+
+
+def oracle_detection(path):
+    def parse(index, src):
+        return json_number(int(index), "index", int), src.strip()
+
+    by_source = {}
+    for lineno, (idx, src) in oracle_rows(path, ("index", "flag_source"), parse):
+        if src not in ("short", "noise", "llse"):
+            raise DataError(f"{path}:{lineno}: unknown flag_source {src!r}")
+        by_source.setdefault(src, []).append(idx)
+    return {src: index_array(idxs) for src, idxs in by_source.items()}
+
+
+# reader, oracle and columns of each CSV read into records
+SMALL_READERS = {
+    "precip": (read_precip_csv, oracle_precip, ("timestamp", "amount_mm")),
+    "events": (read_events_csv, oracle_events, ("start", "end")),
+    "flags": (read_detection_csv, oracle_detection, ("index", "flag_source")),
+}
+
+
+def small_outcome(read, path):
+    """What a reader gives, in comparable form: the records' reprs (so -0.0
+    is not 0.0) or each source's indices in order, or its DataError text."""
+    try:
+        out = read(path)
+    except DataError as exc:
+        return str(exc)
+    if isinstance(out, dict):
+        return [(src, idx.tolist()) for src, idx in out.items()]
+    return list(map(repr, out))
+
+
+def check_small_reader(path, reader):
+    """The reader's outcome, after checking that it is the oracle's at every block size."""
+    read, oracle, _ = SMALL_READERS[reader]
+    expected = small_outcome(oracle, path)
+    for size in BLOCK_SIZES:
+        with mock.patch.object(fio, "_BLOCK", size):
+            assert small_outcome(read, path) == expected, f"_BLOCK = {size}"
+    return expected
+
+
+SMALL_CELLS = st.one_of(CELLS, st.sampled_from([
+    "5", " 5", "1_0", "1.5", "9223372036854775807", "9223372036854775808",
+    "-9223372036854775809", "short", " noise ", "llse", "Short", "bogus",
+    "2025-04-01", "2025-04-01T00:30", "2025-04-01T00:00:00\x00"]))
+SMALL_LINES = st.one_of(st.lists(SMALL_CELLS, min_size=2, max_size=2).map(",".join), LINES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reader=st.sampled_from(sorted(SMALL_READERS)), lines=st.lists(SMALL_LINES, max_size=8),
+       header=st.sampled_from([None, 1, -1]))
+def test_small_readers_match_the_row_reader(tmp_path_factory, reader, lines, header):
+    columns = SMALL_READERS[reader][2]
+    p = tmp_path_factory.mktemp(reader) / f"{reader}.csv"
+    head = [",".join(columns[::header])] if header else []
+    p.write_bytes(("\n".join(head + lines) + "\n").encode())
+    check_small_reader(p, reader)
+
+
+@pytest.mark.parametrize("reader, body, message", [
+    # a row with two bad cells: the index rule runs before the source rule
+    ("flags", "1.5,bogus\n", "flags.csv:2: malformed row"),
+    ("flags", "99999999999999999999,bogus\n", "flags.csv:2: malformed row"),
+    # the first bad row is reported, whichever rule refuses it
+    ("flags", "3,short\n4,bogus\n1.5,short\n", "flags.csv:3: unknown flag_source 'bogus'"),
+    ("flags", "3,short\n-9223372036854775809,short\n4,bogus\n", "flags.csv:3: malformed row"),
+    # int's own spellings read; sources come in order of first appearance
+    ("flags", " 5,llse\n1_0, short \n2,llse\n", None),
+    ("precip", "900,1\nx,-1\n", "precip.csv:3: malformed row"),
+    ("precip", "2025-04-01T00:00:00Z,1\n2025-04-01 00:15:00,2\n1743467400.5,0\n", None),
+    ("events", "2025-04-01T00:00:00Z,2025-04-01T01:00:00\n7200,3600\n",
+     "events.csv:3: malformed row"),
+    ("events", "2025-04-01,2025-04-01T01:00\n2025-04-01T02:00:00+00:00,1743476400\n", None),
+], ids=["flags-both-cells-bad", "flags-overflow-and-source", "flags-source-first",
+        "flags-overflow-first", "flags-int-spellings", "precip-bad-row", "precip-iso",
+        "events-bad-window", "events-iso"])
+def test_small_reader_cases(tmp_path, reader, body, message):
+    p = tmp_path / f"{reader}.csv"
+    p.write_text(",".join(SMALL_READERS[reader][2]) + "\n" + body)
+    expected = check_small_reader(p, reader)
+    if message is None:
+        assert not isinstance(expected, str) and expected
+    else:
+        assert isinstance(expected, str) and expected.endswith(message)
+
 
 T0 = 1743465600  # 2025-04-01T00:00:00Z
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)

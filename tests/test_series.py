@@ -81,17 +81,27 @@ def test_series_rejects_a_grid_without_finite_times(tmp_path):
 
 
 def test_value_types_refuse_ints_past_the_float_range():
-    # math.isfinite raises OverflowError on these, not DataError.
-    for big in (10**400, -10**400):
+    # math.isfinite raises OverflowError on these, not DataError; and the
+    # error text shows them in a few characters, not all of their digits
+    # (10**5000 is past the digits Python converts to a string at all).
+    for big in (10**400, -10**400, 10**5000):
         for start, interval in ((big, 600.0), (0.0, big)):
-            with pytest.raises(DataError):
+            with pytest.raises(DataError) as err:
                 mk([1.0], interval=interval, start=start)
+            assert len(str(err.value)) <= 100
         for make in (lambda: EventWindow(big, 2 * abs(big)), lambda: EventWindow(-abs(big), big),
                      lambda: PrecipRecord(big, 1.0), lambda: PrecipRecord(0.0, big)):
-            with pytest.raises(DataError):
+            with pytest.raises(DataError) as err:
                 make()
-    with pytest.raises(DataError, match="not a finite time"):
+            assert len(str(err.value)) <= 100
+    with pytest.raises(DataError, match=r"got 1.000000e\+400 and 600.0$"):
+        mk([1.0], start=10**400)
+    with pytest.raises(DataError, match=r"got -1.000000e\+400$"):
+        PrecipRecord(0.0, -10**400)
+    with pytest.raises(DataError, match=r"at time 2.000000e\+308, not a finite time"):
         mk([1.0, 2.0], interval=10**308, start=10**308)
+    with pytest.raises(DataError, match=r"got \[1.000000e\+300, 1.000000e\+200\)"):
+        EventWindow(10**300, 10**200)
 
 
 def test_with_values_and_same_grid():
