@@ -17,7 +17,7 @@ import math
 from .errors import ConfigError
 from .inject import InjectionPlan
 from .io import json_fields, json_list, json_number, read_json
-from .series import Modality
+from .series import Modality, _shown
 
 CONFIG_VERSION = 1
 
@@ -45,17 +45,20 @@ def section(block: dict, key: str) -> dict:
 
 
 def number(raw, what: str, kind=float):
-    """`raw` converted with `kind` (int or float); booleans, NaN and
-    infinities are refused."""
+    """`raw` converted with `kind` (int or float); booleans, NaN, infinities
+    and, for kind=int, integers outside int64 are refused."""
     if not isinstance(raw, bool):
         try:
             value = kind(raw)
         except (TypeError, ValueError, OverflowError):
             pass
         else:
+            if kind is int and not -2**63 <= value < 2**63:
+                raise ConfigError(f"{what} must be an integer within int64, got {_shown(value)}")
             if kind is int or math.isfinite(value):
                 return value
-    raise ConfigError(f"{what} must be a finite number, got {raw!r}")
+    raise ConfigError(f"{what} must be a finite number, got "
+                      f"{_shown(raw) if isinstance(raw, int) else repr(raw)}")
 
 
 def boolean(raw, what: str) -> bool:

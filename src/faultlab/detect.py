@@ -138,35 +138,34 @@ class DetectionResult:
 
 def short_jumps(s: Series) -> np.ndarray:
     """|s[k] - s[k-1]| for every k >= 1, the jumps the short rule thresholds;
-    an infinite jump reads inf."""
-    with np.errstate(over="ignore"):
-        return np.abs(np.diff(s.values))
+    an infinite jump reads inf. Computed once per series and kept read-only."""
+    def jumps():
+        with np.errstate(over="ignore"):
+            return np.abs(np.diff(s.values))
+    return s.derived("jumps", jumps)
 
 
-def short_detect(s: Series, params: ShortParams, *,
-                 jumps: np.ndarray | None = None) -> DetectionResult:
+def short_detect(s: Series, params: ShortParams) -> DetectionResult:
     """Flag samples whose jump from the previous raw sample exceeds delta.
 
     Sample k >= 1 is flagged iff |s[k] - s[k-1]| > delta (strictly); sample 0
     is never flagged. The predecessor is always the raw value, even when it
-    was itself flagged. `jumps`, when given, is `short_jumps(s)` computed
-    once for several thresholds; it must come from this same series.
+    was itself flagged.
     """
     if len(s) < 2:
         raise DataError("short_detect needs at least 2 samples")
-    if jumps is None:
-        jumps = short_jumps(s)
-    elif jumps.shape != (len(s) - 1,):
-        raise DataError(f"jumps of shape {jumps.shape} do not fit a series of {len(s)} samples")
-    return DetectionResult("short", np.nonzero(jumps > params.delta)[0] + 1)
+    return DetectionResult("short", np.nonzero(short_jumps(s) > params.delta)[0] + 1)
 
 
 def window_stds(s: Series, window_len: int) -> np.ndarray:
     """Sample std (n-1 denominator) of each full tumbling window of `s` from
-    index 0; a window whose std overflows reads inf."""
-    m = len(s) // window_len
-    with np.errstate(over="ignore"):
-        return s.values[: m * window_len].reshape(m, window_len).std(axis=1, ddof=1)
+    index 0; a window whose std overflows reads inf. Computed once per series
+    and window length and kept read-only."""
+    def stds():
+        m = len(s) // window_len
+        with np.errstate(over="ignore"):
+            return s.values[: m * window_len].reshape(m, window_len).std(axis=1, ddof=1)
+    return s.derived(("stds", window_len), stds)
 
 
 def noise_train(train: Series, window_len: int = 18) -> NoiseModel:
@@ -191,27 +190,20 @@ def noise_train(train: Series, window_len: int = 18) -> NoiseModel:
     return NoiseModel(window_len, sigma_train, spread)
 
 
-def noise_detect(s: Series, model: NoiseModel, allow_multiplier: float, *,
-                 stds: np.ndarray | None = None) -> DetectionResult:
+def noise_detect(s: Series, model: NoiseModel, allow_multiplier: float) -> DetectionResult:
     """Flag every sample of the tumbling windows whose sample std leaves the band.
 
     The band is sigma_train +/- allow_multiplier * sigma_hist_spread and is
     inclusive: a window is flagged only when its std falls strictly outside.
     Windows tile the series from sample 0; a trailing remainder shorter than
-    the window is not evaluated. `stds`, when given, is
-    `window_stds(s, model.window_len)` computed once for several multipliers;
-    it must come from this same series.
+    the window is not evaluated.
     """
     if not (math.isfinite(allow_multiplier) and allow_multiplier >= 0):
         raise ConfigError(f"allow_multiplier must be >= 0, got {allow_multiplier}")
     if len(s) < model.window_len:
         raise DataError(
             f"series shorter than one window ({len(s)} < {model.window_len})")
-    if stds is None:
-        stds = window_stds(s, model.window_len)
-    elif stds.shape != (len(s) // model.window_len,):
-        raise DataError(f"window stds of shape {stds.shape} do not fit a series of "
-                        f"{len(s)} samples in windows of {model.window_len}")
+    stds = window_stds(s, model.window_len)
     allow = allow_multiplier * model.sigma_hist_spread
     lo = model.sigma_train - allow
     hi = model.sigma_train + allow

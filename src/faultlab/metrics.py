@@ -80,35 +80,33 @@ def _infer_kind(truth: GroundTruthLabels) -> str:
 def event_sample_ranges(s: Series, events: Sequence[EventWindow]) -> np.ndarray:
     """The sample ranges `assemble_report` scores, one column per window in
     order of start: window i covers samples [r[0, i], r[1, i]) of `s` and its
-    opening half hour [r[0, i], r[2, i]). Refuses overlapping windows."""
-    ordered = sorted(events, key=lambda e: e.start)
-    validate_events(ordered)
-    t = s.times()
-    lo, hi = event_ranges(t, ordered)
-    _, op_hi = event_ranges(t, ordered, FIRST_HALF_HOUR_S)
-    return np.stack([lo, hi, op_hi])
+    opening half hour [r[0, i], r[2, i]). Refuses overlapping windows.
+    Computed once per series and set of windows and kept read-only."""
+    events = tuple(events)
+
+    def ranges():
+        ordered = sorted(events, key=lambda e: e.start)
+        validate_events(ordered)
+        t = s.times()
+        lo, hi = event_ranges(t, ordered)
+        _, op_hi = event_ranges(t, ordered, FIRST_HALF_HOUR_S)
+        return np.stack([lo, hi, op_hi])
+    return s.derived(("ranges", events), ranges)
 
 
 def assemble_report(s: Series, result: DetectionResult,
                     events: Sequence[EventWindow],
                     truth: GroundTruthLabels | None = None,
                     kind: str | None = None,
-                    parameters: dict | None = None, *,
-                    ranges: np.ndarray | None = None) -> EvalReport:
+                    parameters: dict | None = None) -> EvalReport:
     """Combine flags, events, and (optionally) fault labels into one report.
 
     mu and mu_first_half_hour cover the event windows; the false-negative
     ratio covers the labeled faults of `kind` (inferred when the labels hold
     a single kind). Metrics without a denominator come back as None. Flags
-    and labels must index into `s`. `ranges`, when given, is
-    `event_sample_ranges(s, events)` computed once for several reports; it
-    must come from this same series and these same events.
+    and labels must index into `s`.
     """
-    if ranges is None:
-        ranges = event_sample_ranges(s, events)
-    elif ranges.shape != (3, len(events)) or np.any((ranges < 0) | (ranges > len(s))):
-        raise DataError(f"event ranges of shape {ranges.shape} do not fit {len(events)} "
-                        f"events on a series of {len(s)} samples")
+    lo, hi, op_hi = event_sample_ranges(s, events)
     if truth is not None:
         truth.check_bounds(len(s))
     flag_idx = result.sample_indices()
@@ -118,7 +116,6 @@ def assemble_report(s: Series, result: DetectionResult,
     # c(k) = flags among samples [0, k), so range [lo, hi) holds c(hi) - c(lo).
     c = flag_idx.searchsorted
 
-    lo, hi, op_hi = ranges
     c_lo = c(lo)
     samples, hits = (hi - lo).tolist(), (c(hi) - c_lo).tolist()
     opening, op_hits = (op_hi - lo).tolist(), (c(op_hi) - c_lo).tolist()

@@ -8,17 +8,17 @@ and score a parameter grid against the event windows.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .config import (boolean, injection_plan, json_numbers, nodes_from_config,
                      number, section)
-from .detect import (NoiseModel, ShortParams, noise_detect, noise_train, short_detect,
-                     short_jumps, window_stds)
+from .detect import NoiseModel, ShortParams, noise_detect, noise_train, short_detect
 from .errors import ConfigError, DataError
 from .inject import InjectionPlan, inject_noise, inject_short, load_labels, merge_labels
 from .io import ingest_csv, read_events_csv
-from .metrics import EvalReport, assemble_report, event_sample_ranges
+from .metrics import EvalReport, assemble_report
 from .preprocess import smooth_pairs
 from .series import EventWindow, GroundTruthLabels, Modality, Series
 from .synth import (BoxTempProfile, DeploymentSpec, SoilMoistureProfile,
@@ -113,8 +113,10 @@ def select_series(series: Sequence[Series], node: str | None,
 
 
 def split_series(s: Series, split_time: float) -> tuple[Series, Series]:
-    """Cut a series at an absolute time into (before, from-then-on)."""
-    k = int(round((split_time - s.start_time) / s.sample_interval))
+    """Cut a series at an absolute time into (before, from-then-on): the
+    second part starts at the first sample at or after `split_time`, the
+    rule event windows follow."""
+    k = bisect_left(range(len(s)), split_time, key=s.time_at)  # no array of times
     if not 0 < k < len(s):
         raise DataError(f"split time {split_time} falls outside the series")
     return s.subseries(0, k), s.subseries(k, len(s))
@@ -234,31 +236,19 @@ def run_sweep_points(config: dict, seed: int, modality: Modality) -> SweepResult
     grid = [number(raw, "grid") for raw in grid]
     run = materialize(config, seed, modality)
 
-    # Every grid point scores the same test series: its jumps or window stds
-    # and its event ranges are computed once, and each point only thresholds.
-    test = run.test
-    if detector == "short":
-        jumps = short_jumps(test)
-
-        def detect(param):
-            return short_detect(test, ShortParams(param), jumps=jumps)
-    else:
-        stds = window_stds(test, run.noise_model.window_len)
-
-        def detect(param):
-            return noise_detect(test, run.noise_model, param, stds=stds)
-
+    # Each point runs its detector before it is scored, so a bad grid value is
+    # reported before an event-range error; `run.test` keeps what they derive.
     scored_kind = detector if run.labels is not None else None
-    points, ranges = [], None
+    points = []
     for param in grid:
-        result = detect(param)
-        if ranges is None:  # after the first detector run: a bad grid value is reported first
-            ranges = event_sample_ranges(test, run.events)
+        if detector == "short":
+            result = short_detect(run.test, ShortParams(param))
+        else:
+            result = noise_detect(run.test, run.noise_model, param)
         points.append(assemble_report(
-            test, result, run.events, truth=run.labels, kind=scored_kind,
+            run.test, result, run.events, truth=run.labels, kind=scored_kind,
             parameters={"detector": detector, "param": param,
-                        "seed": seed, "modality": modality.value},
-            ranges=ranges))
+                        "seed": seed, "modality": modality.value}))
     return SweepResult(points=points)
 
 

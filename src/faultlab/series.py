@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -96,6 +96,7 @@ class Series:
     start_time: float
     sample_interval: float
     values: np.ndarray
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "modality", _as_modality(self.modality))
@@ -123,6 +124,17 @@ class Series:
 
     def times(self) -> np.ndarray:
         return self.start_time + np.arange(len(self)) * self.sample_interval
+
+    def derived(self, key: Hashable, compute: Callable[[], np.ndarray]) -> np.ndarray:
+        """`compute()`, run on the first call for `key` and kept read-only by
+        this series; later calls return the kept array. A `compute` that
+        raises stores nothing, so every call raises again."""
+        value = self._derived.get(key)
+        if value is None:
+            value = compute()
+            value.flags.writeable = False
+            self._derived[key] = value
+        return value
 
     def with_values(self, values: np.ndarray) -> "Series":
         """New series with the same placement but different values."""

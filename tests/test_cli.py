@@ -785,3 +785,54 @@ def test_a_nul_in_an_iso_stamp_exits_3(tmp_path, capsys, kind, stamp):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"data error: {bad}:2: malformed row")
     assert not out.exists() or list(out.iterdir()) == []
+
+
+def _rows(*series):
+    return [f"{t},{node},{mod},1.0" for node, mod, times in series for t in times]
+
+
+DATA_SWEEP = {"detector": "short", "grid": [1.0], "data": {
+    "train_csv": "a.csv", "test_csv": "b.csv", "events_csv": "c.csv"}}
+
+# case: (argv, config, exit code, part of the one stderr line)
+ERROR_CONTRACTS = {
+    "two nodes, no --node": (
+        ["inject", "--kind", "short", "--in", "two_nodes.csv"], {}, 2,
+        "holds nodes ['n1', 'n2']; pick one with --node"),
+    "both modalities, no --modality": (
+        ["inject", "--kind", "short", "--in", "two_modalities.csv", "--node", "n1"], {}, 2,
+        "node 'n1' holds several modalities; pick one with --modality"),
+    "a gap of more than 3 samples": (
+        ["inject", "--kind", "short", "--in", "gap.csv"], {}, 3, "split by long gaps"),
+    "llse without --target": (
+        ["train", "--detector", "llse", "--in", "two_nodes.csv"], {}, 2, "needs --target"),
+    "llse on one node": (
+        ["train", "--detector", "llse", "--in", "one_node.csv", "--target", "n1"], {}, 3,
+        "fit_llse_model needs at least one neighbor series"),
+    "config version 2": (["synth"], {"version": 2}, 2, "unsupported config version 2"),
+    "a synth node without id": (
+        ["synth"], {"synth": {"nodes": [{"lag_s": 0}]}}, 2, "each synth node needs an 'id'"),
+    "synth.test_days 0": (["synth"], {"synth": {"test_days": 0}}, 2, "test_days >= 1"),
+    "a data sweep without node_id": (["sweep"], DATA_SWEEP, 2, "data config needs node_id"),
+    "a data sweep with labels_json 5": (
+        ["sweep"], DATA_SWEEP | {"data": DATA_SWEEP["data"] | {"node_id": "n1", "labels_json": 5}},
+        2, "data.labels_json must be a path, got 5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CONTRACTS))
+def test_error_contracts_exit_with_one_line(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    grid = [k * 600 for k in range(40)]
+    header = "timestamp,node_id,modality,value\n"
+    for name, series in (
+            ("one_node.csv", [("n1", "box_temp", grid)]),
+            ("two_nodes.csv", [("n1", "box_temp", grid), ("n2", "box_temp", grid)]),
+            ("two_modalities.csv", [("n1", "box_temp", grid), ("n1", "soil_moisture", grid)]),
+            ("gap.csv", [("n1", "box_temp", grid[:10] + grid[15:])])):
+        (tmp_path / name).write_text(header + "\n".join(_rows(*series)) + "\n")
+    argv, cfg, code, text = ERROR_CONTRACTS[case]
+    assert main([*argv, "--config", write_cfg(tmp_path / "cfg.json", cfg), "--out", "out"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " if code == 2 else "data error: ")
+    assert len(err.splitlines()) == 1 and text in err

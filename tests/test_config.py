@@ -150,13 +150,32 @@ def test_seed_must_be_a_plain_integer():
 def test_number_keeps_int_and_float_conversions():
     assert number("30", "x", int) == 30
     assert number(1.5, "x", int) == 1
-    for bad in ("x", None, [], {}, float("inf"), True, False):
+    assert number(-2**63, "x", int) == -2**63 and number(2**63 - 1, "x", int) == 2**63 - 1
+    for bad in ("x", None, [], {}, float("inf"), True, False, 2**63, -2**63 - 1, 1e19):
         with pytest.raises(ConfigError):
             number(bad, "x", int)
     for bad in (True, float("inf"), float("-inf"), float("nan"), "nan", "inf", "1e400"):
         with pytest.raises(ConfigError):
             number(bad, "x")
     assert number("2.5", "x") == 2.5
+
+
+NINES = int("9" * 4300)  # the longest integer Python's json reads
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("synth", {"synth": {"test_days": NINES, "n_events": 0}}, "synth.test_days"),
+    ("synth", {"synth": {"train_days": NINES, "n_events": 0}}, "synth.train_days"),
+    ("sweep", BASE | {"detector": "noise", "noise_window_len": NINES}, "noise_window_len"),
+    ("sweep", BASE | {"inject": BASE["inject"] | {"noise_burst_lengths": [NINES]}},
+     "inject.noise_burst_lengths"),
+])
+def test_integers_past_int64_exit_2_with_a_short_line(tmp_path, command, cfg, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc, err = run([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2 and err.startswith(f"config error: {key} must be an integer within int64")
+    assert len(err.splitlines()) == 1 and len(err) < 200
 
 
 def test_json_numbers_refuse_nan_and_infinities():

@@ -1,13 +1,15 @@
 """Config-driven runs: deployment assembly, train/test split, sweep scoring."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from faultlab import ConfigError, DataError, DetectionResult, EventWindow, Modality, Series
-from faultlab.detect import (NoiseModel, ShortParams, noise_detect, short_detect, short_jumps,
-                             window_stds)
+from faultlab.detect import ShortParams, noise_detect, short_detect, short_jumps, window_stds
 from faultlab.io import write_events_csv, write_json, write_series_csv
 from faultlab.metrics import assemble_report, event_sample_ranges
+from faultlab.preprocess import smooth_pairs
 from faultlab.pipeline import (
     SWEEP_HEADER,
     build_synth_config,
@@ -48,6 +50,10 @@ def test_split_series_boundary():
     train, test = split_series(s, 3000.0)
     assert len(train) == 5 and len(test) == 5
     assert test.start_time == 3000.0
+    # Between samples, the test part starts at the first sample after the
+    # time, as an event window does.
+    train, test = split_series(s, 2700.0)
+    assert len(train) == 5 and test.start_time == 3000.0
     with pytest.raises(DataError):
         split_series(s, 0.0)
     with pytest.raises(DataError):
@@ -66,6 +72,15 @@ def test_materialize_synth_short():
     assert run.labels is not None and len(run.labels.short_indices) == round(0.015 * 144)
     assert run.plan is not None and run.plan.seed == 7
     assert all(w.start >= DAY for w in run.events)
+
+
+@pytest.mark.parametrize("interval_s, train_days", [(17280.0, 1), (86400 / 7, 3)])
+def test_the_test_stretch_holds_no_training_day(interval_s, train_days):
+    # Smoothing doubles the grid, so the split time falls between samples.
+    cfg = {"detector": "short", "synth": synth_block(
+        interval_s=interval_s, train_days=train_days, n_events=1, train_events=0)}
+    run = materialize(cfg, seed=2, modality=Modality.BOX_TEMP)
+    assert run.train.time_at(len(run.train) - 1) < train_days * DAY <= run.test.start_time
 
 
 def test_materialize_synth_noise_uses_trained_sigma():
@@ -106,19 +121,25 @@ def test_materialize_config_validation():
 def test_materialize_data_mode(tmp_path):
     rng = np.random.default_rng(13)
     train = Series("n9", Modality.BOX_TEMP, 0.0, 600.0, rng.normal(25, 2, size=288))
-    test = Series("n9", Modality.BOX_TEMP, 288 * 600.0, 600.0, rng.normal(25, 2, size=288))
+    test = Series("n9", Modality.BOX_TEMP, 288 * 600.0, 600.0, rng.normal(25, 2, size=289))
     write_series_csv(tmp_path / "train.csv", [train])
     write_series_csv(tmp_path / "test.csv", [test])
     write_events_csv(tmp_path / "events.csv", [])
-    cfg = {"detector": "short", "smooth": False,
-           "data": {"node_id": "n9",
-                    "train_csv": str(tmp_path / "train.csv"),
-                    "test_csv": str(tmp_path / "test.csv"),
-                    "events_csv": str(tmp_path / "events.csv")}}
-    run = materialize(cfg, seed=1, modality=Modality.BOX_TEMP)
-    assert np.allclose(run.train.values, train.values)
-    assert np.allclose(run.test.values, test.values)
-    assert run.events == []
+    for smooth in (False, True):
+        cfg = {"detector": "short", "smooth": smooth,
+               "data": {"node_id": "n9",
+                        "train_csv": str(tmp_path / "train.csv"),
+                        "test_csv": str(tmp_path / "test.csv"),
+                        "events_csv": str(tmp_path / "events.csv")}}
+        run = materialize(cfg, seed=1, modality=Modality.BOX_TEMP)
+        for got, written in ((run.train, train), (run.test, test)):
+            v = written.values
+            if smooth:  # pair averages at twice the interval; an odd last sample is dropped
+                v = (v[0:len(v) - 1:2] + v[1::2]) / 2
+            assert np.allclose(got.values, v)
+            assert got.start_time == written.start_time
+            assert got.sample_interval == 600.0 * (1 + smooth)
+        assert run.events == []
 
     missing = {"detector": "short", "data": {"node_id": "n9"}}
     with pytest.raises(ConfigError):
@@ -234,21 +255,59 @@ def test_sweep_points_match_reports_computed_from_scratch(tmp_path, detector, so
     assert len({rep.mu for rep in out.points}) > 1  # the grid reaches both sides
 
 
-def test_precomputed_arrays_that_do_not_fit_the_series_raise():
+def test_a_bad_grid_value_is_reported_before_overlapping_events(tmp_path):
+    cfg = data_sweep_config(tmp_path, "short", labels=False)
+    write_events_csv(tmp_path / "events.csv", [EventWindow(0.0, 7200.0),
+                                               EventWindow(3600.0, 9000.0)])
+    with pytest.raises(ConfigError, match="delta"):
+        run_sweep_points(cfg | {"grid": [0.0]}, 1, Modality.BOX_TEMP)
+    with pytest.raises(DataError, match="disjoint"):
+        run_sweep_points(cfg | {"grid": [1.0]}, 1, Modality.BOX_TEMP)
+
+
+@pytest.mark.parametrize("detector", ["short", "noise"])
+def test_a_sweep_derives_each_array_once_per_series(monkeypatch, detector):
+    kept, computed = [], {}
+    derived = Series.derived
+
+    def counting(self, key, compute):
+        kept.append(self)  # held, so that no two series share an id
+
+        def count():
+            name = key if isinstance(key, str) or key[0] == "stds" else "ranges"
+            computed[id(self), name] = computed.get((id(self), name), 0) + 1
+            return compute()
+        return derived(self, key, count)
+
+    monkeypatch.setattr(Series, "derived", counting)
+    cfg = {"detector": detector, "grid": [0.001, 0.01, 0.5, 1.0, 2.0, 5.0],
+           "synth": synth_block(train_days=2, test_days=3)}
+    out = run_sweep_points(cfg, seed=4, modality=Modality.BOX_TEMP)
+    assert len(out.points) == 6
+    assert set(computed.values()) == {1}
+    names = Counter(name for _, name in computed)
+    # noise: the training series' stds for the band, the test series' for each point
+    assert names == ({"jumps": 1, "ranges": 1} if detector == "short"
+                     else {("stds", 18): 2, "ranges": 1})
+
+
+def test_derived_arrays_are_kept_read_only_and_new_series_start_empty():
     s = Series("n1", Modality.BOX_TEMP, 0.0, 600.0,
                np.random.default_rng(3).normal(25, 1, size=301))
-    jumps, stds = short_jumps(s), window_stds(s, 18)
-    for bad in (jumps[1:], jumps[:, None], short_jumps(s.subseries(0, 300))):
-        with pytest.raises(DataError, match="^jumps of shape"):
-            short_detect(s, ShortParams(1.0), jumps=bad)
-    model = NoiseModel(18, 1.0, 0.2)
-    for bad in (stds[1:], stds[:, None], window_stds(s, 17)):
-        with pytest.raises(DataError, match="^window stds of shape"):
-            noise_detect(s, model, 1.0, stds=bad)
     events = [EventWindow(6000.0, 12000.0), EventWindow(60000.0, 72000.0)]
-    ranges = event_sample_ranges(s, events)
-    for bad in (ranges[:, 1:], ranges[:2], ranges.T, ranges + len(s), ranges - 21):
-        with pytest.raises(DataError, match="^event ranges of shape"):
-            assemble_report(s, DetectionResult("short"), events, ranges=bad)
-    assert assemble_report(s, DetectionResult("short", [25]), events, ranges=ranges) == \
-        assemble_report(s, DetectionResult("short", [25]), events)
+    arrays = [short_jumps(s), window_stds(s, 18), window_stds(s, 17),
+              event_sample_ranges(s, iter(events))]  # an iterator is read once
+    assert [a.shape for a in arrays] == [(300,), (16,), (17,), (3, 2)]
+    assert not any(a.flags.writeable for a in arrays)
+    again = [short_jumps(s), window_stds(s, 18), window_stds(s, 17),
+             event_sample_ranges(s, events)]
+    assert all(a is b for a, b in zip(arrays, again, strict=True))
+    assert arrays[3].tolist() == [[10, 100], [20, 120], [13, 103]]
+    for new in (s.subseries(0, 300), s.with_values(s.values), smooth_pairs(s)):
+        assert new._derived == {}
+    assert short_jumps(s.subseries(0, 300)).shape == (299,)
+
+    overlapping = [EventWindow(6000.0, 12000.0), EventWindow(9000.0, 15000.0)]
+    for _ in range(2):  # a computation that raises keeps nothing
+        with pytest.raises(DataError, match="disjoint"):
+            assemble_report(s, DetectionResult("short"), overlapping)
