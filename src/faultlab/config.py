@@ -80,7 +80,8 @@ def json_numbers(raw, keys, what: str) -> dict:
 def seed_of(cfg: dict) -> int:
     raw = cfg.get("seed", 0)
     if isinstance(raw, bool) or not isinstance(raw, int) or raw < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {raw!r}")
+        raise ConfigError(f"seed must be a non-negative integer, got "
+                          f"{_shown(raw) if isinstance(raw, int) else repr(raw)}")
     return raw
 
 

@@ -13,10 +13,14 @@ Responses sit on the samples `events.event_ranges` gives each window, the
 
 Responses are built in place: every decay tail goes through one reused
 buffer and the values are assembled in an array already held, so a
-generator keeps at most three series-length arrays alive. Each sample goes
-through the same operations in the same order as the expression form
-(`clip(baseline + excess + noise, 0, 1)`), so the values are bit-identical
-to it.
+generator keeps at most three series-length arrays alive.
+
+A decay tail on the uniform grid is a factor times the powers r**k of
+r = exp(-interval/tau), so every series builds those powers once, by
+multiplication only, and every exponential comes from `_exp`, which uses
+IEEE basic operations alone. No value then depends on the C library or on
+the SIMD level numpy dispatches to, and the soil values differ from the
+per-sample `exp(-(t - end) / tau)` form by at most about 1e-13 relative.
 
 All randomness is NumPy PCG64; a seed reproduces a series bit-identically,
 and the noise-free component does not depend on the seed at all.
@@ -142,9 +146,60 @@ def check_grid(days: int, interval_s: float) -> int:
     if not math.isfinite(per_day) or abs(per_day - round(per_day)) > 1e-9:
         raise ConfigError(f"interval_s must divide 24 h, got {interval_s}")
     n = days * int(round(per_day))
+    if n < 1:
+        raise ConfigError(f"interval_s must be at most 24 h, got {interval_s}")
     if n > MAX_GRID_SAMPLES:
         raise ConfigError(f"a grid of {n} samples exceeds {MAX_GRID_SAMPLES} per series")
     return n
+
+
+# exp's Cody-Waite reduction and polynomial, as in fdlibm's e_exp.c: ln 2 as
+# a 32-bit head (k * _LN2_HI is exact for |k| < 2**11) plus a tail, and the
+# minimax fit of r * (exp(r) + 1) / (exp(r) - 1) on |r| <= ln(2) / 2.
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+_INV_LN2 = 1.44269504088896338700e+00
+_P1, _P2, _P3, _P4, _P5 = (1.66666666666666019037e-01, -2.77777777770155933842e-03,
+                           6.61375632143793436117e-05, -1.65339022054652515390e-06,
+                           4.13813679705723846039e-08)
+
+
+def _exp(x: float) -> float:
+    """exp(x) for x <= 0 (-inf included), within 1 ulp, from + - * / alone.
+
+    x = k ln 2 + r, exp(r) from a fixed polynomial, then 2**k as an int
+    division, which Python rounds once (also to a subnormal) on every
+    platform; so the bits do not depend on the C library or the CPU.
+    """
+    if not x >= -746.0:  # exp(x) < 2**-1075 rounds to 0
+        return 0.0
+    k = round(x * _INV_LN2)
+    hi = x - k * _LN2_HI
+    lo = k * _LN2_LO
+    r = hi - lo
+    rr = r * r
+    c = r - rr * (_P1 + rr * (_P2 + rr * (_P3 + rr * (_P4 + rr * _P5))))
+    num, den = (1.0 - ((lo - (r * c) / (2.0 - c)) - hi)).as_integer_ratio()
+    return num / (den << -k)
+
+
+# Powers per block of `_powers`. Within a block each power is one rounding
+# from the last, and the blocks' scales are powers of a correctly rounded
+# r**_BLOCK, so r**k takes at most _BLOCK + 2 * k / _BLOCK roundings.
+_BLOCK = 1024
+
+
+def _powers(r: float, n: int) -> np.ndarray:
+    """r**k for k < n (0 <= r <= 1), by multiplication only: a running product
+    within each block of _BLOCK, times a running product across blocks."""
+    low = np.full(_BLOCK, r)
+    low[0] = 1.0
+    np.multiply.accumulate(low, out=low)  # r**i for i < _BLOCK
+    num, den = r.as_integer_ratio()  # den is a power of two
+    high = np.full(-(-n // _BLOCK), num**_BLOCK / (1 << _BLOCK * (den.bit_length() - 1)))
+    high[0] = 1.0
+    np.multiply.accumulate(high, out=high)  # (r**_BLOCK)**j
+    return np.multiply.outer(high, low).reshape(-1)[:n]
 
 
 def _occlusion(t: np.ndarray, windows: Sequence[EventWindow], recovery_s: float) -> np.ndarray:
@@ -186,27 +241,33 @@ def gen_soil_moisture(days: int, profile: SoilMoistureProfile,
                       node_id: str = "node1", start_time: float = 0.0) -> Series:
     """Generate a soil-moisture series starting at `start_time` (UTC s).
 
-    Each of the `ScheduledEvent`s `events` lifts the signal by spike_gain *
-    rain_mm from its first sample on, holds the excess through the event, and
-    decays it exponentially with the profile's time constant afterwards.
-    Responses of overlapping decays add; the final value is clamped to [0, 1].
+    Each of the `ScheduledEvent`s `events` lifts the signal by amp =
+    spike_gain * rain_mm from its first sample on, holds the excess through
+    the event, and decays it exponentially with the profile's time constant
+    tau afterwards: with t_b the first sample at or past the event's end, the
+    sample t_b + k * interval carries amp * exp((end - t_b) / tau) * r**k,
+    r = exp(-interval / tau). Responses of overlapping decays add; the final
+    value is clamped to [0, 1].
     """
     n = check_grid(days, interval_s)
     t = start_time + np.arange(n) * float(interval_s)
-    excess = np.zeros_like(t)
-    buf = np.empty_like(t)  # each event's decay tail, reused
     lo, hi = event_ranges(t, [ev.window for ev in events])
-    for ev, a, b in zip(events, lo.tolist(), hi.tolist()):
+    tail_starts = t[np.minimum(hi, n - 1)].tolist()  # t_b of each event
+    del t  # gone before the powers and the buffer are made
+    tau = profile.decay_tau_s
+    powers = _powers(_exp(-float(interval_s) / tau), n)
+    excess = np.zeros(n)
+    buf = np.empty(n)  # each event's decay tail, reused
+    for ev, a, b, t_b in zip(events, lo.tolist(), hi.tolist(), tail_starts):
         amp = profile.spike_gain_vwc_per_mm * ev.rain_mm
         if amp == 0.0:
             continue
         excess[a:b] += amp
-        tail = np.subtract(ev.window.end, t[b:], out=buf[b:])  # -(t - end), exactly
-        tail /= profile.decay_tau_s
-        np.exp(tail, out=tail)
-        tail *= amp
-        excess[b:] += tail
-    del buf, t  # gone before the noise is drawn
+        if b < n:  # a tail inside the series, from t_b >= end
+            tail = np.multiply(powers[:n - b], amp * _exp((ev.window.end - t_b) / tau),
+                               out=buf[b:])
+            excess[b:] += tail
+    del buf, powers  # gone before the noise is drawn
     values = excess  # baseline + excess + noise, clamped, in place
     values += profile.baseline_vwc
     values += np.random.default_rng(seed).normal(0.0, profile.baseline_noise_vwc, size=n)

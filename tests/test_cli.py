@@ -668,6 +668,7 @@ def test_sweep_rejects_labels_on_smoothed_data(tmp_path, capsys):
     ("synth", {"synth": {"test_days": 1e15, "n_events": 0}}),
     ("synth", {"synth": {"interval_s": 1e-320, "test_days": 1, "n_events": 0}}),
     ("synth", {"synth": {"interval_s": 5e-324, "test_days": 1, "n_events": 0}}),
+    ("synth", {"synth": {"interval_s": 1e300, "n_events": 0}}),
 ])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command, cfg):
     series, events, flags = write_site(tmp_path)

@@ -178,6 +178,16 @@ def test_integers_past_int64_exit_2_with_a_short_line(tmp_path, command, cfg, ke
     assert len(err.splitlines()) == 1 and len(err) < 200
 
 
+@pytest.mark.parametrize("command", ["synth", "sweep"])
+def test_a_long_negative_seed_exits_2_with_a_short_line(tmp_path, command):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(BASE | {"seed": -NINES}))
+    rc, err = run([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2 and err.startswith("config error: seed must be a non-negative integer, "
+                                      "got -1.000000e+4300")
+    assert len(err.splitlines()) == 1 and len(err) < 200
+
+
 def test_json_numbers_refuse_nan_and_infinities():
     for text in ("NaN", "Infinity", "-Infinity", "1e400"):
         with pytest.raises(ConfigError):

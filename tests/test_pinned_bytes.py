@@ -1,19 +1,26 @@
 """Output bytes pinned by hash.
 
 Criterion 8 reruns the same code, so it cannot see a change that alters
-output bytes. These runs read integer-valued CSVs written here (no synth),
-so their bytes do not depend on numpy's transcendental functions, and any
-change to them is a change to what faultlab writes. The inject runs draw
-their fault positions from PCG64's integer stream, which numpy keeps stable,
-and add noise of zero scale, so no normal draw reaches the output either.
+output bytes. Most runs here read integer-valued CSVs written here, so any
+change to their bytes is a change to what faultlab writes. The inject runs
+draw their fault positions from PCG64's integer stream, which numpy keeps
+stable, and add noise of zero scale, so no normal draw reaches the output
+either. The synth run is pinned too, and run again with numpy's SIMD
+dispatch held at the lowest level the host offers: its bytes must not depend
+on the CPU.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import faultlab
 from faultlab import Modality, Series
 from faultlab.cli import main
 from faultlab.io import write_series_csv
@@ -211,3 +218,44 @@ def test_detect_bytes_are_pinned(tmp_path, detector):
     assert main(["detect", "--detector", detector, *detect, "--out", str(out)]) == 0
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out.iterdir())} == DETECTS[detector]
+
+
+# README's walkthrough site.
+SITE = {"seed": 11,
+        "synth": {"train_days": 30, "test_days": 90, "n_events": 21, "train_events": 5,
+                  "interval_s": 600, "nodes": [{"id": "node1"}]},
+        "inject": {"kind": "short", "short_intensity": 0.2}}
+SITE_SERIES = "2a0c86fa8e822c33c52fc1236a285fadcbdf9227b807326ce94f9830cd73785d"
+
+
+def synth_site(tmp_path, env=None) -> str:
+    """sha256 of the series.csv that `faultlab synth` writes for SITE, run in
+    this process or, given `env`, in a fresh one with those variables."""
+    cfg, out = tmp_path / "site.json", tmp_path / "site"
+    cfg.write_text(json.dumps(SITE))
+    argv = ["synth", "--config", str(cfg), "--out", str(out)]
+    if env is None:
+        assert main(argv) == 0
+    else:
+        code = "import sys; from faultlab.cli import main; sys.exit(main(sys.argv[1:]))"
+        subprocess.run([sys.executable, "-c", code, *argv], check=True, capture_output=True,
+                       env=os.environ | env)
+    return hashlib.sha256((out / "series.csv").read_bytes()).hexdigest()
+
+
+def test_synth_bytes_are_pinned(tmp_path):
+    assert synth_site(tmp_path) == SITE_SERIES
+
+
+def test_synth_bytes_do_not_depend_on_the_simd_level(tmp_path):
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1
+        from numpy.core import _multiarray_umath as umath
+    host = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    if len(host) < 2:
+        pytest.skip(f"numpy dispatches to one SIMD level at most here: {host}")
+    src = str(Path(faultlab.__file__).resolve().parents[1])
+    env = {"NPY_DISABLE_CPU_FEATURES": " ".join(host[1:]),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    assert synth_site(tmp_path, env) == SITE_SERIES

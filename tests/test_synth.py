@@ -1,6 +1,9 @@
 """Synthetic deployment generators: closed-form shapes, seeding, node structure."""
 
+import math
 import tracemalloc
+from decimal import Context, Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from faultlab import (
     gen_soil_moisture,
     make_event_schedule,
 )
+from faultlab import synth
 
 DAY = 86400.0
 
@@ -279,20 +283,34 @@ def mask_box_temperature(clean, profile, windows):
     return clean.values - profile.event_depression_c * np.clip(occ, 0.0, 1.0)
 
 
-def mask_soil_moisture(t, profile, schedule, seed):
-    """The mask code of the soil response: held over the closed [start, end],
-    decaying for t > end."""
+def mask_soil_moisture(t, profile, schedule, seed, decay):
+    """The mask code of the soil response: held over [start, end), decaying
+    from the end on as `decay(amp, end, t[t >= end])` (amp itself at t = end)."""
     excess = np.zeros_like(t)
     for ev in schedule:
         amp = profile.spike_gain_vwc_per_mm * ev.rain_mm
-        after = t > ev.window.end
+        after = t >= ev.window.end
         active = (t >= ev.window.start) & ~after
         one = np.zeros_like(t)
         one[active] = amp
-        one[after] = amp * np.exp(-(t[after] - ev.window.end) / profile.decay_tau_s)
+        if after.any():
+            one[after] = decay(amp, ev.window.end, t[after])
         excess += one
     noise = np.random.default_rng(seed).normal(0.0, profile.baseline_noise_vwc, size=t.size)
     return np.clip(profile.baseline_vwc + excess + noise, 0.0, 1.0)
+
+
+def np_exp_decay(tau):
+    """The decay as it was generated before: np.exp per sample."""
+    return lambda amp, end, t: amp * np.exp(-(t - end) / tau)
+
+
+def ieee_decay(tau, interval):
+    """The decay as the generator builds it: amp * exp((end - t_b) / tau) * r**k,
+    r = exp(-interval / tau), from synth's own `_exp` and `_powers`."""
+    r = synth._exp(-interval / tau)
+    return lambda amp, end, t: (amp * synth._exp((end - t[0]) / tau)) * \
+        synth._powers(r, t.size)
 
 
 @st.composite
@@ -342,8 +360,45 @@ def test_generators_match_the_mask_code(layout, seed, levels, box_noise):
     soil = SoilMoistureProfile(baseline_vwc=baseline, baseline_noise_vwc=noise,
                                spike_gain_vwc_per_mm=gain, decay_tau_s=tau)
     s = gen_soil_moisture(days, soil, events, interval, seed=seed, start_time=start)
-    expected = mask_soil_moisture(s.times(), soil, events, seed)
-    assert np.array_equal(s.values, expected)
+    t = s.times()
+    assert np.array_equal(s.values, mask_soil_moisture(t, soil, events, seed,
+                                                       ieee_decay(tau, interval)))
+    # The per-sample np.exp form differs by the error of the powers and
+    # exponentials, and by the rounding of the float grid t, which its
+    # exponent carried and r**k does not: a time off by d shifts a value
+    # k >= 1 samples past the end by at most amp * d / (e * (interval - d)).
+    old = mask_soil_moisture(t, soil, events, seed, np_exp_decay(tau))
+    d = 2 * np.spacing(abs(start) + t.size * interval)
+    amps = sum(abs(gain * ev.rain_mm) for ev in events)
+    assert np.max(np.abs(s.values - old)) <= amps * (1e-12 + d / (np.e * (interval - d)))
+
+
+@settings(max_examples=2000, deadline=None)
+@given(x=st.one_of(st.floats(-746.0, 0.0), st.floats(-746.0, -708.0), st.floats(-1e-3, 0.0),
+                   st.sampled_from([-math.inf, -1e300, -746.0, -745.1332191019412,
+                                    -708.3964185322641, -math.log(2) / 2, -2.0**-28,
+                                    -5e-324, -0.0])))
+def test_exp_is_within_one_ulp(x):
+    """`synth._exp` against Decimal's exp, subnormal results and -inf included."""
+    exact = Decimal(x).exp(Context(prec=40)) if x > -math.inf else Decimal(0)
+    assert abs(Decimal(synth._exp(x)) - exact) <= Decimal(math.ulp(float(exact)))
+
+
+@pytest.mark.parametrize("r, n", [(math.exp(-600 / 172800), 20_000), (math.exp(-1 / 3), 3_000),
+                                  (0.999999, 5_000), (0.5, 2_100), (1e-5, 1_100),
+                                  (5e-324, 10), (0.0, 10), (1.0, 3_000), (1 - 2**-53, 3_000)])
+def test_powers_are_within_their_bound(r, n):
+    """`synth._powers` against exact powers: within 2 * (block + n / block)
+    ulp, subnormal powers included."""
+    powers = synth._powers(r, n)
+    assert powers.shape == (n,) and powers[0] == 1.0
+    if n > synth._BLOCK:  # the blocks' scale is r**_BLOCK, rounded once
+        assert powers[synth._BLOCK] == float(Fraction(r) ** synth._BLOCK)
+    bound = Decimal(2 * (synth._BLOCK + n / synth._BLOCK))
+    ctx, exact, step = Context(prec=40), Decimal(1), Decimal(r)
+    for k, got in enumerate(powers.tolist()):
+        assert abs(Decimal(got) - exact) <= bound * Decimal(math.ulp(float(exact))), k
+        exact = ctx.multiply(exact, step)
 
 
 @pytest.mark.parametrize("channel", ["soil", "box"])
