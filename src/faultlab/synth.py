@@ -11,9 +11,13 @@ exponentially afterwards; values are clamped to [0, 1].
 Responses sit on the samples `events.event_ranges` gives each window, the
 [start, end) that scoring counts; recovery and decay begin at its end.
 
-Responses are built in place: every decay tail goes through one reused
-buffer and the values are assembled in an array already held, so a
-generator keeps at most three series-length arrays alive.
+Responses are built in place, in arrays already held. Soil decay tails are
+added chunk by chunk: each chunk of the series takes every event's hold and
+tail, in the events' order, before the next chunk is touched, so every
+sample gets the same additions in the same order as one pass per event,
+and a soil generator keeps two series-length arrays and one chunk alive
+(box temperature three series lengths). A profile whose values overflow to
+inf or NaN is refused with ConfigError.
 
 A decay tail on the uniform grid is a factor times the powers r**k of
 r = exp(-interval/tau), so every series builds those powers once, by
@@ -183,6 +187,12 @@ def _exp(x: float) -> float:
     return num / (den << -k)
 
 
+# Samples per chunk of the soil tail loop. Every event adds its hold and
+# tail to one chunk before the next chunk is touched, so the chunk of the
+# excess, of the powers and of the tail buffer (3 x 256 KiB) stay in a
+# 2 MiB L2 cache instead of streaming the whole series once per event.
+_CHUNK = 32768
+
 # Powers per block of `_powers`. Within a block each power is one rounding
 # from the last, and the blocks' scales are powers of a correctly rounded
 # r**_BLOCK, so r**k takes at most _BLOCK + 2 * k / _BLOCK roundings.
@@ -213,6 +223,12 @@ def _occlusion(t: np.ndarray, windows: Sequence[EventWindow], recovery_s: float)
     return occ
 
 
+def _check_finite(values: np.ndarray, profile) -> None:
+    """Refuse a profile whose values overflowed to inf or NaN."""
+    if not np.isfinite(values).all():
+        raise ConfigError(f"{profile} gives values that are not finite")
+
+
 def gen_box_temperature(days: int, profile: BoxTempProfile, events: Sequence[EventWindow],
                         interval_s: float = 600.0, seed=0,
                         node_id: str = "node1", start_time: float = 0.0) -> Series:
@@ -220,18 +236,20 @@ def gen_box_temperature(days: int, profile: BoxTempProfile, events: Sequence[Eve
     depressed during each of the `EventWindow`s `events`."""
     n = check_grid(days, interval_s)
     t = start_time + np.arange(n) * float(interval_s)
-    occ = _occlusion(t, events, profile.recovery_s)
-    values = np.mod(t, DAY_S, out=t)  # t becomes the phase, the diurnal base, the values
-    values *= 2.0 * np.pi
-    values /= DAY_S
-    values -= np.pi / 2.0
-    np.sin(values, out=values)
-    values *= profile.amplitude_c
-    values += profile.mean_c
-    values += np.random.default_rng(seed).normal(0.0, profile.noise_sigma_c, size=n)
-    np.clip(occ, 0.0, 1.0, out=occ)
-    occ *= profile.event_depression_c
-    values -= occ
+    with np.errstate(over="ignore", invalid="ignore"):
+        occ = _occlusion(t, events, profile.recovery_s)
+        values = np.mod(t, DAY_S, out=t)  # t becomes the phase, the diurnal base, the values
+        values *= 2.0 * np.pi
+        values /= DAY_S
+        values -= np.pi / 2.0
+        np.sin(values, out=values)
+        values *= profile.amplitude_c
+        values += profile.mean_c
+        values += np.random.default_rng(seed).normal(0.0, profile.noise_sigma_c, size=n)
+        np.clip(occ, 0.0, 1.0, out=occ)
+        occ *= profile.event_depression_c
+        values -= occ
+    _check_finite(values, profile)
     return Series(node_id, Modality.BOX_TEMP, start_time, float(interval_s), values)
 
 
@@ -255,23 +273,30 @@ def gen_soil_moisture(days: int, profile: SoilMoistureProfile,
     tail_starts = t[np.minimum(hi, n - 1)].tolist()  # t_b of each event
     del t  # gone before the powers and the buffer are made
     tau = profile.decay_tau_s
-    powers = _powers(_exp(-float(interval_s) / tau), n)
-    excess = np.zeros(n)
-    buf = np.empty(n)  # each event's decay tail, reused
+    spans = []  # (amp, tail factor, a, b) of each event with a response, in order
     for ev, a, b, t_b in zip(events, lo.tolist(), hi.tolist(), tail_starts):
         amp = profile.spike_gain_vwc_per_mm * ev.rain_mm
-        if amp == 0.0:
-            continue
-        excess[a:b] += amp
-        if b < n:  # a tail inside the series, from t_b >= end
-            tail = np.multiply(powers[:n - b], amp * _exp((ev.window.end - t_b) / tau),
-                               out=buf[b:])
-            excess[b:] += tail
-    del buf, powers  # gone before the noise is drawn
-    values = excess  # baseline + excess + noise, clamped, in place
-    values += profile.baseline_vwc
-    values += np.random.default_rng(seed).normal(0.0, profile.baseline_noise_vwc, size=n)
-    np.clip(values, 0.0, 1.0, out=values)
+        if amp != 0.0:  # a tail inside the series starts at t_b >= end
+            f = amp * _exp((ev.window.end - t_b) / tau) if b < n else 0.0
+            spans.append((amp, f, a, b))
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = _powers(_exp(-float(interval_s) / tau), n)
+        excess = np.zeros(n)
+        buf = np.empty(min(n, _CHUNK))  # a chunk of one event's decay tail
+        for c0 in range(0, n, _CHUNK):
+            c1 = min(c0 + _CHUNK, n)
+            for amp, f, a, b in spans:
+                if a < c1 and c0 < b:  # the hold, over [a, b)
+                    excess[max(a, c0):min(b, c1)] += amp
+                if b < c1:  # the tail, from t_b >= end on
+                    s = max(b, c0)
+                    excess[s:c1] += np.multiply(powers[s - b:c1 - b], f, out=buf[:c1 - s])
+        del buf, powers  # gone before the noise is drawn
+        values = excess  # baseline + excess + noise, clamped, in place
+        values += profile.baseline_vwc
+        values += np.random.default_rng(seed).normal(0.0, profile.baseline_noise_vwc, size=n)
+        np.clip(values, 0.0, 1.0, out=values)
+    _check_finite(values, profile)
     return Series(node_id, Modality.SOIL_MOISTURE, start_time, float(interval_s), values)
 
 

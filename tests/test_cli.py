@@ -669,6 +669,11 @@ def test_sweep_rejects_labels_on_smoothed_data(tmp_path, capsys):
     ("synth", {"synth": {"interval_s": 1e-320, "test_days": 1, "n_events": 0}}),
     ("synth", {"synth": {"interval_s": 5e-324, "test_days": 1, "n_events": 0}}),
     ("synth", {"synth": {"interval_s": 1e300, "n_events": 0}}),
+    # Profiles whose values overflow: an infinite rise times a decay that
+    # underflows to 0, and noise past the float range.
+    ("synth", {"synth": {"test_days": 2, "n_events": 1,
+                         "soil": {"spike_gain_vwc_per_mm": 1e308, "decay_tau_s": 1}}}),
+    ("synth", {"synth": {"test_days": 2, "n_events": 1, "box": {"noise_sigma_c": 1e308}}}),
 ])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command, cfg):
     series, events, flags = write_site(tmp_path)
@@ -687,6 +692,20 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, command, cfg):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:")
     assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_an_infinite_soil_rise_clamps_to_1(tmp_path):
+    """With the default tau no tail underflows, so an infinite rise stays
+    infinite through the decay and clamps to 1 instead of being refused."""
+    cfg = write_cfg(tmp_path / "cfg.json", {"synth": {
+        "test_days": 2, "n_events": 1, "soil": {"spike_gain_vwc_per_mm": 1e308}}})
+    out = tmp_path / "out"
+    assert main(["synth", "--config", cfg, "--modality", "soil_moisture",
+                 "--out", str(out)]) == 0
+    start = float((out / "events.csv").read_text().splitlines()[1].split(",")[0])
+    rows = [row.split(",") for row in (out / "series.csv").read_text().splitlines()[1:]]
+    after = [float(v) for ts, _, _, v in rows if float(ts) >= start]
+    assert after and set(after) == {1.0}
 
 
 def test_oversized_synth_grid_is_refused_before_events_are_drawn(tmp_path, capsys, monkeypatch):

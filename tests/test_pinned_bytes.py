@@ -7,7 +7,7 @@ draw their fault positions from PCG64's integer stream, which numpy keeps
 stable, and add noise of zero scale, so no normal draw reaches the output
 either. The synth run is pinned too, and run again with numpy's SIMD
 dispatch held at the lowest level the host offers: its bytes must not depend
-on the CPU.
+on the CPU. So is a soil series several of synth's chunks long.
 """
 
 import hashlib
@@ -24,6 +24,7 @@ import faultlab
 from faultlab import Modality, Series
 from faultlab.cli import main
 from faultlab.io import write_series_csv
+from faultlab.pipeline import build_synth_config
 
 N = 288  # two days at 600 s
 SHORT_LABELS = [50, 120, 250]
@@ -259,3 +260,15 @@ def test_synth_bytes_do_not_depend_on_the_simd_level(tmp_path):
     env = {"NPY_DISABLE_CPU_FEATURES": " ".join(host[1:]),
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     assert synth_site(tmp_path, env) == SITE_SERIES
+
+
+# The study sweep's year: 365 d at 180 s with 98 events, 175,200 samples.
+STUDY = {"train_days": 30, "test_days": 335, "n_events": 90, "train_events": 8,
+         "interval_s": 180, "nodes": [{"id": "n1"}]}
+STUDY_SOIL = "3d09af5d628a0ab0bdb9e05237f1b733e1b3e22734460d5dc6f783c556dd397c"
+
+
+def test_multi_chunk_soil_bytes_are_pinned():
+    (soil,), _, schedule, _ = build_synth_config(STUDY, 1, "n1", Modality.SOIL_MOISTURE)
+    assert len(schedule) == 98 and len(soil) == 175_200
+    assert hashlib.sha256(soil.values.tobytes()).hexdigest() == STUDY_SOIL

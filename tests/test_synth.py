@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from decimal import Context, Decimal
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from faultlab import (
     make_event_schedule,
 )
 from faultlab import synth
+from faultlab.events import event_ranges
 
 DAY = 86400.0
 
@@ -356,6 +358,11 @@ def test_generators_match_the_mask_code(layout, seed, levels, box_noise):
     clean = gen_box_temperature(days, box, [], interval, seed=seed, start_time=start)
     assert np.array_equal(s.values, mask_box_temperature(clean, box, windows))
 
+    check_soil_against_the_mask_code(layout, seed, levels)
+
+
+def check_soil_against_the_mask_code(layout, seed, levels):
+    start, interval, days, events, recovery_s, tau = layout
     baseline, noise, gain = levels
     soil = SoilMoistureProfile(baseline_vwc=baseline, baseline_noise_vwc=noise,
                                spike_gain_vwc_per_mm=gain, decay_tau_s=tau)
@@ -371,6 +378,51 @@ def test_generators_match_the_mask_code(layout, seed, levels, box_noise):
     d = 2 * np.spacing(abs(start) + t.size * interval)
     amps = sum(abs(gain * ev.rain_mm) for ev in events)
     assert np.max(np.abs(s.values - old)) <= amps * (1e-12 + d / (np.e * (interval - d)))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@settings(max_examples=100, deadline=None)
+@given(layout=synth_layouts(), seed=st.integers(0, 3), levels=SOIL_LEVELS)
+def test_soil_chunk_edges_match_the_mask_code(chunk, layout, seed, levels):
+    """Chunks far shorter than the grids, so that chunk edges cut holds and
+    tails, and fall on the sample where a tail starts or the series ends."""
+    with mock.patch.object(synth, "_CHUNK", chunk):
+        check_soil_against_the_mask_code(layout, seed, levels)
+
+
+def per_event_soil_moisture(days, profile, events, interval, seed):
+    """The soil values as generated before the tails were added chunk by
+    chunk: one pass of each event's tail over the rest of the series."""
+    n = synth.check_grid(days, interval)
+    t = np.arange(n) * float(interval)
+    lo, hi = event_ranges(t, [ev.window for ev in events])
+    tau = profile.decay_tau_s
+    powers = synth._powers(synth._exp(-float(interval) / tau), n)
+    excess = np.zeros(n)
+    for ev, a, b in zip(events, lo.tolist(), hi.tolist()):
+        amp = profile.spike_gain_vwc_per_mm * ev.rain_mm
+        if amp == 0.0:
+            continue
+        excess[a:b] += amp
+        if b < n:
+            excess[b:] += powers[:n - b] * (amp * synth._exp((ev.window.end - t[b]) / tau))
+    excess += profile.baseline_vwc
+    excess += np.random.default_rng(seed).normal(0.0, profile.baseline_noise_vwc, size=n)
+    return np.clip(excess, 0.0, 1.0)
+
+
+def test_soil_matches_the_per_event_loop_over_several_chunks():
+    """A year at 180 s with 98 events, as the study sweep generates it,
+    spans several chunks of the real size."""
+    days, interval = 365, 180.0
+    schedule = make_event_schedule(30, 8, [1, 2]) + \
+        make_event_schedule(335, 90, [1, 3], span_start_s=30 * DAY)
+    n = days * int(DAY / interval)
+    assert n > 5 * synth._CHUNK
+    profile = SoilMoistureProfile()
+    got = gen_soil_moisture(days, profile, schedule, interval, seed=[1, 0]).values
+    want = per_event_soil_moisture(days, profile, schedule, interval, [1, 0])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @settings(max_examples=2000, deadline=None)
@@ -405,19 +457,25 @@ def test_powers_are_within_their_bound(r, n):
 def test_generators_peak_at_about_three_series_lengths(channel):
     """Each generator builds its values in place, so no more than three arrays
     of the grid's length are alive at once (the expression form held five for
-    soil and seven for box)."""
-    days, interval = 10, 20.0  # 43,200 samples
-    schedule = make_event_schedule(days, 20, seed=3)
-    n = days * int(DAY / interval)
+    soil and seven for box). Soil holds two and one chunk of tail: the
+    excess, the powers and the tail buffer, then the excess and the noise."""
     if channel == "soil":
+        days, interval = 10, 5.0  # 172,800 samples, over five chunks
+        schedule = make_event_schedule(days, 20, seed=3)
         generate = lambda: gen_soil_moisture(days, SoilMoistureProfile(), schedule, interval)
     else:
-        windows = [ev.window for ev in schedule]
+        days, interval = 10, 20.0  # 43,200 samples
+        windows = [ev.window for ev in make_event_schedule(days, 20, seed=3)]
         generate = lambda: gen_box_temperature(days, BoxTempProfile(), windows, interval)
+    n = days * int(DAY / interval)
     tracemalloc.start()
     try:
         assert len(generate()) == n
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * n * 8
+    if channel == "soil":  # slack for the last block of the powers and the event lists
+        assert n > 5 * synth._CHUNK
+        assert peak <= (2 * n + synth._CHUNK) * 8 + 16384
+    else:
+        assert peak <= 3.5 * n * 8
