@@ -21,11 +21,10 @@ import functools
 import sys
 from pathlib import Path
 
-from .config import boolean, load_config, modality_of, number, section, seed_of
-from .detect import (LlseModel, NoiseModel, ShortParams, fit_llse_model,
+from .config import SWEEP_MODALITY, load_config, section, value
+from .detect import (DetectionResult, LlseModel, NoiseModel, ShortParams, fit_llse_model,
                      llse_detect, load_model, noise_detect, noise_train,
                      save_model, short_detect)
-from .detect import DetectionResult
 from .errors import ConfigError, DataError, NumericError
 from .inject import save_labels, load_labels
 from .io import (ingest_csv, read_detection_csv, read_events_csv,
@@ -37,13 +36,9 @@ from .pipeline import (build_synth_config, inject_from_config, parse_inject,
 from .series import Modality, Series
 
 
-def resolve_config(args) -> dict:
-    cfg = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "modality", None):
-        cfg["modality"] = args.modality
-    return cfg
+def _flags(args, cfg: dict, *keys: str) -> dict:
+    """`cfg` with each of `keys` set to its flag where that flag was given."""
+    return cfg | {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
 
 
 def _out_dir(args) -> Path:
@@ -81,8 +76,8 @@ def _llse_series(path: str, target: str, modality: Modality | None,
 # --------------------------------------------------------------------------
 
 def cmd_synth(args, cfg: dict) -> list[tuple]:
-    series, events, schedule, _ = build_synth_config(section(cfg, "synth"), seed_of(cfg),
-                                                     modality=modality_of(cfg))
+    series, events, schedule, _ = build_synth_config(section(cfg, "synth"), value(cfg, "seed"),
+                                                     modality=value(cfg, "modality"))
     doc = _echo("synth", cfg) | {
         "schedule": [{"start": ev.window.start, "end": ev.window.end,
                       "rain_mm": ev.rain_mm} for ev in schedule]}
@@ -93,30 +88,28 @@ def cmd_synth(args, cfg: dict) -> list[tuple]:
 
 def cmd_inject(args, cfg: dict) -> list[tuple]:
     inject_cfg = section(cfg, "inject") | ({"kind": args.kind} if args.kind else {})
-    injection = parse_inject(inject_cfg, seed_of(cfg), trained=False)
-    s, labels = inject_from_config(_input_series(args, modality_of(cfg)), injection)
+    injection = parse_inject(inject_cfg, value(cfg, "seed"), trained=False)
+    s, labels = inject_from_config(_input_series(args, value(cfg, "modality")), injection)
     return [("faulted.csv", write_series_csv, [s]),
             ("faulted.labels.json", save_labels, labels, injection.plan)]
 
 
 def cmd_train(args, cfg: dict) -> list[tuple]:
-    modality = modality_of(cfg)
+    modality = value(cfg, "modality")
     if args.detector == "short":
-        delta = args.delta if args.delta is not None else cfg.get("delta")
+        delta = value(_flags(args, cfg, "delta"), "delta")
         if delta is None:
             raise ConfigError("short detector needs --delta or config key 'delta'")
-        model = ShortParams(number(delta, "delta"))
+        model = ShortParams(delta)
     elif args.detector == "noise":
-        window_len = number(cfg.get("noise_window_len", 18), "noise_window_len", int)
+        window_len = value(cfg, "noise_window_len")  # before the series is read
         model = noise_train(_input_series(args, modality), window_len)
     else:
         if not args.target:
             raise ConfigError("llse training needs --target <node id>")
         llse_cfg = section(cfg, "llse")
-        params = dict(percentile_p=number(llse_cfg.get("percentile_p", 95.0),
-                                          "llse.percentile_p"),
-                      vote_q=number(llse_cfg.get("vote_q", 2), "llse.vote_q", int),
-                      signed=boolean(llse_cfg.get("signed", False), "llse.signed"))
+        params = {key: value(llse_cfg, f"llse.{key}")
+                  for key in ("percentile_p", "vote_q", "signed")}
         model = fit_llse_model(*_llse_series(args.infile, args.target, modality), **params)
     return [("model.json", save_model, model, _echo("train", cfg))]
 
@@ -130,25 +123,23 @@ def _model(args, cls):
 
 
 def _detect(args, cfg: dict) -> DetectionResult:
-    modality = modality_of(cfg)
+    modality = value(cfg, "modality")
     if args.detector == "llse":
         model = _model(args, LlseModel)
         s, neighbors = _llse_series(args.infile, model.target, modality,
                                     [fit.node_id for fit in model.neighbors])
         return llse_detect(s, neighbors, model)
     if args.detector == "short":
-        delta = args.delta if args.delta is not None else cfg.get("delta")
+        delta = value(_flags(args, cfg, "delta"), "delta")
         if delta is None and args.model:
             delta = _model(args, ShortParams).delta
         if delta is None:
             raise ConfigError("short detection needs --delta, config 'delta', or --model")
-        params = ShortParams(number(delta, "delta"))
-        return short_detect(_input_series(args, modality), params)
+        return short_detect(_input_series(args, modality), ShortParams(delta))
     model = _model(args, NoiseModel)
-    multiplier = args.multiplier if args.multiplier is not None else cfg.get("multiplier")
+    multiplier = value(_flags(args, cfg, "multiplier"), "multiplier")
     if multiplier is None:
         raise ConfigError("noise detection needs --multiplier or config 'multiplier'")
-    multiplier = number(multiplier, "multiplier")
     return noise_detect(_input_series(args, modality), model, multiplier)
 
 
@@ -158,7 +149,7 @@ def cmd_detect(args, cfg: dict) -> list[tuple]:
 
 
 def cmd_evaluate(args, cfg: dict) -> list[tuple]:
-    modality = modality_of(cfg)
+    modality = value(cfg, "modality")
     events = read_events_csv(args.events)
     by_source = read_detection_csv(args.flags)
     if len(by_source) > 1:
@@ -173,7 +164,7 @@ def cmd_evaluate(args, cfg: dict) -> list[tuple]:
 
 
 def cmd_sweep(args, cfg: dict) -> list[tuple]:
-    result = run_sweep_points(cfg, seed_of(cfg), modality_of(cfg, Modality.BOX_TEMP))
+    result = run_sweep_points(cfg, value(cfg, "seed"), value(cfg, "modality") or SWEEP_MODALITY)
     return [("sweep.csv", write_csv, SWEEP_HEADER, sweep_rows(result))] + [
         (f"report_{i:03d}.json", save_report, report) for i, report in enumerate(result.points)]
 
@@ -246,7 +237,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "train" and args.detector != "short" and not args.infile:
             raise ConfigError("--in is required for noise/llse training")
-        cfg, out = resolve_config(args), _out_dir(args)
+        cfg, out = _flags(args, load_config(args.config), "seed", "modality"), _out_dir(args)
         files = []
         for file in command(args, cfg):
             files.append(file)

@@ -2,13 +2,13 @@
 
 Every config value the CLI and the pipeline use passes through here, so a
 value of the wrong type stops as a ConfigError (exit 2) instead of escaping
-as a TypeError further down. `number` converts with int() or float(), so
-`"30"` and `30.0` still read as 30 where they always have; the injection
-plan and the synth profiles take JSON numbers only (`io.json_number`) and
-keep them as written, because the plan is echoed into label files. Neither
-reads a boolean as a number or accepts NaN or an infinity, and `boolean`
-takes only JSON true and false.
-"""
+as a TypeError further down. `KEYS` gives each scalar key its kind and
+default once, and `value` reads a key by it: int and float convert as
+int() and float() would (`number`), so `"30"` and `30.0` read as 30; a seed
+is a JSON integer >= 0. The injection plan and the synth profiles take JSON
+numbers only (`io.json_number`) and keep them as written, because the plan
+is echoed into label files. No kind reads a boolean as a number or accepts
+NaN or an infinity."""
 
 from __future__ import annotations
 
@@ -23,6 +23,30 @@ CONFIG_VERSION = 1
 
 PLAN_NUMBERS = ("short_intensity", "short_fraction", "noise_multiplier",
                 "noise_total_fraction")
+
+
+class Seed(int):
+    """The kind of `seed`: a JSON integer >= 0, never converted from text."""
+
+
+# Each scalar config key by its path ("synth.train_days" is `train_days` of the
+# synth object): its kind and its default, as README's "Config keys" table says.
+KEYS = {
+    "seed": (Seed, 0), "modality": (Modality, None), "smooth": (bool, True),
+    "delta": (float, None), "multiplier": (float, None), "noise_window_len": (int, 18),
+    "llse.percentile_p": (float, 95.0), "llse.vote_q": (int, 2), "llse.signed": (bool, False),
+    "synth.train_days": (int, 0), "synth.test_days": (int, 90), "synth.n_events": (int, 21),
+    "synth.train_events": (int, 0), "synth.interval_s": (float, 600.0),
+    "synth.target": (str, None), "inject.base_sigma": (float, None),
+}
+SWEEP_MODALITY = Modality.BOX_TEMP  # what a sweep scores when no modality is set
+
+_RULES = {  # kind: (test, what a value must be), for every kind `number` does not convert
+    Seed: (lambda raw: type(raw) is int and raw >= 0, "a non-negative integer"),
+    bool: (lambda raw: isinstance(raw, bool), "true or false"),
+    str: (lambda raw: isinstance(raw, str) and raw != "", "a non-empty string"),
+    Modality: (lambda raw: raw in [m.value for m in Modality], "box_temp or soil_moisture"),
+}
 
 
 def load_config(path: str | None) -> dict:
@@ -49,23 +73,32 @@ def number(raw, what: str, kind=float):
     and, for kind=int, integers outside int64 are refused."""
     if not isinstance(raw, bool):
         try:
-            value = kind(raw)
+            out = kind(raw)
         except (TypeError, ValueError, OverflowError):
             pass
         else:
-            if kind is int and not -2**63 <= value < 2**63:
-                raise ConfigError(f"{what} must be an integer within int64, got {_shown(value)}")
-            if kind is int or math.isfinite(value):
-                return value
+            if kind is int and not -2**63 <= out < 2**63:
+                raise ConfigError(f"{what} must be an integer within int64, got {_shown(out)}")
+            if kind is int or math.isfinite(out):
+                return out
     raise ConfigError(f"{what} must be a finite number, got "
                       f"{_shown(raw) if isinstance(raw, int) else repr(raw)}")
 
 
-def boolean(raw, what: str) -> bool:
-    """`raw` when it is a JSON true or false; anything else is refused."""
-    if not isinstance(raw, bool):
-        raise ConfigError(f"{what} must be true or false, got {raw!r}")
-    return raw
+def value(block: dict, path: str):
+    """The key `path` names, read from `block` (the object holding it) by its kind; an
+    absent key, null where there is no default, or a "" modality reads as the default."""
+    kind, default = KEYS[path]
+    raw = block.get(path.rpartition(".")[2], default)
+    if raw is None and default is None or kind is Modality and raw == "":
+        return None
+    if kind in (int, float):
+        return number(raw, path, kind)
+    test, rule = _RULES[kind]
+    if not test(raw):
+        raise ConfigError(f"{path} must be {rule}, got "
+                          f"{_shown(raw) if isinstance(raw, int) else repr(raw)}")
+    return Modality(raw) if kind is Modality else raw
 
 
 def json_numbers(raw, keys, what: str) -> dict:
@@ -75,25 +108,6 @@ def json_numbers(raw, keys, what: str) -> dict:
     for key, value in block.items():
         json_number(value, f"{what}.{key}", error=ConfigError)
     return block
-
-
-def seed_of(cfg: dict) -> int:
-    raw = cfg.get("seed", 0)
-    if isinstance(raw, bool) or not isinstance(raw, int) or raw < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got "
-                          f"{_shown(raw) if isinstance(raw, int) else repr(raw)}")
-    return raw
-
-
-def modality_of(cfg: dict, default: Modality | None = None) -> Modality | None:
-    """The configured modality; an empty or absent one gives `default`."""
-    raw = cfg.get("modality") or default
-    if raw is None:
-        return None
-    try:
-        return Modality(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"unknown modality {raw!r}") from None
 
 
 def injection_plan(inject: dict, seed: int) -> InjectionPlan:

@@ -168,7 +168,7 @@ def window_stds(s: Series, window_len: int) -> np.ndarray:
     return s.derived(("stds", window_len), stds)
 
 
-def noise_train(train: Series, window_len: int = 18) -> NoiseModel:
+def noise_train(train: Series, window_len: int) -> NoiseModel:
     """Learn the variance band from fault-free training data.
 
     The training series is cut into tumbling windows of exactly `window_len`

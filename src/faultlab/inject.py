@@ -57,7 +57,7 @@ class InjectionPlan:
             raise ConfigError(f"short_intensity must be > 0, got {self.short_intensity}")
         if not 0 < self.short_fraction < 1:
             raise ConfigError(f"short_fraction must lie in (0, 1), got {self.short_fraction}")
-        if not (math.isfinite(self.noise_multiplier) and self.noise_multiplier >= 0):
+        if not 0 <= self.noise_multiplier < math.inf or math.copysign(1, self.noise_multiplier) < 0:
             raise ConfigError(f"noise_multiplier must be >= 0, got {self.noise_multiplier}")
         if not 0 < self.noise_total_fraction < 1:
             raise ConfigError(
@@ -98,7 +98,7 @@ def inject_noise(s: Series, plan: InjectionPlan,
     length fits, leaving the labeled total within one burst length of the
     budget.
     """
-    if not (math.isfinite(base_sigma) and base_sigma >= 0):
+    if not (math.isfinite(base_sigma) and math.copysign(1, base_sigma) > 0):
         raise ConfigError(f"base_sigma must be >= 0, got {base_sigma}")
     n = len(s)
     lengths = sorted(plan.noise_burst_lengths)

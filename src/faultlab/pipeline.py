@@ -12,8 +12,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .config import (boolean, injection_plan, json_numbers, nodes_from_config,
-                     number, section)
+from .config import injection_plan, json_numbers, nodes_from_config, number, section, value
 from .detect import NoiseModel, ShortParams, noise_detect, noise_train, short_detect
 from .errors import ConfigError, DataError
 from .inject import InjectionPlan, inject_noise, inject_short, load_labels, merge_labels
@@ -57,12 +56,11 @@ def build_synth_config(synth_cfg: dict, seed: int, node: str | None = None,
     `n_events` test events after it; only the latter are returned as the
     evaluation windows.
     """
-    train_days = number(synth_cfg.get("train_days", 0), "synth.train_days", int)
-    test_days = number(synth_cfg.get("test_days", synth_cfg.get("days", 90)),
-                       "synth.test_days", int)
-    interval_s = number(synth_cfg.get("interval_s", 600.0), "synth.interval_s")
-    n_events = number(synth_cfg.get("n_events", 21), "synth.n_events", int)
-    train_events = number(synth_cfg.get("train_events", 0), "synth.train_events", int)
+    if "days" in synth_cfg:
+        raise ConfigError("synth.days is not a key; set synth.test_days")
+    train_days, test_days, interval_s, n_events, train_events = (
+        value(synth_cfg, f"synth.{key}")
+        for key in ("train_days", "test_days", "interval_s", "n_events", "train_events"))
     if train_days < 0 or test_days < 1:
         raise ConfigError("synth needs train_days >= 0 and test_days >= 1")
     check_grid(train_days + test_days, interval_s)  # before drawing any event
@@ -146,10 +144,8 @@ def parse_inject(inject_cfg: dict, seed: int, trained: bool) -> Injection:
     if kind not in ("short", "noise", "both"):
         raise ConfigError(f"inject.kind must be short, noise, or both, got {kind!r}")
     plan = injection_plan(inject_cfg, seed)
-    base_sigma = inject_cfg.get("base_sigma") if kind != "short" else None
-    if base_sigma is not None:
-        base_sigma = number(base_sigma, "inject.base_sigma")
-    elif kind != "short" and not trained:
+    base_sigma = value(inject_cfg, "inject.base_sigma") if kind != "short" else None
+    if base_sigma is None and kind != "short" and not trained:
         raise ConfigError("noise injection needs inject.base_sigma or a "
                           "trained noise model to take sigma_train from")
     return Injection(kind, plan, base_sigma)
@@ -172,8 +168,7 @@ def inject_from_config(test: Series, injection: Injection,
 
 def materialize(config: dict, seed: int, modality: Modality) -> MaterializedRun:
     """Build train/test series, events, labels, and the noise model for a sweep."""
-    smooth = boolean(config.get("smooth", True), "smooth")
-    window_len = number(config.get("noise_window_len", 18), "noise_window_len", int)
+    smooth, window_len = value(config, "smooth"), value(config, "noise_window_len")
     detector = config.get("detector")
 
     if ("synth" in config) == ("data" in config):
@@ -184,9 +179,9 @@ def materialize(config: dict, seed: int, modality: Modality) -> MaterializedRun:
     labels: GroundTruthLabels | None = None
     if "synth" in config:
         synth_cfg = section(config, "synth")
-        if number(synth_cfg.get("train_days", 0), "synth.train_days", int) < 1:
+        if value(synth_cfg, "synth.train_days") < 1:
             raise ConfigError("synth sweeps need train_days >= 1")
-        target = synth_cfg.get("target") or nodes_from_config(synth_cfg)[0][0]
+        target = value(synth_cfg, "synth.target") or nodes_from_config(synth_cfg)[0][0]
         series, events, _, train_days = build_synth_config(synth_cfg, seed, target, modality)
         full = select_series(series, target, modality, "synth")  # refuses an unknown target
         if smooth:

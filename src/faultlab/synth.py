@@ -72,7 +72,7 @@ class BoxTempProfile:
     recovery_s: float = 21600.0
 
     def __post_init__(self):
-        if self.noise_sigma_c < 0 or not 0 <= self.recovery_s < math.inf:
+        if math.copysign(1, self.noise_sigma_c) < 0 or not 0 <= self.recovery_s < math.inf:
             raise ConfigError("noise_sigma_c must be >= 0 and recovery_s finite and >= 0")
 
 
@@ -88,7 +88,7 @@ class SoilMoistureProfile:
     def __post_init__(self):
         if not 0 <= self.baseline_vwc <= 1:
             raise ConfigError(f"baseline_vwc must lie in [0, 1], got {self.baseline_vwc}")
-        if self.baseline_noise_vwc < 0:
+        if math.copysign(1, self.baseline_noise_vwc) < 0:
             raise ConfigError("baseline_noise_vwc must be >= 0")
         if not 0 < self.decay_tau_s < math.inf:
             raise ConfigError("decay_tau_s must be finite and > 0")

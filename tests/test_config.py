@@ -2,15 +2,18 @@
 
 import contextlib
 import copy
+import inspect
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from faultlab import ConfigError, Modality
+from faultlab import ConfigError, Modality, fit_llse_model
 from faultlab.cli import main
-from faultlab.config import boolean, injection_plan, json_numbers, modality_of, number, seed_of
+from faultlab.config import KEYS, injection_plan, json_numbers, number, value
 
 BASE = {
     "seed": 3,
@@ -19,9 +22,12 @@ BASE = {
               "interval_s": 1800,
               "nodes": [{"id": "n1"}, {"id": "n2", "response_scale": 0.5, "lag_s": 1800},
                         {"id": "n3"}],
-              "box": {"mean_c": 20.0}, "soil": {"decay_tau_s": 86400.0},
+              "box": {"mean_c": 20.0, "amplitude_c": 6.0, "noise_sigma_c": 0.3,
+                      "event_depression_c": 4.0, "recovery_s": 21600.0},
+              "soil": {"baseline_vwc": 0.2, "baseline_noise_vwc": 0.003,
+                       "spike_gain_vwc_per_mm": 0.015, "decay_tau_s": 86400.0},
               "schedule": {"min_duration_s": 1800, "max_duration_s": 3600,
-                           "max_rain_mm": 20},
+                           "min_rain_mm": 2, "max_rain_mm": 20},
               "target": "n1"},
     "inject": {"kind": "both", "short_intensity": 0.2, "short_fraction": 0.1,
                "noise_multiplier": 2.0, "noise_burst_lengths": [4],
@@ -35,13 +41,14 @@ BASE = {
     "smooth": True,
 }
 
+PROFILES = ("box", "soil", "schedule")
 SYNTH_KEYS = [
     ("synth",), ("synth", "train_days"), ("synth", "test_days"), ("synth", "n_events"),
     ("synth", "train_events"), ("synth", "interval_s"), ("synth", "nodes"),
     ("synth", "nodes", 1, "id"), ("synth", "nodes", 1, "response_scale"),
-    ("synth", "nodes", 1, "lag_s"), ("synth", "box"), ("synth", "box", "mean_c"),
-    ("synth", "soil"), ("synth", "soil", "decay_tau_s"), ("synth", "schedule"),
-    ("synth", "schedule", "max_rain_mm"), ("synth", "target"),
+    ("synth", "nodes", 1, "lag_s"), ("synth", "target"),
+    *[("synth", block) for block in PROFILES],
+    *[("synth", block, key) for block in PROFILES for key in BASE["synth"][block]],
 ]
 INJECT_KEYS = [
     ("inject",), ("inject", "kind"), ("inject", "short_intensity"),
@@ -113,38 +120,93 @@ def site(tmp_path_factory):
     }, d
 
 
-def put(cfg, path, value):
+def put(cfg, path, raw):
     *head, last = path
     for key in head:
         cfg = cfg[key]
-    cfg[last] = value
+    cfg[last] = raw
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_type_confused_config_never_escapes(site, data):
+def run_changed(site, command, changes):
+    """`command` run on BASE with each (path, raw) of `changes` put in."""
     commands, d = site
-    command = data.draw(st.sampled_from(sorted(READS)))
-    changes = data.draw(st.lists(st.tuples(st.sampled_from(READS[command]), HOSTILE),
-                                 min_size=1, max_size=3))
     cfg = copy.deepcopy(BASE)
     # Deeper keys first, so a later change may replace their parent.
-    for path, value in sorted(changes, key=lambda c: -len(c[0])):
-        put(cfg, path, value)
+    for path, raw in sorted(changes, key=lambda c: -len(c[0])):
+        put(cfg, path, raw)
     path = d / "hostile.json"
     path.write_text(json.dumps(cfg))
-    rc, err = run([*commands[command], "--config", str(path), "--out", str(d / "out")])
+    return run([*commands[command], "--config", str(path), "--out", str(d / "out")])
+
+
+def check_exit(rc, err):
     assert rc in (0, 2, 3, 4)
     if rc:
         assert err.startswith(("config error:", "data error:", "numeric error:"))
         assert len(err.splitlines()) == 1
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_type_confused_config_never_escapes(site, data):
+    command = data.draw(st.sampled_from(sorted(READS)))
+    changes = data.draw(st.lists(st.tuples(st.sampled_from(READS[command]), HOSTILE),
+                                 min_size=1, max_size=3))
+    check_exit(*run_changed(site, command, changes))
+
+
+# Numbers at the edges of what a JSON config carries: signed zeros, the
+# smallest subnormal and normal floats, the float limits, the int64 edges and
+# one past them, and an int of 400 digits.
+EXTREMES = st.sampled_from([0.0, -0.0, 5e-324, 1e-308, 1e308, -1e308, 2**62, -2**62,
+                            2**63, -2**63, int("9" * 400)])
+
+
+def number_paths(path):
+    """`path` when BASE holds a number there, the path of its first entry
+    when BASE holds a list of numbers there, else nothing."""
+    raw = BASE
+    for key in path:
+        raw = raw[key]
+    if isinstance(raw, list) and raw:
+        path, raw = (*path, 0), raw[0]
+    return [path] if type(raw) in (int, float) else []
+
+
+NUMBER_KEYS = [(command, path) for command in sorted(READS)
+               for read in READS[command] for path in number_paths(read)]
+NEGATIVE_ZERO_SCALES = [("inject", ("inject", "noise_multiplier")),
+                        ("inject", ("inject", "base_sigma")),
+                        ("sweep", ("inject", "noise_multiplier")),
+                        ("sweep", ("inject", "base_sigma")),
+                        ("synth", ("synth", "box", "noise_sigma_c")),
+                        ("synth", ("synth", "soil", "baseline_noise_vwc"))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=st.sampled_from(NUMBER_KEYS), extreme=EXTREMES)
+def test_extreme_numbers_never_escape(site, key, extreme):
+    command, path = key
+    check_exit(*run_changed(site, command, [(path, extreme)]))
+
+
+for key in NEGATIVE_ZERO_SCALES:  # the cases that escaped before extremes were drawn
+    test_extreme_numbers_never_escape = example(key=key, extreme=-0.0)(
+        test_extreme_numbers_never_escape)
+
+
+@pytest.mark.parametrize("command, path", NEGATIVE_ZERO_SCALES)
+def test_a_negative_zero_noise_scale_exits_2(site, command, path):
+    rc, err = run_changed(site, command, [(path, -0.0)])
+    assert rc == 2 and err.startswith(f"config error: {path[-1]} must be >= 0")
+    assert len(err.splitlines()) == 1
+
+
 def test_seed_must_be_a_plain_integer():
-    assert seed_of({"seed": 7}) == 7
+    assert value({"seed": 7}, "seed") == 7 and value({}, "seed") == 0
     for bad in (True, False, -1, 1.0, "1", None):
         with pytest.raises(ConfigError):
-            seed_of({"seed": bad})
+            value({"seed": bad}, "seed")
 
 
 def test_number_keeps_int_and_float_conversions():
@@ -196,18 +258,33 @@ def test_json_numbers_refuse_nan_and_infinities():
 
 
 def test_boolean_takes_only_true_and_false():
-    assert boolean(True, "x") is True and boolean(False, "x") is False
-    for bad in ("false", "true", 0, 1, None, []):
-        with pytest.raises(ConfigError):
-            boolean(bad, "x")
+    for path in ("smooth", "llse.signed"):
+        key = path.split(".")[-1]
+        assert value({key: True}, path) is True and value({key: False}, path) is False
+        for bad in ("false", "true", 0, 1, None, []):
+            with pytest.raises(ConfigError, match=f"^{path} must be true or false"):
+                value({key: bad}, path)
 
 
 def test_modality_of_unset_and_bogus():
-    assert modality_of({}) is None
-    assert modality_of({"modality": ""}, Modality.BOX_TEMP) is Modality.BOX_TEMP
-    assert modality_of({"modality": "soil_moisture"}) is Modality.SOIL_MOISTURE
-    with pytest.raises(ConfigError):
-        modality_of({"modality": "bogus"})
+    assert value({}, "modality") is None
+    assert value({"modality": ""}, "modality") is None  # a sweep then scores box_temp
+    assert value({"modality": None}, "modality") is None
+    assert value({"modality": "soil_moisture"}, "modality") is Modality.SOIL_MOISTURE
+    for bad in ("bogus", 0, False, [], {}, ["box_temp"]):
+        with pytest.raises(ConfigError):
+            value({"modality": bad}, "modality")
+
+
+def test_null_reads_as_absent_only_where_there_is_no_default():
+    for path, (kind, default) in KEYS.items():
+        block = {path.split(".")[-1]: None}
+        if default is None:
+            assert value(block, path) is None
+        else:
+            assert value({}, path) == default
+            with pytest.raises(ConfigError, match=f"^{path} must be "):
+                value(block, path)
 
 
 def test_injection_plan_keeps_numbers_as_written():
@@ -219,3 +296,35 @@ def test_injection_plan_keeps_numbers_as_written():
                 {"noise_burst_lengths": "99"}, {"noise_burst_lengths": [None]}):
         with pytest.raises(ConfigError):
             injection_plan(bad, seed=1)
+
+
+@pytest.mark.parametrize("command, path, raw, message", [
+    *[("sweep", ("synth", "target"), raw, "synth.target must be a non-empty string")
+      for raw in (0, False, "", [], {})],
+    *[(command, ("modality",), raw, "modality must be box_temp or soil_moisture")
+      for command in ("synth", "sweep") for raw in (0, False, [], {})],
+])
+def test_falsy_values_of_the_wrong_type_exit_2(site, command, path, raw, message):
+    rc, err = run_changed(site, command, [(path, raw)])
+    assert rc == 2 and err.startswith(f"config error: {message}, got ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["synth", "sweep"])
+def test_the_synth_days_alias_is_refused(site, command):
+    rc, err = run_changed(site, command, [(("synth", "days"), 5)])
+    assert (rc, err) == (2, "config error: synth.days is not a key; set synth.test_days\n")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_keys_match_the_readme_the_fuzz_and_fit_llse_model():
+    table = README.read_text().split("\n### Config keys\n", 1)[1].split("\n## ", 1)[0]
+    defaults = dict(re.findall(r"^\| `([\w.]+)` \| [^|]+ \| ([^|]+) \|", table, re.M))
+    for path, (_, default) in KEYS.items():
+        assert defaults[path].strip() == ("none" if default is None else f"`{json.dumps(default)}`")
+    assert set(KEYS) <= {".".join(map(str, path)) for paths in READS.values() for path in paths}
+    signature = inspect.signature(fit_llse_model).parameters
+    assert {path: default for path, (_, default) in KEYS.items() if path.startswith("llse.")} \
+        == {f"llse.{name}": p.default for name, p in signature.items() if p.default is not p.empty}

@@ -25,8 +25,8 @@ SITE = {
 # Cells that parse as something (numbers at the float limits, ISO times,
 # sources, modalities) mixed with ones that do not.
 CELLS = st.one_of(
-    st.sampled_from(["", " ", "0", "1", "7", "-1", "3600", "7200", "0.2", "1e308", "-1e308",
-                     "5e-324", "1e400", "nan", "-inf", "99999999999999999999999",
+    st.sampled_from(["", " ", "0", "-0", "-0.0", "1", "7", "-1", "3600", "7200", "0.2", "1e308",
+                     "-1e308", "5e-324", "1e400", "nan", "-inf", "99999999999999999999999",
                      "1970-01-01T01:00:00Z", "9999-12-31T23:59:59-01:00", "n1", "n2",
                      "soil_moisture", "box_temp", "short", "noise", "llse", '"', '"a,b"', "#"]),
     st.text(max_size=3))
