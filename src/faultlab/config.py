@@ -102,9 +102,8 @@ def value(block: dict, path: str):
 
 
 def json_numbers(raw, keys, what: str) -> dict:
-    """An object of JSON numbers named in `keys`, kept as written; empty or
-    null reads as no entries."""
-    block = json_fields(raw or {}, what, keys, error=ConfigError)
+    """An object of JSON numbers named in `keys`, kept as written."""
+    block = json_fields(raw, what, keys, error=ConfigError)
     for key, value in block.items():
         json_number(value, f"{what}.{key}", error=ConfigError)
     return block
@@ -124,11 +123,11 @@ def injection_plan(inject: dict, seed: int) -> InjectionPlan:
 
 def nodes_from_config(synth: dict) -> tuple[tuple[str, ...], tuple[float, ...], tuple[float, ...]]:
     """(ids, response scales, lags) of the synth `nodes` list."""
-    nodes = synth.get("nodes") or [{"id": "node1"}]
-    if not isinstance(nodes, list) or not all(isinstance(nd, dict) and "id" in nd
-                                              for nd in nodes):
-        raise ConfigError("each synth node needs an 'id' and optional "
-                          "'response_scale'/'lag_s'")
+    nodes = synth.get("nodes", [{"id": "node1"}])
+    if not isinstance(nodes, list) or not nodes:
+        raise ConfigError(f"synth.nodes must be a non-empty list, got {nodes!r}")
+    if not all(isinstance(nd, dict) and "id" in nd for nd in nodes):
+        raise ConfigError("each synth node needs an 'id' and optional 'response_scale'/'lag_s'")
     ids = tuple(str(nd["id"]) for nd in nodes)
     for node_id in ids:  # ingest strips a node_id cell and refuses an empty one
         if not node_id or node_id != node_id.strip():

@@ -8,20 +8,21 @@ of every CSV reader, reads each block of `_blocks` column by column, and
 header's width with `str.split`; from the first other block on, the csv
 module reads the file row by row, with the same cells.
 
-Timestamps are accepted as ISO-8601 (UTC assumed when no zone is given) or as
-epoch seconds; written files always use epoch seconds so that byte-identical
-reruns are possible.
+A timestamp is a finite number of epoch seconds or a `_GRAMMAR` stamp, read
+alike on every Python: a `YYYY-MM-DD` date, optionally `T` or a space and
+`hh[:mm[:ss[.fff|.ffffff]]]`, after a time optionally `Z` or `±hh:mm[:ss[.ffffff]]`
+(UTC when no zone is given), with whitespace around it ignored. Written files
+always use epoch seconds so that byte-identical reruns are possible.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from io import StringIO
 from itertools import chain, compress, islice, repeat
 from operator import not_, or_
@@ -274,24 +275,6 @@ class IngestReport:
         return [s for s in self.series if s.node_id == node_id and s.modality == m]
 
 
-def parse_timestamp(text: str) -> float:
-    """Epoch seconds from an ISO-8601 string or a finite numeric literal."""
-    raw = text.strip()
-    try:
-        t = float(raw)
-    except ValueError:
-        try:
-            if "\x00" in raw:  # fromisoformat reads a NUL as a separator or an end
-                raise ValueError
-            dt = datetime.fromisoformat(raw.replace("Z", "+00:00"))
-        except ValueError:
-            raise DataError(f"malformed timestamp {text!r}") from None
-        return (dt if dt.tzinfo else dt.replace(tzinfo=timezone.utc)).timestamp()
-    if not math.isfinite(t):
-        raise DataError(f"non-finite timestamp {text!r}")
-    return t
-
-
 # Positions of the digits in `YYYY-MM-DD hh:mm:ss`.
 _ISO_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
@@ -299,9 +282,9 @@ _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 def _iso_seconds(cells: list[str]) -> np.ndarray:
     """Epoch seconds of each cell spelled exactly `YYYY-MM-DDThh:mm:ss`, with
-    `T` or a space, and nothing, `Z` or `+00:00` after it: the float
-    `parse_timestamp` gives it. NaN for every other cell, and for all of
-    them when one is not ASCII.
+    `T` or a space, and nothing, `Z` or `+00:00` after it: the one calendar
+    code, which `_stamps` feeds every other grammar stamp. NaN for every other
+    cell, one out of range too, and for all of them when one is not ASCII.
     """
     n = len(cells)
     out = np.full(n, np.nan)
@@ -416,19 +399,40 @@ def _floats(cells: list[str]) -> np.ndarray | None:
         return None
 
 
+_GRAMMAR = re.compile(  # the stamp grammar of the module docstring
+    r"\s*([0-9]{4}-[0-9]{2}-[0-9]{2})(?:[T ]([0-9]{2})(?::([0-9]{2})(?::([0-9]{2})"
+    r"(?:\.([0-9]{3}(?:[0-9]{3})?))?)?)?(?:Z|([+-])([01][0-9]|2[0-3]):([0-5][0-9])"
+    r"(?::([0-5][0-9])(?:\.([0-9]{6}))?)?)?)?\s*")
+
+
 def _stamps(cells: list[str]) -> np.ndarray:
-    """Epoch seconds of a column of stamps, as `parse_timestamp` reads each:
-    `_floats`, else each distinct cell once, by `_iso_seconds` or, where the
-    kernel declines, by `parse_timestamp`. A bad stamp raises DataError."""
+    """Epoch seconds of a column of stamps: `_floats`, else each distinct cell
+    once, by `_iso_seconds` or, where it declines, as a number or a `_GRAMMAR`
+    stamp: `YYYY-MM-DDThh:mm:ss`, read by one more `_iso_seconds` call, plus
+    integer microseconds (fraction less offset), divided as `datetime` does:
+    `(whole * 10**6 + micros) / 10**6`. A bad stamp raises DataError or ValueError."""
     t = _floats(cells)
-    if t is not None and np.isfinite(t).all():
-        return t
-    distinct = list(dict.fromkeys(cells))
-    seconds = _iso_seconds(distinct)
-    for i in np.flatnonzero(np.isnan(seconds)).tolist():
-        seconds[i] = parse_timestamp(distinct[i])
-    seen = dict(zip(distinct, seconds.tolist()))
-    return np.fromiter(map(seen.__getitem__, cells), np.float64, len(cells))
+    if t is None:
+        distinct = list(dict.fromkeys(cells))
+        seconds = _iso_seconds(distinct)
+        rewritten = []  # (index, strict spelling, microseconds) of each grammar stamp
+        for i in np.flatnonzero(np.isnan(seconds)).tolist():
+            if not (match := _GRAMMAR.fullmatch(distinct[i])):
+                seconds[i] = float(distinct[i])  # ValueError when no number either
+                continue
+            date, hh, mm, ss, fraction, sign, oh, om, os_, ofraction = match.groups("00")
+            offset = (int(oh) * 3600 + int(om) * 60 + int(os_)) * 10**6 + int(ofraction)
+            rewritten.append((i, f"{date}T{hh}:{mm}:{ss}", int(fraction.ljust(6, "0"))
+                              + (offset if sign == "-" else -offset)))
+        if rewritten:  # a date or time out of range reads NaN, and int(NaN) raises ValueError
+            at, strict, micros = zip(*rewritten)
+            seconds[list(at)] = [(int(whole) * 10**6 + us) / 10**6
+                                 for whole, us in zip(_iso_seconds(list(strict)).tolist(), micros)]
+        seen = dict(zip(distinct, seconds.tolist()))
+        t = np.fromiter(map(seen.__getitem__, cells), np.float64, len(cells))
+    if not np.isfinite(t).all():
+        raise DataError("non-finite timestamp")
+    return t
 
 
 def _series_block(stamps: list[str], nodes: list[str], modalities: list[str],

@@ -65,7 +65,7 @@ def build_synth_config(synth_cfg: dict, seed: int, node: str | None = None,
         raise ConfigError("synth needs train_days >= 0 and test_days >= 1")
     check_grid(train_days + test_days, interval_s)  # before drawing any event
 
-    bounds = json_numbers(synth_cfg.get("schedule"), SCHEDULE_KEYS, "synth.schedule")
+    bounds = json_numbers(synth_cfg.get("schedule", {}), SCHEDULE_KEYS, "synth.schedule")
     train_sched = make_event_schedule(train_days, train_events, [seed, 2], **bounds) \
         if train_events else ()
     test_sched = make_event_schedule(test_days, n_events, [seed, 3],
@@ -73,8 +73,8 @@ def build_synth_config(synth_cfg: dict, seed: int, node: str | None = None,
     schedule = tuple(train_sched) + tuple(test_sched)
 
     ids, scales, lags = nodes_from_config(synth_cfg)
-    box = _profile(BoxTempProfile, synth_cfg.get("box"), "synth.box")
-    soil = _profile(SoilMoistureProfile, synth_cfg.get("soil"), "synth.soil")
+    box = _profile(BoxTempProfile, synth_cfg.get("box", {}), "synth.box")
+    soil = _profile(SoilMoistureProfile, synth_cfg.get("soil", {}), "synth.soil")
     spec = DeploymentSpec(node_ids=ids, response_scales=scales, lags_s=lags,
                           schedule=schedule, seed=seed,
                           days=train_days + test_days, interval_s=interval_s)
@@ -195,20 +195,17 @@ def materialize(config: dict, seed: int, modality: Modality) -> MaterializedRun:
         node = str(data_cfg.get("node_id", ""))
         if not node:
             raise ConfigError("data config needs node_id")
-        labels_json = data_cfg.get("labels_json")
-        if labels_json and not isinstance(labels_json, str):
+        labels_json = data_cfg.get("labels_json")  # null reads as absent
+        if labels_json is not None and not (isinstance(labels_json, str) and labels_json):
             raise ConfigError(f"data.labels_json must be a path, got {labels_json!r}")
         if labels_json and smooth:
             raise ConfigError('data.labels_json needs "smooth": false, since labels '
                               'index the unsmoothed test file')
-        train = select_series(ingest_csv(data_cfg["train_csv"]).series, node, modality,
-                              data_cfg["train_csv"])
-        test = select_series(ingest_csv(data_cfg["test_csv"]).series, node, modality,
-                             data_cfg["test_csv"])
+        train, test = (select_series(ingest_csv(data_cfg[key]).series, node, modality,
+                                     data_cfg[key]) for key in ("train_csv", "test_csv"))
         events = read_events_csv(data_cfg["events_csv"])
         if smooth:
-            train = smooth_pairs(train)
-            test = smooth_pairs(test)
+            train, test = smooth_pairs(train), smooth_pairs(test)
         if labels_json:
             labels = load_labels(labels_json)
 

@@ -787,9 +787,9 @@ def test_malformed_data_files_exit_3(tmp_path, capsys, kind, text, message):
 @pytest.mark.parametrize("stamp", ["2025-04-16T00:00:00\x00", "2025-04-16\x0000:00:00"])
 @pytest.mark.parametrize("kind", ["series", "events"])
 def test_a_nul_in_an_iso_stamp_exits_3(tmp_path, capsys, kind, stamp):
-    """`datetime.fromisoformat` reads both stamps as 2025-04-16T00:00:00 and
-    Python 3.11's csv module lets the NUL through; either way the row is
-    malformed."""
+    """Neither stamp is in the stamp grammar, though `datetime.fromisoformat`
+    reads both as 2025-04-16T00:00:00; Python 3.11's csv module lets the NUL
+    through, and 3.10's refuses it, so either way the row is malformed."""
     series, _, flags = write_site(tmp_path)
     bad = tmp_path / "input.csv"
     if kind == "series":
@@ -805,6 +805,48 @@ def test_a_nul_in_an_iso_stamp_exits_3(tmp_path, capsys, kind, stamp):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"data error: {bad}:2: malformed row")
     assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("stamp", [
+    # Python 3.11 and later read these five as 2025-04-16T00:00:00 or half a
+    # second after it,
+    "2025-04-16T02:00:00+0200", "2025-04-16T00:00:00.5", "2025-04-16T00:00:00,5",
+    "20250416T000000", "2025-W16-3",
+    # and every Python reads any character between the date and the time.
+    "2025-04-16X00:00", "2025-04-16+00:00", "2025-04-16_00:00"])
+@pytest.mark.parametrize("kind", ["series", "events"])
+def test_stamps_outside_the_grammar_exit_3_on_every_python(tmp_path, capsys, kind, stamp):
+    series, _, flags = write_site(tmp_path)
+    bad, quoted = tmp_path / "input.csv", f'"{stamp}"'  # a comma stays in its cell
+    if kind == "series":
+        bad.write_text("timestamp,node_id,modality,value\n" + f"{quoted},n1,box_temp,1\n"
+                       + "".join(f"2025-04-16T00:{m}0:00,n1,box_temp,1\n" for m in (1, 2)))
+        argv = ["detect", "--in", str(bad), "--detector", "short", "--delta", "1"]
+    else:
+        bad.write_text(f"start,end\n{quoted},2025-04-16T01:00:00\n")
+        argv = ["evaluate", "--in", series, "--node", "n1", "--flags", flags,
+                "--events", str(bad)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"data error: {bad}:2: malformed row\n"
+
+
+@pytest.mark.parametrize("labels_json", [0, False, "", [], {}, None])
+def test_labels_json_is_a_path_or_null(tmp_path, capsys, labels_json):
+    """A falsy value of the wrong type exits 2; null reads as no labels."""
+    series, events, _ = write_site(tmp_path)
+    data = {"train_csv": series, "test_csv": series, "events_csv": events,
+            "labels_json": labels_json, "node_id": "n1"}
+    cfg = {"detector": "short", "grid": [0.01], "data": data, "modality": "soil_moisture",
+           "smooth": False}
+    out = tmp_path / "out"
+    rc = main(["sweep", "--config", write_cfg(tmp_path / "cfg.json", cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    if labels_json is None:
+        assert (rc, err) == (0, "")
+        assert "fault_kind" not in json.loads((out / "report_000.json").read_text())
+    else:
+        assert (rc, err) == (2, f"config error: data.labels_json must be a path, "
+                                f"got {labels_json!r}\n")
 
 
 def _rows(*series):

@@ -303,6 +303,11 @@ def test_injection_plan_keeps_numbers_as_written():
       for raw in (0, False, "", [], {})],
     *[(command, ("modality",), raw, "modality must be box_temp or soil_moisture")
       for command in ("synth", "sweep") for raw in (0, False, [], {})],
+    # These have a default that is not "none", so null exits 2 as well.
+    *[("synth", ("synth", "nodes"), raw, "synth.nodes must be a non-empty list")
+      for raw in (0, False, "", [], {}, None)],
+    *[("synth", ("synth", block), raw, f"synth.{block} must be an object")
+      for block in PROFILES for raw in (0, False, "", [], None)],
 ])
 def test_falsy_values_of_the_wrong_type_exit_2(site, command, path, raw, message):
     rc, err = run_changed(site, command, [(path, raw)])

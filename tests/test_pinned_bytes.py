@@ -15,6 +15,7 @@ import json
 import os
 import subprocess
 import sys
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +220,48 @@ def test_detect_bytes_are_pinned(tmp_path, detector):
     assert main(["detect", "--detector", detector, *detect, "--out", str(out)]) == 0
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out.iterdir())} == DETECTS[detector]
+
+
+def grammar_stamp(k: int) -> str:
+    """The k-th 600 s stamp from 2025-04-01T00:00:00Z, spelled in one of the
+    stamp grammar's forms: `Z`, a space, offsets of -05:30, +02:00 and
+    -00:00:00, no seconds, and 0.25 s late with a `.250` or `.250000`
+    fraction; 06:00 is hour-only and the second day's midnight date-only."""
+    at = datetime(2025, 4, 1, tzinfo=timezone.utc) + timedelta(seconds=600 * k)
+    if k in (36, 144):
+        return at.strftime("%Y-%m-%dT%H" if k == 36 else "%Y-%m-%d")
+    spell = [("%Y-%m-%dT%H:%M:%SZ", 0), ("%Y-%m-%d %H:%M:%S", 0),
+             ("%Y-%m-%dT%H:%M:%S-05:30", -330), ("%Y-%m-%dT%H:%M:%S+02:00", 120),
+             ("%Y-%m-%dT%H:%M", 0), ("%Y-%m-%dT%H:%M:%S.250", 0),
+             ("%Y-%m-%d %H:%M:%S.250000+00:00", 0), ("%Y-%m-%dT%H:%M:%S-00:00:00", 0)]
+    form, minutes = spell[k % len(spell)]
+    return (at + timedelta(minutes=minutes)).strftime(form)
+
+
+# The test series of `write_inputs` in grammar stamps: short flags and their report.
+GRAMMAR = {
+    "flags.csv": "82ba6bde144534c811de224a1a57bc4e4122cabf43cd2132d58b11be220d7f0d",
+    "report.json": "828ee2fe22fa05a020ca54e0cdb2413d4d27533da004ad5554bab52fac7f2268",
+}
+
+
+def test_grammar_stamp_bytes_are_pinned(tmp_path):
+    """Every Python reads each grammar form alike, so these bytes are one
+    set on every Python the tests run on."""
+    write_inputs(tmp_path)
+    rows = [f"{grammar_stamp(k)},n1,soil_moisture,{v}" for k, v in enumerate(faulted_values())]
+    series = tmp_path / "grammar.csv"
+    series.write_text("timestamp,node_id,modality,value\n" + "\n".join(rows) + "\n")
+    events = tmp_path / "grammar_events.csv"
+    events.write_text("start,end\n2025-04-01T01:40:00+00:00,2025-04-01 03:20\n"
+                      "2025-04-01T11:10-05:30,2025-04-01T22:00:00.000000+02:00\n")
+    out = tmp_path / "out"
+    assert main(["detect", "--in", str(series), "--detector", "short", "--delta", "10",
+                 "--out", str(out)]) == 0
+    assert main(["evaluate", "--in", str(series), "--flags", str(out / "flags.csv"),
+                 "--events", str(events), "--labels", str(tmp_path / "short.labels.json"),
+                 "--out", str(out)]) == 0
+    assert digests(out) == GRAMMAR
 
 
 # README's walkthrough site.
