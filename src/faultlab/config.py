@@ -38,6 +38,7 @@ KEYS = {
     "synth.train_days": (int, 0), "synth.test_days": (int, 90), "synth.n_events": (int, 21),
     "synth.train_events": (int, 0), "synth.interval_s": (float, 600.0),
     "synth.target": (str, None), "inject.base_sigma": (float, None),
+    "data.node_id": (str, None),
 }
 SWEEP_MODALITY = Modality.BOX_TEMP  # what a sweep scores when no modality is set
 

@@ -4,9 +4,10 @@ JSON documents.
 Every input file crosses one boundary here: `_read`, the one row boundary
 of every CSV reader, reads each block of `_blocks` column by column, and
 `json_number`/`json_fields`/`json_list` check each value of a JSON document.
-`_blocks` splits a block of lines without `"` whose rows all have the
-header's width with `str.split`; from the first other block on, the csv
-module reads the file row by row, with the same cells.
+`_blocks` reads a CSV's text about 96K characters at a time, checks a
+chunk's lines at once with numpy, and splits lines without `"` whose rows
+all have the header's width with `str.split`; from the first other run of
+lines on, the csv module reads the file row by row, with the same cells.
 
 A timestamp is a finite number of epoch seconds or a `_GRAMMAR` stamp, read
 alike on every Python: a `YYYY-MM-DD` date, optionally `T` or a space and
@@ -25,7 +26,6 @@ import sys
 from dataclasses import dataclass, field
 from io import StringIO
 from itertools import chain, compress, islice, repeat
-from operator import not_, or_
 from pathlib import Path
 from typing import Callable, Generator, Iterable, Iterator, Sequence
 
@@ -109,8 +109,16 @@ def write_outputs(out: Path, files: Sequence[tuple]) -> list[Path]:
 
 # Most data rows read or written per block: enough to amortise the bulk
 # conversions, few enough that memory grows with the parsed arrays and not
-# with the file text.
+# with the file text. A block of the chunk reader (`_split_blocks`) never
+# spans two chunks, so it may hold fewer.
 _BLOCK = 4096
+
+# Characters of text `_split_blocks` reads at once: enough that the per-chunk
+# work is small next to the per-line work it replaces, and with the chunk's
+# UTF-8 bytes under glibc's 128 KiB mmap threshold, so that each chunk's
+# buffers reuse heap memory instead of mapping and unmapping pages (chosen
+# by measurement, see CHANGES.md).
+_CHUNK = 96 * 1024
 
 
 def _data_line(line: str) -> bool:
@@ -118,65 +126,99 @@ def _data_line(line: str) -> bool:
     return not (line.startswith("#") or line.isspace())
 
 
-def _raises(exc: Exception) -> Iterator:
-    """An iterator that raises `exc` when it is read."""
-    raise exc
-    yield
+def _split_chunk(text: str, ncols: int) -> list[str] | None:
+    """The cells of `text`, whole data lines, split with `str.split`, `ncols`
+    a line; or None when a line may need the csv module: a `"` or a NUL
+    (which Python 3.10's csv refuses) anywhere, or a line (a blank one too)
+    without exactly `ncols - 1` commas or longer than `csv.field_size_limit()`.
+    `\\r\\n` and `\\r` end a line as `\\n` does.
 
-
-def _split_block(lines: list[str], first: int, ncols: int,
-                 pos: list[int]) -> tuple[Sequence[int], list[list[str]]] | None:
-    """(line numbers, cells of the columns at `pos`) of the data lines in
-    `lines`, the file's lines from line `first` on, split with `str.split`;
-    or None when a line needs the csv module.
-
-    A block without `"` holds no cell that spans lines, and a line of
-    exactly `ncols - 1` commas, no NUL (which Python 3.10's csv refuses) and
-    no more characters than `csv.field_size_limit()` reads as its commas
-    split it.
+    One numpy pass over the UTF-8 bytes checks every line: there the bytes of
+    `\\n` and `,` stand for nothing else, and a line has at least as many
+    bytes as characters.
     """
-    text = "".join(lines)
     if '"' in text or "\x00" in text:
-        return None
-    linenos: Sequence[int] = range(first, first + len(lines))
-    if "#" in text or any(map(str.isspace, lines)):  # `_data_line`, a map at a time
-        kept = list(map(not_, map(or_, map(str.startswith, lines, repeat("#")),
-                                  map(str.isspace, lines))))
-        lines = list(compress(lines, kept))
-        linenos = list(compress(linenos, kept))
-        text = "".join(lines)
-    n = len(lines)
-    if (list(map(str.count, lines, repeat(","))).count(ncols - 1) != n
-            or max(map(len, lines), default=0) > csv.field_size_limit()):
         return None
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    cells = text.replace("\n", ",").split(",")
-    return linenos, [cells[i:n * ncols:ncols] for i in pos]
+    if not text.endswith("\n"):  # the file's last line
+        text += "\n"
+    b = np.frombuffer(text.encode(), np.uint8)
+    seps = np.flatnonzero((b == 44) | (b == 10))
+    if seps.size % ncols:
+        return None
+    kinds = b[seps].reshape(-1, ncols)  # a line's commas, then its line end
+    ends = seps[ncols - 1::ncols]
+    if (kinds[:, :-1] != 44).any() or (kinds[:, -1] != 10).any() \
+            or np.diff(ends, prepend=-1).max() > csv.field_size_limit():
+        return None
+    return text.replace("\n", ",").split(",")
+
+
+def _chunk_blocks(text: str, first: int, ncols: int, pos: list[int]) -> Generator:
+    """Yield (line numbers, cells of the columns at `pos`) of each run of at
+    most `_BLOCK` data rows of `text`, whole lines of the file from line
+    `first` on, split by `_split_chunk`: at once, or when `text` holds a `#`
+    or `_split_chunk` refuses it, once its `#` comment lines and blank lines
+    are dropped. Return the number of the line after `text`, or None when
+    `_split_chunk` refuses its data lines."""
+    cells = None if "#" in text else _split_chunk(text, ncols)
+    if cells is not None:
+        linenos: Sequence[int] = range(first, first + len(cells) // ncols)
+        after = first + len(linenos)
+    else:
+        lines = list(StringIO(text, newline=""))  # split as the file's line reader splits them
+        kept = list(map(_data_line, lines))
+        linenos = list(compress(range(first, first + len(lines)), kept))
+        cells = _split_chunk("".join(compress(lines, kept)), ncols) if linenos else []
+        if cells is None:
+            return None
+        after = first + len(lines)
+    for r in range(0, len(linenos), _BLOCK):
+        stop = min(r + _BLOCK, len(linenos)) * ncols
+        yield linenos[r:r + _BLOCK], [cells[r * ncols + i:stop:ncols] for i in pos]
+    return after
 
 
 def _split_blocks(fh, first: int, ncols: int, pos: list[int]) -> Generator:
-    """Yield `_split_block` of each run of `_BLOCK` lines of `fh`, the file
-    from line `first` on, up to the first run it refuses; return the
-    numbered lines of the file from that run on, for the csv module.
+    """Yield `_chunk_blocks` of `fh`, the file from line `first` on, up to the
+    first chunk it refuses; return the numbered lines of the file from that
+    chunk on, for the csv module.
 
-    Bytes that do not decode end the file: the lines read before them are
-    returned, followed by the decode error.
+    The text is read `_CHUNK` characters at a time and cut after its last
+    line end; the part line after it carries over to the next read. A read
+    that meets bytes which do not decode loses all its text, where the line
+    reader (iterating `fh`) loses only the 8 KiB that hold them. So a chunk
+    is split only once the next read has succeeded, keeping every line
+    yielded a chunk away from such bytes; after a failed read, or a refused
+    chunk, the file is read again from the start by lines, and the csv module
+    takes them from the first line not yielded, reading what the line reader
+    always read. A file that cannot seek is read by lines throughout.
     """
+    if not fh.seekable():  # a pipe: nothing can be read again
+        return enumerate(fh, first)
+    text, seen = "", 0  # the text not yet split, with no line end before `seen`
     while True:
-        block: list[str] = []
         try:
-            block.extend(islice(fh, _BLOCK))  # keeps the lines read before a decode error
-        except UnicodeDecodeError as exc:
-            return chain(enumerate(block, first), _raises(exc))
-        if not block:
-            return ()
-        split = _split_block(block, first, ncols, pos)
-        if split is None:
-            return chain(enumerate(block, first), enumerate(fh, first + len(block)))
-        if split[0]:
-            yield split
-        first += len(block)
+            more = fh.read(_CHUNK)
+        except UnicodeDecodeError:
+            break
+        if not more:
+            if not text:
+                return ()
+            cut = len(text)
+        else:  # not between a last "\r" and a "\n" to come
+            cut = max(text.rfind("\n", seen), text.rfind("\r", seen, -1)) + 1
+            if not cut:  # no whole line yet: search only what is added
+                seen = max(len(text) - 1, 0)
+                text += more
+                continue
+        after = yield from _chunk_blocks(text[:cut], first, ncols, pos)
+        if after is None:
+            break
+        text, seen, first = text[cut:] + more, 0, after
+    fh.seek(0)
+    return enumerate(islice(fh, first - 1, None), first)
 
 
 def _blocks(path: Path, columns: Sequence[str]) -> Iterator[tuple[Sequence[int], list[list[str]]]]:
@@ -184,11 +226,12 @@ def _blocks(path: Path, columns: Sequence[str]) -> Iterator[tuple[Sequence[int],
     of at most `_BLOCK` data rows of a CSV.
 
     `#` comment lines and blank lines are skipped but counted, so the line
-    numbers are the file's own. The first other line is the header. Runs of
-    lines are split with `str.split` while they hold no `"` and each data
-    line has the header's width (`_split_blocks`); from the first run that
-    does not, the csv module reads the rest of the file row by row, with
-    the same result. Cells missing from a short row read as "". A line the
+    numbers are the file's own. The first other line is the header. The
+    text after it is read a chunk at a time and split with `str.split`
+    while its lines hold no `"` and each data line has the header's width
+    (`_split_blocks`); from the first chunk that does not, the csv module
+    reads the rest of the file row by row, with the same result.
+    Cells missing from a short row read as "". A line the
     csv module cannot read, or bytes that do not decode, raise DataError
     only after the rows read before them have been yielded, so a caller
     still reports the first bad row first.

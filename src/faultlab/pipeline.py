@@ -192,8 +192,8 @@ def materialize(config: dict, seed: int, modality: Modality) -> MaterializedRun:
         for key in ("train_csv", "test_csv", "events_csv"):
             if not isinstance(data_cfg.get(key), str):
                 raise ConfigError(f"data config needs {key!r} (a path)")
-        node = str(data_cfg.get("node_id", ""))
-        if not node:
+        node = value(data_cfg, "data.node_id")
+        if node is None:
             raise ConfigError("data config needs node_id")
         labels_json = data_cfg.get("labels_json")  # null reads as absent
         if labels_json is not None and not (isinstance(labels_json, str) and labels_json):

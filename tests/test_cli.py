@@ -849,6 +849,18 @@ def test_labels_json_is_a_path_or_null(tmp_path, capsys, labels_json):
                                 f"got {labels_json!r}\n")
 
 
+@pytest.mark.parametrize("node_id", [True, 0, [], {}, ""])
+def test_node_id_of_the_wrong_type_exits_2_before_any_csv_is_read(tmp_path, capsys, node_id):
+    """Not a node named `True` or `0`: the files named do not exist, and are not opened."""
+    data = {"train_csv": "absent.csv", "test_csv": "absent.csv", "events_csv": "absent.csv",
+            "node_id": node_id}
+    cfg = {"detector": "short", "grid": [0.01], "data": data, "modality": "soil_moisture"}
+    rc = main(["sweep", "--config", write_cfg(tmp_path / "cfg.json", cfg),
+               "--out", str(tmp_path / "out")])
+    assert (rc, capsys.readouterr().err) == (
+        2, f"config error: data.node_id must be a non-empty string, got {node_id!r}\n")
+
+
 def _rows(*series):
     return [f"{t},{node},{mod},1.0" for node, mod, times in series for t in times]
 

@@ -40,6 +40,10 @@ BASE = {
     "noise_window_len": 4,
     "smooth": True,
 }
+# The block the "sweep data" command puts in place of BASE's synth block; its
+# files are the site's outputs.
+DATA = {"train_csv": "series.csv", "test_csv": "series.csv", "events_csv": "events.csv",
+        "node_id": "n1", "labels_json": None}
 
 PROFILES = ("box", "soil", "schedule")
 SYNTH_KEYS = [
@@ -57,13 +61,16 @@ INJECT_KEYS = [
     ("inject", "base_sigma"),
 ]
 LLSE_KEYS = [("llse",), ("llse", "percentile_p"), ("llse", "vote_q"), ("llse", "signed")]
+DATA_KEYS = [("data",), *[("data", key) for key in DATA]]
 
 # The keys of the README "Config keys" table each command reads, as paths
-# into BASE; together they cover the whole table.
+# into BASE (into DATA for the data block); together they cover the whole table.
 READS = {
     "synth": [("seed",), ("modality",), *SYNTH_KEYS],
     "sweep": [("seed",), ("modality",), *SYNTH_KEYS, *INJECT_KEYS, ("detector",),
               ("grid",), ("noise_window_len",), ("smooth",)],
+    "sweep data": [("seed",), ("modality",), *DATA_KEYS, *INJECT_KEYS, ("detector",),
+                   ("grid",), ("noise_window_len",), ("smooth",)],
     "inject": [("seed",), ("modality",), *INJECT_KEYS],
     "train short": [("delta",)],
     "train noise": [("modality",), ("noise_window_len",)],
@@ -105,6 +112,7 @@ def site(tmp_path_factory):
     return {
         "synth": ["synth"],
         "sweep": ["sweep"],
+        "sweep data": ["sweep"],
         "inject": ["inject", *node],
         "train short": ["train", "--detector", "short"],
         "train noise": ["train", "--detector", "noise", *node],
@@ -131,6 +139,10 @@ def run_changed(site, command, changes):
     """`command` run on BASE with each (path, raw) of `changes` put in."""
     commands, d = site
     cfg = copy.deepcopy(BASE)
+    if command == "sweep data":
+        del cfg["synth"]
+        cfg["data"] = {key: str(d / raw) if key.endswith("_csv") else raw
+                       for key, raw in DATA.items()}
     # Deeper keys first, so a later change may replace their parent.
     for path, raw in sorted(changes, key=lambda c: -len(c[0])):
         put(cfg, path, raw)
@@ -165,7 +177,7 @@ EXTREMES = st.sampled_from([0.0, -0.0, 5e-324, 1e-308, 1e308, -1e308, 2**62, -2*
 def number_paths(path):
     """`path` when BASE holds a number there, the path of its first entry
     when BASE holds a list of numbers there, else nothing."""
-    raw = BASE
+    raw = BASE | {"data": DATA}
     for key in path:
         raw = raw[key]
     if isinstance(raw, list) and raw:

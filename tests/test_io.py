@@ -2,8 +2,11 @@
 
 import csv
 import math
+import os
+import threading
 import tracemalloc
 from datetime import datetime, timedelta, timezone
+from itertools import product
 from operator import itemgetter
 from unittest import mock
 
@@ -503,6 +506,20 @@ def outcome(ingest, path):
 
 
 BLOCK_SIZES = (1, 3, fio._BLOCK)
+# (block size, chunk size) pairs the readers are checked at. Chunks of 1, 2
+# and 7 characters cut a file at every offset or close to it: inside a line,
+# between "\r" and "\n", just after a "#", and before a last line that has
+# no line end. They hold one line or a few short ones, so one block size is
+# enough there; a 64-character chunk, a few lines, is cut at every block size.
+SIZES = [*product(BLOCK_SIZES, (64, fio._CHUNK)), *product([fio._BLOCK], (1, 2, 7))]
+
+
+def every_size():
+    """Patch in each pair of `SIZES` in turn, yielding its name."""
+    for block, chunk in SIZES:
+        with mock.patch.object(fio, "_BLOCK", block), mock.patch.object(fio, "_CHUNK", chunk):
+            yield f"_BLOCK = {block}, _CHUNK = {chunk}"
+
 
 def oracle_precip(path):
     def parse(ts, mm):
@@ -551,12 +568,11 @@ def small_outcome(read, path):
 
 
 def check_small_reader(path, reader):
-    """The reader's outcome, after checking that it is the oracle's at every block size."""
+    """The reader's outcome, after checking that it is the oracle's at every pair of `SIZES`."""
     read, oracle, _ = SMALL_READERS[reader]
     expected = small_outcome(oracle, path)
-    for size in BLOCK_SIZES:
-        with mock.patch.object(fio, "_BLOCK", size):
-            assert small_outcome(read, path) == expected, f"_BLOCK = {size}"
+    for sizes in every_size():
+        assert small_outcome(read, path) == expected, sizes
     return expected
 
 
@@ -794,6 +810,15 @@ def test_stamps_read_the_grammar_as_fromisoformat_does(tmp_path_factory, drawn):
     assert fio._stamps([*read, "600"]).tolist() == [*read.values(), 600.0]
 
 
+def test_stamps_read_many_distinct_stamps_over_a_few_zones():
+    """A column of many distinct stamps in one zone, or in several mixed,
+    reads as fromisoformat reads each stamp alone."""
+    zones = ["+02:00", "Z", "-05:30", "", "+01:00:30", "+05:30:00.250000", "-00:00"]
+    mixed = [f"{iso(T0 + 3601 * k)}.{k % 1000:03d}{zones[k % len(zones)]}" for k in range(3000)]
+    for cells in (mixed, [cell for cell in mixed if cell.endswith("+02:00")]):
+        assert fio._stamps(cells).tolist() == [fromisoformat_micros(c) / 10**6 for c in cells]
+
+
 def test_iso_kernel_reads_every_day_of_leap_and_common_years():
     days = [epoch_seconds(year, 1, 1) + 86400 * i + 3600 * (i % 24) + 61 * (i % 60)
             for year in (1, 1900, 1969, 1970, 2000, 2024, 2025, 2100, 9999) for i in range(365)]
@@ -875,9 +900,8 @@ def test_block_ingest_matches_the_row_reader(tmp_path_factory, text):
     p = tmp_path_factory.mktemp("ingest") / "data.csv"
     p.write_bytes(text.encode())
     expected = outcome(oracle_ingest_csv, p)
-    for size in BLOCK_SIZES:
-        with mock.patch.object(fio, "_BLOCK", size):
-            assert outcome(ingest_csv, p) == expected, f"_BLOCK = {size}"
+    for sizes in every_size():
+        assert outcome(ingest_csv, p) == expected, sizes
 
 
 def test_interleaved_keys_keep_their_order_of_first_appearance(tmp_path):
@@ -972,12 +996,21 @@ def holes(k, i):
     # a malformed row blocks after a spacing fault: the row is reported
     (plain_rows(3) + "1900,n1,box_temp,4\n" + plain_rows(PLAIN, "n2")
      + "x,n2,box_temp,1\n", f"data.csv:{PLAIN + 6}: malformed row"),
+    # a comment line with the header's width among plain rows
+    (plain_rows(5) + "#0,n1,box_temp,x\n" + plain_rows(5, start=5), None),
+    # a node id of two UTF-8 bytes: a line has more bytes than characters
+    (plain_rows(PLAIN, "é"), None),
+    # no line end after the last line, with "\n" and with "\r\n" and a comment
+    (plain_rows(PLAIN)[:-1], None),
+    ((plain_rows(30) + "# note\n" + plain_rows(3, start=30)).replace("\n", "\r\n")[:-2], None),
 ], ids=["gaps", "jitter", "iso", "quote-after-bad-row", "empty-node", "modality-first",
         "timestamp-first", "bad-value", "lone-cr", "comments-in-plain-block",
         "quote-after-plain-blocks", "bad-row-after-quote", "long-line-after-plain-blocks",
         "bad-bytes-after-bad-row", "bad-bytes-after-good-rows", "key-runs-across-blocks",
         "interleaved-every-row", "two-spellings-one-block", "missing-in-early-blocks",
-        "missing-in-early-interleaved-blocks", "all-missing-series", "bad-row-after-spacing-fault"])
+        "missing-in-early-interleaved-blocks", "all-missing-series", "bad-row-after-spacing-fault",
+        "comment-of-the-header-width", "non-ascii-node", "no-final-line-end",
+        "no-final-crlf-after-comment"])
 def test_block_ingest_cases(tmp_path, body, message):
     p = tmp_path / "data.csv"
     p.write_bytes(HEADER.encode() + (body if isinstance(body, bytes) else body.encode()))
@@ -986,9 +1019,8 @@ def test_block_ingest_cases(tmp_path, body, message):
         assert not isinstance(expected, str)
     else:
         assert isinstance(expected, str) and expected.endswith(message)
-    for size in BLOCK_SIZES:
-        with mock.patch.object(fio, "_BLOCK", size):
-            assert outcome(ingest_csv, p) == expected
+    for sizes in every_size():
+        assert outcome(ingest_csv, p) == expected, sizes
 
 
 def test_plain_series_files_skip_the_csv_module(tmp_path):
@@ -1000,8 +1032,6 @@ def test_plain_series_files_skip_the_csv_module(tmp_path):
     lines = p.read_text().splitlines()
     for i, extra in ((0, "# exported"), (5, "# a note"), (4000, ""), (7000, "#")):
         lines.insert(i, extra)
-    p.write_bytes(("\r\n".join(lines) + "\r\n").encode())
-    expected = outcome(oracle_ingest_csv, p)
     read = []
     reader = fio.csv.reader
 
@@ -1010,11 +1040,52 @@ def test_plain_series_files_skip_the_csv_module(tmp_path):
             read.append(row)
             yield row
 
+    for end in ("\r\n", "\r"):
+        p.write_bytes((end.join(lines) + end).encode())
+        expected = outcome(oracle_ingest_csv, p)
+        for size in BLOCK_SIZES:
+            read.clear()
+            with mock.patch.object(fio, "_BLOCK", size), mock.patch.object(fio.csv, "reader", counted):
+                assert outcome(ingest_csv, p) == expected, (end, size)
+            assert read == [list(SERIES_COLUMNS)], (end, size)
+
+
+def test_rows_beside_undecodable_bytes_are_left_as_the_line_reader_leaves_them(tmp_path):
+    """The line reader decodes 8 KiB at a time, so a bad row in the 8 KiB
+    that hold undecodable bytes is never read, and the decode error is the
+    outcome. Here that window also holds the end of the first chunk read:
+    the bad row before it, the bytes after it."""
+    body = (HEADER + plain_rows(3000)).encode()
+    end = len(HEADER) + fio._CHUNK  # where the first chunk read ends in an ASCII file
+    window = end // 8192 * 8192
+    body += b"#" * (window - len(body) - 1) + b"\n"
+    body += b"x,n1,box_temp,1\n"
+    assert len(body) <= end < len(body) + 40
+    p = tmp_path / "data.csv"
+    p.write_bytes(body + b"#" * 40 + b"\xff\n" + plain_rows(9).encode())
+    expected = outcome(oracle_ingest_csv, p)
+    assert expected.endswith(": invalid start byte)")
     for size in BLOCK_SIZES:
-        read.clear()
-        with mock.patch.object(fio, "_BLOCK", size), mock.patch.object(fio.csv, "reader", counted):
+        with mock.patch.object(fio, "_BLOCK", size):
             assert outcome(ingest_csv, p) == expected, f"_BLOCK = {size}"
-        assert read == [list(SERIES_COLUMNS)], f"_BLOCK = {size}"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_file_that_cannot_seek_is_read_by_lines(tmp_path):
+    """A named pipe cannot be read again from the start, so the csv module
+    reads it whole, with the same result."""
+    p = write(tmp_path, plain_rows(PLAIN) + plain_rows(4, '"n,2"') + "x,n1,box_temp,1\n")
+    expected = outcome(oracle_ingest_csv, p)
+    assert expected.endswith(f"data.csv:{PLAIN + 6}: malformed row")
+    pipe = tmp_path / "pipe.csv"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_bytes, args=(p.read_bytes(),), daemon=True)
+    writer.start()
+    try:
+        assert outcome(ingest_csv, pipe) == expected.replace("data.csv", "pipe.csv")
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 NODE_IDS = st.sampled_from(["n1", "a,b", 'say "hi"', " lead", "line\nbreak", "cr\r", "#x", "é"])
