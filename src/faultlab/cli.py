@@ -246,15 +246,13 @@ def main(argv=None) -> int:
         for path in write_outputs(out, files):
             print(f"wrote {path}")
         return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 4
+    except (ConfigError, DataError, NumericError) as exc:
+        kind, code = ("config", 2) if isinstance(exc, ConfigError) else \
+            ("data", 3) if isinstance(exc, DataError) else ("numeric", 4)
+        # One line: a character str.isprintable refuses (a line break, a NUL) as its escape.
+        text = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(exc))
+        print(f"{kind} error: {text}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -353,12 +353,15 @@ def model_from_dict(doc: dict):
         fields = NeighborFit.__dataclass_fields__
         neighbors = [json_fields(nb, f"{what} neighbor", fields, fields)
                      for nb in json_list(doc["neighbors"], f"{what} neighbors")]
-        fits = tuple(NeighborFit(str(nb["node_id"]), num(nb, "beta0"), num(nb, "beta1"),
-                                 num(nb, "threshold")) for nb in neighbors)
+        ids = [doc["target"], *(nb["node_id"] for nb in neighbors)]
+        if bad := [node for node in ids if not (isinstance(node, str) and node)]:
+            raise DataError(f"{what} node ids must be non-empty strings, got {bad[0]!r}")
+        fits = tuple(NeighborFit(node, num(nb, "beta0"), num(nb, "beta1"), num(nb, "threshold"))
+                     for node, nb in zip(ids[1:], neighbors))
         signed = doc.get("signed", False)
         if not isinstance(signed, bool):
             raise DataError(f"llse model 'signed' must be true or false, got {signed!r}")
-        return LlseModel(str(doc["target"]), fits, num(doc, "percentile_p"),
+        return LlseModel(ids[0], fits, num(doc, "percentile_p"),
                          num(doc, "vote_q", int), signed)
     except ConfigError as exc:
         raise DataError(f"{what}: {exc}") from None

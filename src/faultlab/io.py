@@ -4,10 +4,11 @@ JSON documents.
 Every input file crosses one boundary here: `_read`, the one row boundary
 of every CSV reader, reads each block of `_blocks` column by column, and
 `json_number`/`json_fields`/`json_list` check each value of a JSON document.
-`_blocks` reads a CSV's text about 96K characters at a time, checks a
-chunk's lines at once with numpy, and splits lines without `"` whose rows
-all have the header's width with `str.split`; from the first other run of
-lines on, the csv module reads the file row by row, with the same cells.
+`_blocks` reads a CSV's text, from a file or a pipe, about 96K characters at
+a time, and splits a chunk whose lines hold no `"` and have the header's
+width, checked at once with numpy, with `str.split`; from the first other
+chunk on, the csv module reads rows, passed on a chunk of text at a time.
+The first line holding a byte that does not decode is a data error.
 
 A timestamp is a finite number of epoch seconds or a `_GRAMMAR` stamp, read
 alike on every Python: a `YYYY-MM-DD` date, optionally `T` or a space and
@@ -25,7 +26,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from io import StringIO
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import Callable, Generator, Iterable, Iterator, Sequence
 
@@ -63,11 +64,11 @@ SPACING_RTOL = 0.01
 SERIES_COLUMNS = ("timestamp", "node_id", "modality", "value")
 
 
-def _open_text(path: Path, error: type[Exception] = DataError):
+def _open_text(path: Path, error: type[Exception] = DataError, errors: str | None = None):
     try:
-        return path.open(newline="")
-    except OSError as exc:
-        raise error(f"{path}: cannot read ({exc.strerror or exc})") from None
+        return path.open(newline="", errors=errors)
+    except (OSError, ValueError) as exc:  # a ValueError: a NUL in the path
+        raise error(f"{path}: cannot read ({getattr(exc, 'strerror', None) or exc})") from None
 
 
 def _open_out(path: str | Path):
@@ -107,23 +108,31 @@ def write_outputs(out: Path, files: Sequence[tuple]) -> list[Path]:
     return targets
 
 
-# Most data rows read or written per block: enough to amortise the bulk
-# conversions, few enough that memory grows with the parsed arrays and not
-# with the file text. A block of the chunk reader (`_split_blocks`) never
-# spans two chunks, so it may hold fewer.
+# Rows the writer formats per block: enough to amortise the bulk
+# conversions, few enough that memory grows with the arrays and not with the
+# file text.
 _BLOCK = 4096
 
-# Characters of text `_split_blocks` reads at once: enough that the per-chunk
-# work is small next to the per-line work it replaces, and with the chunk's
-# UTF-8 bytes under glibc's 128 KiB mmap threshold, so that each chunk's
-# buffers reuse heap memory instead of mapping and unmapping pages (chosen
-# by measurement, see CHANGES.md).
+# Characters of text a CSV reader holds: a chunk `_split_blocks` reads, or
+# the csv module's rows passed on at once. Enough that the per-chunk work is
+# small next to the per-line work, and with a chunk's UTF-8 bytes under
+# glibc's 128 KiB mmap threshold, so that its buffers reuse heap memory
+# instead of mapping and unmapping pages (chosen by measurement, CHANGES.md).
 _CHUNK = 96 * 1024
 
 
 def _data_line(line: str) -> bool:
     """False for the `#` comment lines and blank lines every CSV reader skips."""
     return not (line.startswith("#") or line.isspace())
+
+
+def _decoded(text: str) -> bool:
+    """False when `text`, read with `errors="surrogateescape"`, holds a byte
+    that did not decode: a lone surrogate, which `str.encode` refuses."""
+    try:
+        return text.isascii() or bool(text.encode())
+    except UnicodeEncodeError:
+        return False
 
 
 def _split_chunk(text: str, ncols: int) -> list[str] | None:
@@ -155,13 +164,15 @@ def _split_chunk(text: str, ncols: int) -> list[str] | None:
     return text.replace("\n", ",").split(",")
 
 
-def _chunk_blocks(text: str, first: int, ncols: int, pos: list[int]) -> Generator:
-    """Yield (line numbers, cells of the columns at `pos`) of each run of at
-    most `_BLOCK` data rows of `text`, whole lines of the file from line
-    `first` on, split by `_split_chunk`: at once, or when `text` holds a `#`
-    or `_split_chunk` refuses it, once its `#` comment lines and blank lines
-    are dropped. Return the number of the line after `text`, or None when
-    `_split_chunk` refuses its data lines."""
+def _chunk_block(text: str, first: int, ncols: int, pos: list[int]) -> tuple | None:
+    """((line numbers, cells of the columns at `pos`) of the data rows of
+    `text`, whole lines of the file from line `first` on, the number of the
+    line after `text`), split by `_split_chunk`: at once, or when `text`
+    holds a `#` or `_split_chunk` refuses it, once its `#` comment lines and
+    blank lines are dropped. None when `_split_chunk` refuses its data lines
+    or `text` holds bytes that did not decode."""
+    if not _decoded(text):
+        return None
     cells = None if "#" in text else _split_chunk(text, ncols)
     if cells is not None:
         linenos: Sequence[int] = range(first, first + len(cells) // ncols)
@@ -174,78 +185,66 @@ def _chunk_blocks(text: str, first: int, ncols: int, pos: list[int]) -> Generato
         if cells is None:
             return None
         after = first + len(lines)
-    for r in range(0, len(linenos), _BLOCK):
-        stop = min(r + _BLOCK, len(linenos)) * ncols
-        yield linenos[r:r + _BLOCK], [cells[r * ncols + i:stop:ncols] for i in pos]
-    return after
+    return (linenos, [cells[i:-1:ncols] for i in pos]), after  # "" after the last line end
 
 
 def _split_blocks(fh, first: int, ncols: int, pos: list[int]) -> Generator:
-    """Yield `_chunk_blocks` of `fh`, the file from line `first` on, up to the
-    first chunk it refuses; return the numbered lines of the file from that
-    chunk on, for the csv module.
+    """Yield the `_chunk_block` of each chunk of `fh`, the file from line
+    `first` on, that holds a data row, up to the first chunk it refuses;
+    return the numbered lines of the file from that chunk on, for the csv
+    module.
 
     The text is read `_CHUNK` characters at a time and cut after its last
-    line end; the part line after it carries over to the next read. A read
-    that meets bytes which do not decode loses all its text, where the line
-    reader (iterating `fh`) loses only the 8 KiB that hold them. So a chunk
-    is split only once the next read has succeeded, keeping every line
-    yielded a chunk away from such bytes; after a failed read, or a refused
-    chunk, the file is read again from the start by lines, and the csv module
-    takes them from the first line not yielded, reading what the line reader
-    always read. A file that cannot seek is read by lines throughout.
+    line end; the part line after it carries over to the next read. The
+    lines of a refused chunk, its part line completed by one `readline`,
+    are followed by the rest of `fh`, so files and pipes are read alike.
     """
-    if not fh.seekable():  # a pipe: nothing can be read again
-        return enumerate(fh, first)
-    text, seen = "", 0  # the text not yet split, with no line end before `seen`
-    while True:
-        try:
-            more = fh.read(_CHUNK)
-        except UnicodeDecodeError:
-            break
-        if not more:
-            if not text:
-                return ()
-            cut = len(text)
-        else:  # not between a last "\r" and a "\n" to come
-            cut = max(text.rfind("\n", seen), text.rfind("\r", seen, -1)) + 1
-            if not cut:  # no whole line yet: search only what is added
-                seen = max(len(text) - 1, 0)
-                text += more
-                continue
-        after = yield from _chunk_blocks(text[:cut], first, ncols, pos)
-        if after is None:
-            break
-        text, seen, first = text[cut:] + more, 0, after
-    fh.seek(0)
-    return enumerate(islice(fh, first - 1, None), first)
+    text, seen, more = "", 0, True  # the text not yet split, with no line end before `seen`
+    while more:
+        more = fh.read(_CHUNK)
+        text += more  # not cut between a last "\r" and a "\n" to come
+        cut = max(text.rfind("\n", seen), text.rfind("\r", seen, -1)) + 1 if more else len(text)
+        if not cut:  # no whole line yet: search only what is added
+            seen = max(len(text) - 1, 0)
+            continue
+        chunk = _chunk_block(text[:cut], first, ncols, pos)
+        if chunk is None:
+            return enumerate(chain(StringIO(text + fh.readline(), newline=""), fh), first)
+        block, first = chunk
+        if block[0]:
+            yield block
+        text, seen = text[cut:], 0
+    return ()
 
 
 def _blocks(path: Path, columns: Sequence[str]) -> Iterator[tuple[Sequence[int], list[list[str]]]]:
-    """(line numbers, one list of cells per column of `columns`) for each run
-    of at most `_BLOCK` data rows of a CSV.
+    """(line numbers, one list of cells per column of `columns`) for the
+    data rows of each chunk of text of a CSV.
 
     `#` comment lines and blank lines are skipped but counted, so the line
     numbers are the file's own. The first other line is the header. The
     text after it is read a chunk at a time and split with `str.split`
     while its lines hold no `"` and each data line has the header's width
     (`_split_blocks`); from the first chunk that does not, the csv module
-    reads the rest of the file row by row, with the same result.
-    Cells missing from a short row read as "". A line the
-    csv module cannot read, or bytes that do not decode, raise DataError
-    only after the rows read before them have been yielded, so a caller
-    still reports the first bad row first.
+    reads the rest of the file row by row, passing rows on once they hold
+    `_CHUNK` characters. Cells missing from a short row read as "". A line
+    the csv module cannot read, or the first line holding bytes that do not
+    decode, raise DataError only after the rows before them are yielded, so
+    a caller still reports the first bad row first.
     """
-    lineno = 0
+    lineno = held = 0  # the line last read; the characters of rows not yet passed on
 
     def kept(numbered):
-        nonlocal lineno
+        nonlocal lineno, held
         for lineno, line in numbered:
+            if not _decoded(line):
+                raise DataError(f"{path}:{lineno}: not text in the expected encoding")
             if _data_line(line):
+                held += len(line)
                 yield line
 
     failure = None
-    with _open_text(path) as fh:
+    with _open_text(path, errors="surrogateescape") as fh:  # so that a read never raises
         reader = csv.reader(kept(enumerate(fh, 1)))
         rows: list[list[str]] = []
         linenos: list[int] = []
@@ -263,14 +262,14 @@ def _blocks(path: Path, columns: Sequence[str]) -> Iterator[tuple[Sequence[int],
                     cells += [""] * (width - len(cells))
                 rows.append(cells)
                 linenos.append(lineno)
-                if len(rows) == _BLOCK:
+                if held >= _CHUNK:
                     block = linenos, [[row[i] for row in rows] for i in pos]
-                    rows, linenos = [], []  # the rows are not held while the block is used
+                    rows, linenos, held = [], [], 0  # the rows are not held while the block is used
                     yield block
         except csv.Error as exc:
             failure = f"{path}:{lineno}: malformed row ({exc})"
-        except UnicodeDecodeError as exc:  # decoded in chunks, so no line to cite
-            failure = f"{path}: not text in the expected encoding ({exc})"
+        except DataError as exc:
+            failure = str(exc)
         if rows:
             yield linenos, [[row[i] for row in rows] for i in pos]
     if failure:

@@ -758,6 +758,12 @@ LLSE_MODEL = json.dumps(model_to_dict(LlseModel("n1", (NeighborFit("n2", 0.0, 1.
     ("noise model", NOISE_MODEL + '"window_len": 1}', "noise model: window_len must be"),
     ("llse model", LLSE_MODEL.replace('"percentile_p": 95.0', '"percentile_p": 150'),
      "llse model: percentile_p must lie in (0, 100)"),
+    ("llse model", LLSE_MODEL.replace('"target": "n1"', '"target": null'),
+     "llse model node ids must be non-empty strings, got None"),
+    ("llse model", LLSE_MODEL.replace('"target": "n1"', '"target": ""'),
+     "llse model node ids must be non-empty strings, got ''"),
+    ("llse model", LLSE_MODEL.replace('"node_id": "n2"', '"node_id": 7'),
+     "llse model node ids must be non-empty strings, got 7"),
     ("series", "# a\n# b\ntimestamp,node_id,modality,value\n0,n1,box_temp,1\n\n"
                "bad,n1,box_temp,2\n", "input.csv:6: malformed row"),
 ])
@@ -888,6 +894,17 @@ ERROR_CONTRACTS = {
         ["synth"], {"synth": {"nodes": [{"lag_s": 0}]}}, 2, "each synth node needs an 'id'"),
     "synth.test_days 0": (["synth"], {"synth": {"test_days": 0}}, 2, "test_days >= 1"),
     "a data sweep without node_id": (["sweep"], DATA_SWEEP, 2, "data config needs node_id"),
+    "a NUL in a data path": (
+        ["sweep"], DATA_SWEEP | {"data": DATA_SWEEP["data"]
+                                 | {"node_id": "n1", "train_csv": "a\0"}},
+        3, "a\\x00: cannot read (embedded null byte)"),
+    "a NUL in labels_json": (
+        ["sweep"], DATA_SWEEP | {"smooth": False, "data": {
+            "train_csv": "one_node.csv", "test_csv": "one_node.csv", "events_csv": "events.csv",
+            "node_id": "n1", "labels_json": "l\0"}}, 3, "l\\x00: cannot read (embedded null byte)"),
+    "a line break in --in": (
+        ["detect", "--in", "a\nb.csv", "--detector", "short", "--delta", "0.1"], {}, 3,
+        "a\\nb.csv: cannot read"),
     "a data sweep with labels_json 5": (
         ["sweep"], DATA_SWEEP | {"data": DATA_SWEEP["data"] | {"node_id": "n1", "labels_json": 5}},
         2, "data.labels_json must be a path, got 5"),
@@ -905,6 +922,7 @@ def test_error_contracts_exit_with_one_line(tmp_path, capsys, monkeypatch, case)
             ("two_modalities.csv", [("n1", "box_temp", grid), ("n1", "soil_moisture", grid)]),
             ("gap.csv", [("n1", "box_temp", grid[:10] + grid[15:])])):
         (tmp_path / name).write_text(header + "\n".join(_rows(*series)) + "\n")
+    (tmp_path / "events.csv").write_text("start,end\n")
     argv, cfg, code, text = ERROR_CONTRACTS[case]
     assert main([*argv, "--config", write_cfg(tmp_path / "cfg.json", cfg), "--out", "out"]) == code
     err = capsys.readouterr().err
