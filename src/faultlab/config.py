@@ -130,7 +130,9 @@ def nodes_from_config(synth: dict) -> tuple[tuple[str, ...], tuple[float, ...], 
     if not all(isinstance(nd, dict) and "id" in nd for nd in nodes):
         raise ConfigError("each synth node needs an 'id' and optional 'response_scale'/'lag_s'")
     ids = tuple(str(nd["id"]) for nd in nodes)
-    for node_id in ids:  # ingest strips a node_id cell and refuses an empty one
+    for nd, node_id in zip(nodes, ids):  # ingest strips a node_id cell and refuses an empty one
+        if type(nd["id"]) not in (str, int):  # a boolean is not an integer here
+            raise ConfigError(f"synth node id {nd['id']!r} must be a JSON string or integer")
         if not node_id or node_id != node_id.strip():
             raise ConfigError(f"synth node id {node_id!r} must be non-empty, without "
                               "leading or trailing whitespace")

@@ -125,9 +125,7 @@ def inject_noise(s: Series, plan: InjectionPlan,
             if not occupied[cand:cand + length].any():
                 start = cand
                 break
-        if start < 0:
-            if not windows:
-                raise DataError("cannot place a single burst: series too crowded")
+        if start < 0:  # never for the first burst: nothing is occupied, and n >= lengths[-1]
             break
         occupied[start:start + length] = True
         windows.append((start, length))

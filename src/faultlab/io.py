@@ -6,8 +6,8 @@ of every CSV reader, reads each block of `_blocks` column by column, and
 `json_number`/`json_fields`/`json_list` check each value of a JSON document.
 `_blocks` reads a CSV's text, from a file or a pipe, about 96K characters at
 a time, and splits a chunk whose lines hold no `"` and have the header's
-width, checked at once with numpy, with `str.split`; from the first other
-chunk on, the csv module reads rows, passed on a chunk of text at a time.
+width, checked at once with numpy, with `str.split`; the csv module reads
+any other chunk's rows, up to the first row that ends at or past its end.
 The first line holding a byte that does not decode is a data error.
 
 A timestamp is a finite number of epoch seconds or a `_GRAMMAR` stamp, read
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from io import StringIO
 from itertools import chain, compress, repeat
 from pathlib import Path
-from typing import Callable, Generator, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -113,8 +113,8 @@ def write_outputs(out: Path, files: Sequence[tuple]) -> list[Path]:
 # file text.
 _BLOCK = 4096
 
-# Characters of text a CSV reader holds: a chunk `_split_blocks` reads, or
-# the csv module's rows passed on at once. Enough that the per-chunk work is
+# Characters of text a CSV reader holds: a chunk `_blocks` reads, split by
+# `str.split` or by the csv module. Enough that the per-chunk work is
 # small next to the per-line work, and with a chunk's UTF-8 bytes under
 # glibc's 128 KiB mmap threshold, so that its buffers reuse heap memory
 # instead of mapping and unmapping pages (chosen by measurement, CHANGES.md).
@@ -136,18 +136,15 @@ def _decoded(text: str) -> bool:
 
 
 def _split_chunk(text: str, ncols: int) -> list[str] | None:
-    """The cells of `text`, whole data lines, split with `str.split`, `ncols`
-    a line; or None when a line may need the csv module: a `"` or a NUL
-    (which Python 3.10's csv refuses) anywhere, or a line (a blank one too)
-    without exactly `ncols - 1` commas or longer than `csv.field_size_limit()`.
-    `\\r\\n` and `\\r` end a line as `\\n` does.
+    """The cells of `text`, whole data lines holding no `"` or NUL, split
+    with `str.split`, `ncols` a line; or None when a line (a blank one too)
+    has not exactly `ncols - 1` commas or is longer than
+    `csv.field_size_limit()`. `\\r\\n` and `\\r` end a line as `\\n` does.
 
     One numpy pass over the UTF-8 bytes checks every line: there the bytes of
     `\\n` and `,` stand for nothing else, and a line has at least as many
     bytes as characters.
     """
-    if '"' in text or "\x00" in text:
-        return None
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     if not text.endswith("\n"):  # the file's last line
@@ -164,107 +161,97 @@ def _split_chunk(text: str, ncols: int) -> list[str] | None:
     return text.replace("\n", ",").split(",")
 
 
-def _chunk_block(text: str, first: int, ncols: int, pos: list[int]) -> tuple | None:
+def _chunk_block(text: str, lineno: int, ncols: int, pos: list[int]) -> tuple | None:
     """((line numbers, cells of the columns at `pos`) of the data rows of
-    `text`, whole lines of the file from line `first` on, the number of the
-    line after `text`), split by `_split_chunk`: at once, or when `text`
-    holds a `#` or `_split_chunk` refuses it, once its `#` comment lines and
-    blank lines are dropped. None when `_split_chunk` refuses its data lines
-    or `text` holds bytes that did not decode."""
-    if not _decoded(text):
+    `text`, whole lines of the file after line `lineno`, the number of its
+    last line), split by `_split_chunk`: at once, or when `text` holds a `#`
+    or `_split_chunk` refuses it, once its `#` comment lines and blank lines
+    are dropped. None at once when `text` holds a `"`, a NUL (which Python
+    3.10's csv refuses) or bytes that did not decode, and when `_split_chunk`
+    refuses its data lines."""
+    if '"' in text or "\x00" in text or not _decoded(text):
         return None
     cells = None if "#" in text else _split_chunk(text, ncols)
     if cells is not None:
-        linenos: Sequence[int] = range(first, first + len(cells) // ncols)
-        after = first + len(linenos)
+        linenos: Sequence[int] = range(lineno + 1, lineno + 1 + len(cells) // ncols)
+        last = lineno + len(linenos)
     else:
         lines = list(StringIO(text, newline=""))  # split as the file's line reader splits them
         kept = list(map(_data_line, lines))
-        linenos = list(compress(range(first, first + len(lines)), kept))
+        linenos = list(compress(range(lineno + 1, lineno + 1 + len(lines)), kept))
         cells = _split_chunk("".join(compress(lines, kept)), ncols) if linenos else []
         if cells is None:
             return None
-        after = first + len(lines)
-    return (linenos, [cells[i:-1:ncols] for i in pos]), after  # "" after the last line end
-
-
-def _split_blocks(fh, first: int, ncols: int, pos: list[int]) -> Generator:
-    """Yield the `_chunk_block` of each chunk of `fh`, the file from line
-    `first` on, that holds a data row, up to the first chunk it refuses;
-    return the numbered lines of the file from that chunk on, for the csv
-    module.
-
-    The text is read `_CHUNK` characters at a time and cut after its last
-    line end; the part line after it carries over to the next read. The
-    lines of a refused chunk, its part line completed by one `readline`,
-    are followed by the rest of `fh`, so files and pipes are read alike.
-    """
-    text, seen, more = "", 0, True  # the text not yet split, with no line end before `seen`
-    while more:
-        more = fh.read(_CHUNK)
-        text += more  # not cut between a last "\r" and a "\n" to come
-        cut = max(text.rfind("\n", seen), text.rfind("\r", seen, -1)) + 1 if more else len(text)
-        if not cut:  # no whole line yet: search only what is added
-            seen = max(len(text) - 1, 0)
-            continue
-        chunk = _chunk_block(text[:cut], first, ncols, pos)
-        if chunk is None:
-            return enumerate(chain(StringIO(text + fh.readline(), newline=""), fh), first)
-        block, first = chunk
-        if block[0]:
-            yield block
-        text, seen = text[cut:], 0
-    return ()
+        last = lineno + len(lines)
+    return (linenos, [cells[i:-1:ncols] for i in pos]), last  # "" after the last line end
 
 
 def _blocks(path: Path, columns: Sequence[str]) -> Iterator[tuple[Sequence[int], list[list[str]]]]:
     """(line numbers, one list of cells per column of `columns`) for the
-    data rows of each chunk of text of a CSV.
+    data rows of each chunk of text of a CSV, from a file or a pipe alike.
 
     `#` comment lines and blank lines are skipped but counted, so the line
     numbers are the file's own. The first other line is the header. The
-    text after it is read a chunk at a time and split with `str.split`
-    while its lines hold no `"` and each data line has the header's width
-    (`_split_blocks`); from the first chunk that does not, the csv module
-    reads the rest of the file row by row, passing rows on once they hold
-    `_CHUNK` characters. Cells missing from a short row read as "". A line
-    the csv module cannot read, or the first line holding bytes that do not
-    decode, raise DataError only after the rows before them are yielded, so
-    a caller still reports the first bad row first.
+    text after it is read `_CHUNK` characters at a time and cut after its
+    last line end; the part line after the cut carries over to the next
+    read. Each chunk is decided on its own: `_chunk_block` splits it with
+    `str.split`, or, when it refuses, the csv module reads the chunk's rows
+    up to the first row that ends at or past the cut, reading past it only
+    to finish that row (the part line, completed by one `readline`, then the
+    file); what it leaves unread starts the next chunk. Cells missing from a
+    short row read as "". A line the csv module cannot read, or the first
+    line holding bytes that do not decode, raise DataError only after the
+    rows before them are yielded, so a caller still reports the first bad
+    row first.
     """
-    lineno = held = 0  # the line last read; the characters of rows not yet passed on
+    lineno = 0  # the line last read
 
     def kept(numbered):
-        nonlocal lineno, held
+        nonlocal lineno
         for lineno, line in numbered:
             if not _decoded(line):
                 raise DataError(f"{path}:{lineno}: not text in the expected encoding")
             if _data_line(line):
-                held += len(line)
                 yield line
 
     failure = None
+    rows: list[list[str]] = []
+    linenos: list[int] = []
     with _open_text(path, errors="surrogateescape") as fh:  # so that a read never raises
-        reader = csv.reader(kept(enumerate(fh, 1)))
-        rows: list[list[str]] = []
-        linenos: list[int] = []
         try:
-            header = next(reader, [])
+            header = next(csv.reader(kept(enumerate(fh, 1))), [])
             at = {name: i for i, name in enumerate(header)}
             for col in columns:
                 if col not in at:
                     raise DataError(f"{path}: missing column {col!r}")
             pos = [at[col] for col in columns]
             width = max(pos) + 1
-            rest = yield from _split_blocks(fh, lineno + 1, len(header), pos)
-            for cells in csv.reader(kept(rest)):
-                if len(cells) < width:
-                    cells += [""] * (width - len(cells))
-                rows.append(cells)
-                linenos.append(lineno)
-                if held >= _CHUNK:
+            text, seen, more = "", 0, True  # the text not yet split, with no line end before `seen`
+            while more:
+                more = fh.read(_CHUNK)
+                text += more  # not cut between a last "\r" and a "\n" to come
+                cut = max(text.rfind("\n", seen), text.rfind("\r", seen, -1)) + 1 if more else len(text)
+                if not cut:  # no whole line yet: search only what is added
+                    seen = max(len(text) - 1, 0)
+                    continue
+                chunk = _chunk_block(text[:cut], lineno, len(header), pos)
+                if chunk is not None:
+                    block, lineno = chunk
+                    text = text[cut:]
+                else:  # split again: after a last "\r" the completed part line can be two lines
+                    lines = StringIO(text[:cut], newline="")
+                    part = StringIO(text[cut:] + fh.readline(), newline="")
+                    for cells in csv.reader(kept(enumerate(chain(lines, part, fh), lineno + 1))):
+                        if len(cells) < width:
+                            cells += [""] * (width - len(cells))
+                        rows.append(cells)
+                        linenos.append(lineno)
+                        if lines.tell() == cut:  # the row that ends the chunk
+                            break
                     block = linenos, [[row[i] for row in rows] for i in pos]
-                    rows, linenos, held = [], [], 0  # the rows are not held while the block is used
+                    rows, linenos, text = [], [], part.read()  # not held while the block is used
+                seen = 0
+                if block[0]:
                     yield block
         except csv.Error as exc:
             failure = f"{path}:{lineno}: malformed row ({exc})"

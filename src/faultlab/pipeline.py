@@ -201,13 +201,13 @@ def materialize(config: dict, seed: int, modality: Modality) -> MaterializedRun:
         if labels_json and smooth:
             raise ConfigError('data.labels_json needs "smooth": false, since labels '
                               'index the unsmoothed test file')
-        train, test = (select_series(ingest_csv(data_cfg[key]).series, node, modality,
-                                     data_cfg[key]) for key in ("train_csv", "test_csv"))
-        events = read_events_csv(data_cfg["events_csv"])
-        if smooth:
-            train, test = smooth_pairs(train), smooth_pairs(test)
+        events = read_events_csv(data_cfg["events_csv"])  # the small inputs first
         if labels_json:
             labels = load_labels(labels_json)
+        train, test = (select_series(ingest_csv(data_cfg[key]).series, node, modality,
+                                     data_cfg[key]) for key in ("train_csv", "test_csv"))
+        if smooth:
+            train, test = smooth_pairs(train), smooth_pairs(test)
 
     noise_model = noise_train(train, window_len) if detector == "noise" else None
 

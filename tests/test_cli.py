@@ -242,6 +242,19 @@ def test_synth_refuses_node_ids_ingest_would_read_otherwise(tmp_path, capsys, no
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("node_id", ["null", "true", "false", "1.5", "1e400", "[1]", '{"a": 1}'])
+def test_synth_node_ids_are_json_strings_or_integers(tmp_path, capsys, node_id):
+    """An id of another JSON type is refused, not written as its Python spelling."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"synth": {**SYNTH_SMALL, "nodes": "@"}})
+                   .replace('"@"', f'[{{"id": {node_id}}}]'))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: synth node id ")
+    assert list(out.iterdir()) == []
+
+
 def test_synth_node_ids_read_back_as_written(tmp_path):
     nodes = [{"id": "n 1"}, {"id": "n,2"}, {"id": 7}]
     cfg = write_cfg(tmp_path / "cfg.json", {"synth": {**SYNTH_SMALL, "nodes": nodes}})
@@ -895,9 +908,17 @@ ERROR_CONTRACTS = {
     "synth.test_days 0": (["synth"], {"synth": {"test_days": 0}}, 2, "test_days >= 1"),
     "a data sweep without node_id": (["sweep"], DATA_SWEEP, 2, "data config needs node_id"),
     "a NUL in a data path": (
-        ["sweep"], DATA_SWEEP | {"data": DATA_SWEEP["data"]
-                                 | {"node_id": "n1", "train_csv": "a\0"}},
+        ["sweep"], DATA_SWEEP | {"data": {
+            "train_csv": "a\0", "test_csv": "b.csv", "events_csv": "events.csv", "node_id": "n1"}},
         3, "a\\x00: cannot read (embedded null byte)"),
+    "a data sweep reads its events before its series": (
+        ["sweep"], DATA_SWEEP | {"data": {
+            "train_csv": "gap.csv", "test_csv": "gap.csv", "events_csv": "c.csv", "node_id": "n1"}},
+        3, "c.csv: cannot read"),
+    "a data sweep reads its labels before its series": (
+        ["sweep"], DATA_SWEEP | {"smooth": False, "data": {
+            "train_csv": "gap.csv", "test_csv": "gap.csv", "events_csv": "events.csv",
+            "node_id": "n1", "labels_json": "absent.json"}}, 3, "absent.json: cannot read"),
     "a NUL in labels_json": (
         ["sweep"], DATA_SWEEP | {"smooth": False, "data": {
             "train_csv": "one_node.csv", "test_csv": "one_node.csv", "events_csv": "events.csv",

@@ -1021,6 +1021,17 @@ def holes(k, i):
     # no line end after the last line, with "\n" and with "\r\n" and a comment
     (plain_rows(PLAIN)[:-1], None),
     ((plain_rows(30) + "# note\n" + plain_rows(3, start=30)).replace("\n", "\r\n")[:-2], None),
+    # a line break in a quoted cell, lone-CR line ends, more rows: at 7
+    # characters a chunk is cut inside the quoted cell; then with a comment
+    # line after the quoted row
+    ((plain_rows(2) + '1200,"n\r1",box_temp,3\n' + plain_rows(4, start=3)).replace("\n", "\r"),
+     None),
+    ((plain_rows(2) + '1200,"n\r1",box_temp,3\n#\n' + plain_rows(4, start=3)).replace("\n", "\r"),
+     None),
+    # a quoted cell of four lines: the csv module reads on into the file
+    (plain_rows(2) + '1200,"n\n1\n\n2",box_temp,3\n' + plain_rows(3, start=3), None),
+    # an unterminated quote on the last line
+    (plain_rows(3) + '"1800,n1,box_temp,3\n', "data.csv:5: malformed row"),
 ], ids=["gaps", "jitter", "iso", "quote-after-bad-row", "empty-node", "modality-first",
         "timestamp-first", "bad-value", "lone-cr", "comments-in-plain-block",
         "quote-after-plain-blocks", "bad-row-after-quote", "long-line-after-plain-blocks",
@@ -1030,7 +1041,9 @@ def holes(k, i):
         "interleaved-every-row", "two-spellings-one-block", "missing-in-early-blocks",
         "missing-in-early-interleaved-blocks", "all-missing-series", "bad-row-after-spacing-fault",
         "comment-of-the-header-width", "non-ascii-node", "no-final-line-end",
-        "no-final-crlf-after-comment"])
+        "no-final-crlf-after-comment", "quoted-line-break-lone-cr",
+        "quoted-line-break-then-comment", "quoted-cell-of-four-lines",
+        "unterminated-quote-last-line"])
 def test_block_ingest_cases(tmp_path, body, message):
     """`body` is the text after the header, or the bytes of the whole file."""
     p = tmp_path / "data.csv"
@@ -1094,6 +1107,38 @@ def test_plain_series_files_skip_the_csv_module(tmp_path):
         assert through_a_pipe(checked, p) == expected, end
         for sizes in every_size():
             assert checked(p) == expected, (end, sizes)
+
+
+@needs_pipes
+def test_a_quoted_row_sends_only_its_chunk_to_the_csv_module(tmp_path):
+    """The chunks after one that holds a quoted cell are split as plain text again."""
+    lines = (HEADER + plain_rows(PLAIN)).splitlines(keepends=True)
+    lines[1] = lines[1].replace("n1", '"n1"')
+    p = tmp_path / "data.csv"
+    p.write_text("".join(lines))
+    expected = outcome(oracle_ingest_csv, p)
+    assert not isinstance(expected, str)
+    shortest = min(map(len, lines[1:]))
+    read = []
+    reader = fio.csv.reader
+
+    def counted(*args, **kwargs):
+        for row in reader(*args, **kwargs):
+            read.append(row)
+            yield row
+
+    def checked(path):
+        """`ingest_csv(path)`'s outcome, once only rows of one chunk reached the csv module."""
+        read.clear()
+        with mock.patch.object(fio.csv, "reader", counted):
+            got = outcome(ingest_csv, path)
+        assert read[:2] == [list(SERIES_COLUMNS), ["0", "n1", "box_temp", "0"]]
+        assert len(read) - 1 <= fio._CHUNK // shortest + 1
+        return got
+
+    assert through_a_pipe(checked, p) == expected
+    for sizes in every_size():
+        assert checked(p) == expected, sizes
 
 
 def test_rows_before_undecodable_bytes_are_checked_first(tmp_path):
