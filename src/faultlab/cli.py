@@ -6,7 +6,8 @@ modality, and output directory; outputs are deterministic for a fixed
 config+seed, and every output file carries the resolved config either
 embedded (JSON outputs) or as a `<file>.meta.json` sidecar (CSV outputs).
 Every command loads its config, makes --out and reads its small inputs
-(model, flags, events, labels) before it ingests or generates a series.
+(model, flags, events, labels) before it ingests or generates a series;
+`io.read_series` is its one read of a sensor CSV, and picks the series.
 A command returns its files and `main` writes them all or none
 (`io.write_outputs`): a failed or interrupted run leaves --out as it found
 it, and the `wrote` lines print only once every file is in place.
@@ -27,13 +28,13 @@ from .detect import (DetectionResult, LlseModel, NoiseModel, ShortParams, fit_ll
                      save_model, short_detect)
 from .errors import ConfigError, DataError, NumericError
 from .inject import save_labels, load_labels
-from .io import (ingest_csv, read_detection_csv, read_events_csv,
+from .io import (read_detection_csv, read_events_csv, read_series,
                  write_csv, write_detection_csv, write_events_csv, write_json,
                  write_outputs, write_series_csv)
 from .metrics import assemble_report, save_report
 from .pipeline import (build_synth_config, inject_from_config, parse_inject,
-                       run_sweep_points, select_series, sweep_rows, SWEEP_HEADER)
-from .series import Modality, Series
+                       run_sweep_points, sweep_rows, SWEEP_HEADER)
+from .series import Modality
 
 
 def _flags(args, cfg: dict, *keys: str) -> dict:
@@ -54,23 +55,6 @@ def _echo(command: str, cfg: dict) -> dict:
     return {"command": command, "config": cfg}
 
 
-def _input_series(args, modality: Modality | None) -> Series:
-    """The series of `--in` for `--node` and `modality`."""
-    return select_series(ingest_csv(args.infile).series, args.node, modality, args.infile)
-
-
-def _llse_series(path: str, target: str, modality: Modality | None,
-                 neighbor_ids=None) -> tuple[Series, list[Series]]:
-    """The llse target and its neighbors (by default every other node of the
-    target's modality) out of a sensor CSV."""
-    series = ingest_csv(path).series
-    s = select_series(series, target, modality, path)
-    if neighbor_ids is None:
-        neighbor_ids = sorted({x.node_id for x in series if x.modality == s.modality}
-                              - {target})
-    return s, [select_series(series, node, s.modality, path) for node in neighbor_ids]
-
-
 # --------------------------------------------------------------------------
 # Subcommands: each returns its output files as (name, write, *args).
 # --------------------------------------------------------------------------
@@ -89,7 +73,8 @@ def cmd_synth(args, cfg: dict) -> list[tuple]:
 def cmd_inject(args, cfg: dict) -> list[tuple]:
     inject_cfg = section(cfg, "inject") | ({"kind": args.kind} if args.kind else {})
     injection = parse_inject(inject_cfg, value(cfg, "seed"), trained=False)
-    s, labels = inject_from_config(_input_series(args, value(cfg, "modality")), injection)
+    s, labels = inject_from_config(
+        read_series(args.infile, args.node, value(cfg, "modality"))[0], injection)
     return [("faulted.csv", write_series_csv, [s]),
             ("faulted.labels.json", save_labels, labels, injection.plan)]
 
@@ -103,14 +88,14 @@ def cmd_train(args, cfg: dict) -> list[tuple]:
         model = ShortParams(delta)
     elif args.detector == "noise":
         window_len = value(cfg, "noise_window_len")  # before the series is read
-        model = noise_train(_input_series(args, modality), window_len)
+        model = noise_train(read_series(args.infile, args.node, modality)[0], window_len)
     else:
         if not args.target:
             raise ConfigError("llse training needs --target <node id>")
         llse_cfg = section(cfg, "llse")
         params = {key: value(llse_cfg, f"llse.{key}")
                   for key in ("percentile_p", "vote_q", "signed")}
-        model = fit_llse_model(*_llse_series(args.infile, args.target, modality), **params)
+        model = fit_llse_model(*read_series(args.infile, args.target, modality, None), **params)
     return [("model.json", save_model, model, _echo("train", cfg))]
 
 
@@ -126,8 +111,8 @@ def _detect(args, cfg: dict) -> DetectionResult:
     modality = value(cfg, "modality")
     if args.detector == "llse":
         model = _model(args, LlseModel)
-        s, neighbors = _llse_series(args.infile, model.target, modality,
-                                    [fit.node_id for fit in model.neighbors])
+        s, neighbors = read_series(args.infile, model.target, modality,
+                                   [fit.node_id for fit in model.neighbors])
         return llse_detect(s, neighbors, model)
     if args.detector == "short":
         delta = value(_flags(args, cfg, "delta"), "delta")
@@ -135,12 +120,12 @@ def _detect(args, cfg: dict) -> DetectionResult:
             delta = _model(args, ShortParams).delta
         if delta is None:
             raise ConfigError("short detection needs --delta, config 'delta', or --model")
-        return short_detect(_input_series(args, modality), ShortParams(delta))
+        return short_detect(read_series(args.infile, args.node, modality)[0], ShortParams(delta))
     model = _model(args, NoiseModel)
     multiplier = value(_flags(args, cfg, "multiplier"), "multiplier")
     if multiplier is None:
         raise ConfigError("noise detection needs --multiplier or config 'multiplier'")
-    return noise_detect(_input_series(args, modality), model, multiplier)
+    return noise_detect(read_series(args.infile, args.node, modality)[0], model, multiplier)
 
 
 def cmd_detect(args, cfg: dict) -> list[tuple]:
@@ -158,8 +143,8 @@ def cmd_evaluate(args, cfg: dict) -> list[tuple]:
     # A file of no rows is a detector that flagged nothing; a report stores no source.
     result = DetectionResult(*next(iter(by_source.items()), ("short",)))
     truth = load_labels(args.labels) if args.labels else None
-    report = assemble_report(_input_series(args, modality), result, events, truth=truth,
-                             kind=args.fault_kind, parameters=_echo("evaluate", cfg))
+    report = assemble_report(read_series(args.infile, args.node, modality)[0], result, events,
+                             truth=truth, kind=args.fault_kind, parameters=_echo("evaluate", cfg))
     return [("report.json", save_report, report)]
 
 

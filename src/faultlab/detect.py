@@ -103,6 +103,9 @@ class LlseModel:
         object.__setattr__(self, "neighbors", tuple(self.neighbors))
         if not self.neighbors:
             raise ConfigError("llse model needs at least one neighbor")
+        ids = [self.target, *(fit.node_id for fit in self.neighbors)]
+        if len(set(ids)) < len(ids):  # a repeated neighbor would vote twice
+            raise ConfigError(f"target and neighbor node ids must be distinct, got {ids}")
         if not (isinstance(self.vote_q, int) and self.vote_q >= 1):
             raise ConfigError(f"vote_q must be an integer >= 1, got {self.vote_q}")
         if self.vote_q > len(self.neighbors):

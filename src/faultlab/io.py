@@ -4,6 +4,7 @@ JSON documents.
 Every input file crosses one boundary here: `_read`, the one row boundary
 of every CSV reader, reads each block of `_blocks` column by column, and
 `json_number`/`json_fields`/`json_list` check each value of a JSON document.
+`read_series` is the one read of a sensor CSV, and picks a command's series.
 `_blocks` reads a CSV's text, from a file or a pipe, about 96K characters at
 a time, and splits a chunk whose lines hold no `"` and have the header's
 width, checked at once with numpy, with `str.split`; the csv module reads
@@ -38,6 +39,7 @@ from .series import EventWindow, Modality, PrecipRecord, Series, index_array
 __all__ = [
     "IngestReport",
     "ingest_csv",
+    "read_series",
     "write_series_csv",
     "write_csv",
     "read_precip_csv",
@@ -556,6 +558,42 @@ def ingest_csv(path: str | Path) -> IngestReport:
         t, v = (np.concatenate(column) for column in zip(*groups.pop(key)))
         report.series.extend(_repair_group(key, t, v, report))
     return report
+
+
+def read_series(path: str | Path, node: str | None, modality: Modality | None,
+                neighbors: Iterable[str] | None = ()) -> tuple[Series, list[Series]]:
+    """The one unbroken series for (`node`, `modality`) of the sensor CSV at
+    `path`, and one of its modality for each node of `neighbors` (None: every
+    other node of that modality, sorted). A `node` or `modality` left as None
+    is inferred when the file (for the modality: the node's series) holds one."""
+    report = ingest_csv(path)  # looked up here by name: bench/spans.py meters it by rebinding it
+
+    def select(node: str | None, modality: Modality | None) -> Series:
+        if node is None:
+            nodes = sorted({s.node_id for s in report.series})
+            if len(nodes) != 1:
+                raise ConfigError(f"{path} holds nodes {nodes}; pick one with --node")
+            node = nodes[0]
+        if modality is None:
+            mods = sorted({s.modality for s in report.series if s.node_id == node})
+            if not mods:
+                raise DataError(f"{path}: no series for node {node!r}")
+            if len(mods) > 1:
+                raise ConfigError(f"{path} node {node!r} holds several modalities; "
+                                  f"pick one with --modality")
+            modality = mods[0]
+        pieces = report.find(node, modality)
+        if not pieces:
+            raise DataError(f"{path}: no series for node {node!r} modality {modality.value!r}")
+        if len(pieces) > 1:
+            raise DataError(f"{path}: series for node {node!r} is split by long gaps")
+        return pieces[0]
+
+    target = select(node, modality)
+    if neighbors is None:
+        neighbors = sorted({s.node_id for s in report.series if s.modality == target.modality}
+                           - {target.node_id})
+    return target, [select(other, target.modality) for other in neighbors]
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable) -> None:

@@ -16,7 +16,7 @@ from .config import injection_plan, json_numbers, nodes_from_config, number, sec
 from .detect import NoiseModel, ShortParams, noise_detect, noise_train, short_detect
 from .errors import ConfigError, DataError
 from .inject import InjectionPlan, inject_noise, inject_short, load_labels, merge_labels
-from .io import ingest_csv, read_events_csv
+from .io import read_events_csv, read_series
 from .metrics import EvalReport, assemble_report
 from .preprocess import smooth_pairs
 from .series import EventWindow, GroundTruthLabels, Modality, Series
@@ -81,33 +81,6 @@ def build_synth_config(synth_cfg: dict, seed: int, node: str | None = None,
     series, _ = gen_deployment(spec, box, soil, node, modality)
     test_windows = [ev.window for ev in test_sched]
     return series, test_windows, schedule, train_days
-
-
-def select_series(series: Sequence[Series], node: str | None,
-                  modality: Modality | None, origin: str) -> Series:
-    """The one unbroken series for (node, modality) among `series`.
-
-    A node or modality left as None is inferred when `series` (for the
-    modality: the node's series) holds exactly one.
-    """
-    if node is None:
-        nodes = sorted({s.node_id for s in series})
-        if len(nodes) != 1:
-            raise ConfigError(f"{origin} holds nodes {nodes}; pick one with --node")
-        node = nodes[0]
-    if modality is None:
-        mods = sorted({s.modality for s in series if s.node_id == node})
-        if len(mods) != 1:
-            raise ConfigError(f"{origin} node {node!r} holds several modalities; "
-                              f"pick one with --modality")
-        modality = mods[0]
-    pieces = [s for s in series if s.node_id == node and s.modality == modality]
-    if not pieces:
-        raise DataError(f"{origin}: no series for node {node!r} "
-                        f"modality {modality.value!r}")
-    if len(pieces) > 1:
-        raise DataError(f"{origin}: series for node {node!r} is split by long gaps")
-    return pieces[0]
 
 
 def split_series(s: Series, split_time: float) -> tuple[Series, Series]:
@@ -183,9 +156,9 @@ def materialize(config: dict, seed: int, modality: Modality) -> MaterializedRun:
             raise ConfigError("synth sweeps need train_days >= 1")
         target = value(synth_cfg, "synth.target") or nodes_from_config(synth_cfg)[0][0]
         series, events, _, train_days = build_synth_config(synth_cfg, seed, target, modality)
-        full = select_series(series, target, modality, "synth")  # refuses an unknown target
-        if smooth:
-            full = smooth_pairs(full)
+        if not series:  # an unknown target
+            raise DataError(f"synth: no series for node {target!r} modality {modality.value!r}")
+        full = smooth_pairs(series[0]) if smooth else series[0]
         train, test = split_series(full, train_days * 86400.0)
     else:
         data_cfg = section(config, "data")
@@ -204,8 +177,8 @@ def materialize(config: dict, seed: int, modality: Modality) -> MaterializedRun:
         events = read_events_csv(data_cfg["events_csv"])  # the small inputs first
         if labels_json:
             labels = load_labels(labels_json)
-        train, test = (select_series(ingest_csv(data_cfg[key]).series, node, modality,
-                                     data_cfg[key]) for key in ("train_csv", "test_csv"))
+        train, test = (read_series(data_cfg[key], node, modality)[0]
+                       for key in ("train_csv", "test_csv"))
         if smooth:
             train, test = smooth_pairs(train), smooth_pairs(test)
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import faultlab.cli as cli
+import faultlab.io as fio
 import faultlab.pipeline as pipeline
 from faultlab.cli import main
 from faultlab.detect import LlseModel, NeighborFit, model_to_dict
@@ -414,7 +415,7 @@ def no_series_work(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a series was ingested or generated before a cheap check")
 
-    monkeypatch.setattr(cli, "ingest_csv", never)
+    monkeypatch.setattr(fio, "ingest_csv", never)
     monkeypatch.setattr(pipeline, "gen_deployment", never)
 
 
@@ -529,6 +530,8 @@ def test_sweep_unwritable_report_removes_partial_outputs(tmp_path, capsys):
     ("inject, bad base_sigma", 2, "inject.base_sigma must be a finite number"),
     ("inject noise, no base_sigma", 2, "noise injection needs inject.base_sigma"),
     ("sweep, bad inject", 2, "inject.short_fraction must be a number"),
+    ("data sweep, no events file", 3, "absent.csv: cannot read ("),
+    ("data sweep, no labels file", 3, "absent.json: cannot read ("),
 ])
 def test_cheap_errors_come_before_any_series_work(tmp_path, capsys, monkeypatch,
                                                   case, code, message):
@@ -546,6 +549,11 @@ def test_cheap_errors_come_before_any_series_work(tmp_path, capsys, monkeypatch,
     def inject(block):
         return ["inject", *node, "--config",
                 write_cfg(tmp_path / f"inject{next(configs)}.cfg.json", {"inject": block})]
+
+    def data_sweep(**paths):
+        data = {"train_csv": series, "test_csv": series, "events_csv": events, "node_id": "n1"}
+        return ["sweep", "--config", write_cfg(tmp_path / f"data{next(configs)}.cfg.json", {
+            "detector": "short", "grid": [0.1], "smooth": False, "data": data | paths})]
 
     argv = {
         "detect short, no delta": ["detect", *node, "--detector", "short"],
@@ -572,6 +580,8 @@ def test_cheap_errors_come_before_any_series_work(tmp_path, capsys, monkeypatch,
         "sweep, bad inject": ["sweep", "--config", write_cfg(
             tmp_path / "sweep.cfg.json", {"synth": SYNTH_SMALL, "detector": "short", "grid": [0.1],
                                           "inject": {"kind": "short", "short_fraction": "x"}})],
+        "data sweep, no events file": data_sweep(events_csv=str(tmp_path / "absent.csv")),
+        "data sweep, no labels file": data_sweep(labels_json=str(tmp_path / "absent.json")),
     }[case]
     no_series_work(monkeypatch)
     out = tmp_path / "out"
@@ -751,6 +761,8 @@ def test_llse_model_with_non_boolean_signed_exits_3(tmp_path, capsys):
 NOISE_MODEL = '{"version": 1, "kind": "noise", "sigma_train": 0.01, "sigma_hist_spread": 0.001, '
 LLSE_MODEL = json.dumps(model_to_dict(LlseModel("n1", (NeighborFit("n2", 0.0, 1.0, 0.1),),
                                                 95.0, 1)))
+LLSE_PAIR_MODEL = json.dumps(model_to_dict(LlseModel(
+    "n1", (NeighborFit("n2", 0.0, 1.0, 0.1), NeighborFit("n3", 0.0, 1.0, 0.1)), 95.0, 2)))
 
 
 @pytest.mark.parametrize("kind, text, message", [
@@ -777,6 +789,10 @@ LLSE_MODEL = json.dumps(model_to_dict(LlseModel("n1", (NeighborFit("n2", 0.0, 1.
      "llse model node ids must be non-empty strings, got ''"),
     ("llse model", LLSE_MODEL.replace('"node_id": "n2"', '"node_id": 7'),
      "llse model node ids must be non-empty strings, got 7"),
+    ("llse model", LLSE_MODEL.replace('"target": "n1"', '"target": "n2"'),
+     "llse model: target and neighbor node ids must be distinct, got ['n2', 'n2']"),
+    ("llse model", LLSE_PAIR_MODEL.replace('"n3"', '"n2"'),
+     "llse model: target and neighbor node ids must be distinct, got ['n1', 'n2', 'n2']"),
     ("series", "# a\n# b\ntimestamp,node_id,modality,value\n0,n1,box_temp,1\n\n"
                "bad,n1,box_temp,2\n", "input.csv:6: malformed row"),
 ])
@@ -895,6 +911,12 @@ ERROR_CONTRACTS = {
     "both modalities, no --modality": (
         ["inject", "--kind", "short", "--in", "two_modalities.csv", "--node", "n1"], {}, 2,
         "node 'n1' holds several modalities; pick one with --modality"),
+    "an unknown node, no --modality": (
+        ["detect", "--detector", "short", "--delta", "0.1", "--in", "two_modalities.csv",
+         "--node", "n9"], {}, 3, "two_modalities.csv: no series for node 'n9'\n"),
+    "an unknown llse target, no --modality": (
+        ["train", "--detector", "llse", "--in", "two_modalities.csv", "--target", "n9"], {}, 3,
+        "two_modalities.csv: no series for node 'n9'\n"),
     "a gap of more than 3 samples": (
         ["inject", "--kind", "short", "--in", "gap.csv"], {}, 3, "split by long gaps"),
     "llse without --target": (

@@ -1,6 +1,7 @@
 """Detector rules: jump threshold, variance band, cross-sensor estimation."""
 
 import math
+import re
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -348,6 +349,21 @@ def test_llse_detect_alignment_and_missing_neighbor_errors():
         llse_detect(target, [mk(x, node="c")], model)
     with pytest.raises(ConfigError):
         fit_pair_model(target, [nb], vote_q=2)  # more votes than neighbors
+
+
+def test_llse_node_ids_are_distinct():
+    """A repeated neighbor would vote twice, and a target among its own
+    neighbors would vote on itself."""
+    x = np.arange(12.0)
+    target, nb = mk(x, node="t"), mk(x * 2 + 1, node="a")
+    distinct = "target and neighbor node ids must be distinct, got "
+    with pytest.raises(ConfigError, match=re.escape(distinct + "['t', 'a', 'a']")):
+        fit_pair_model(target, [nb, nb], vote_q=2)
+    with pytest.raises(ConfigError, match=re.escape(distinct + "['t', 't']")):
+        fit_pair_model(target, [mk(x * 2 + 1, node="t")], vote_q=1)
+    fit = NeighborFit("a", 0.5, 2.0, 0.1)
+    with pytest.raises(ConfigError, match=re.escape(distinct + "['t', 'a', 'a']")):
+        LlseModel("t", (fit, fit), 95.0, 1)
 
 
 def test_detectors_are_deterministic():

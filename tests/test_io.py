@@ -1,5 +1,6 @@
 """CSV ingestion (grid repair, splitting) and the file formats round-trip."""
 
+import ast
 import csv
 import math
 import os
@@ -8,6 +9,7 @@ import tracemalloc
 from datetime import datetime, timedelta, timezone
 from functools import partial
 from operator import itemgetter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -29,6 +31,7 @@ from faultlab.io import (
     read_detection_csv,
     read_events_csv,
     read_precip_csv,
+    read_series,
     write_detection_csv,
     write_events_csv,
     write_series_csv,
@@ -1283,3 +1286,86 @@ def test_repair_matches_the_oracle_on_arrays(interval, samples):
     t = T0 + interval * (np.cumsum(steps) + jitter)  # each stamp off its grid point by < 0.5 %
     assert repair_outcome(fio._repair_group, t, values) == \
         repair_outcome(oracle_repair_group, t, values)
+
+
+def oracle_read_series(path, node, modality, neighbors):
+    """`read_series` by hand: each request filters `ingest_csv(path).series`."""
+    series = ingest_csv(path).series
+
+    def pick(node, modality):
+        nodes = sorted({s.node_id for s in series})
+        if node is None and len(nodes) > 1:
+            raise ConfigError(f"{path} holds nodes {nodes}; pick one with --node")
+        node = nodes[0] if node is None else node
+        pieces = [s for s in series if s.node_id == node and modality in (None, s.modality)]
+        if not pieces:
+            raise DataError(f"{path}: no series for node {node!r}"
+                            + (f" modality {modality.value!r}" if modality else ""))
+        if len({s.modality for s in pieces}) > 1:
+            raise ConfigError(f"{path} node {node!r} holds several modalities; "
+                              f"pick one with --modality")
+        if len(pieces) > 1:
+            raise DataError(f"{path}: series for node {node!r} is split by long gaps")
+        return pieces[0]
+
+    target = pick(node, modality)
+    if neighbors is None:
+        neighbors = sorted({s.node_id for s in series if s.modality == target.modality}
+                           - {target.node_id})
+    return target, [pick(other, target.modality) for other in neighbors]
+
+
+def selection(fn, *args):
+    """The series `fn(*args)` returns, or the class and text of its error."""
+    try:
+        target, neighbors = fn(*args)
+    except (ConfigError, DataError) as exc:
+        return type(exc), str(exc)
+    return [(s.node_id, s.modality, s.start_time, s.sample_interval, s.values.tolist())
+            for s in (target, *neighbors)]
+
+
+SELECT_NODES = ["n1", "n2", "n3"]
+
+
+@st.composite
+def sensor_files(draw):
+    """A series CSV of 1-3 nodes x 1-2 modalities, 12 samples a series, some
+    split in two by a gap longer than MAX_INTERPOLATED_RUN."""
+    keys = draw(st.lists(st.tuples(st.sampled_from(SELECT_NODES), st.sampled_from(list(Modality))),
+                         min_size=1, max_size=6, unique=True))
+    rows = []
+    for node, modality in keys:
+        steps = list(range(12))
+        if draw(st.booleans()):
+            cut = draw(st.integers(1, 6))
+            del steps[cut:cut + MAX_INTERPOLATED_RUN + 1]
+        rows += [f"{k * 600},{node},{modality.value},{len(rows) + k}\n" for k in steps]
+    return HEADER + "".join(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=sensor_files(),
+       node=st.sampled_from([None, *SELECT_NODES, "zz"]),
+       modality=st.sampled_from([None, *Modality]),
+       neighbors=st.one_of(st.none(), st.lists(st.sampled_from([*SELECT_NODES, "zz"]),
+                                               max_size=3)))
+def test_read_series_matches_filtering_the_ingest_by_hand(tmp_path_factory, text, node,
+                                                        modality, neighbors):
+    path = str(tmp_path_factory.mktemp("select") / "s.csv")
+    Path(path).write_text(text)
+    assert selection(read_series, path, node, modality, neighbors) == \
+        selection(oracle_read_series, path, node, modality, neighbors)
+
+
+def test_only_read_series_reads_a_sensor_csv():
+    """Every command picks its series out of a sensor CSV through `io.read_series`:
+    no other function of the package names `ingest_csv`."""
+    users = set()
+    for path in Path(fio.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Name) and node.id == "ingest_csv"
+                        or isinstance(node, ast.Attribute) and node.attr == "ingest_csv"):
+                    users.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert users == {"io.read_series"}
