@@ -95,7 +95,8 @@ def cmd_train(args, cfg: dict) -> list[tuple]:
         llse_cfg = section(cfg, "llse")
         params = {key: value(llse_cfg, f"llse.{key}")
                   for key in ("percentile_p", "vote_q", "signed")}
-        model = fit_llse_model(*read_series(args.infile, args.target, modality, None), **params)
+        model = fit_llse_model(*read_series(args.infile, _llse_target(args, args.target),
+                                            modality, None), **params)
     return [("model.json", save_model, model, _echo("train", cfg))]
 
 
@@ -107,11 +108,18 @@ def _model(args, cls):
     return model
 
 
+def _llse_target(args, target: str) -> str:
+    """llse's target node, which a `--node` given too must name."""
+    if args.node is not None and args.node != target:
+        raise ConfigError(f"--node {args.node!r} is not the llse target {target!r}")
+    return target
+
+
 def _detect(args, cfg: dict) -> DetectionResult:
     modality = value(cfg, "modality")
     if args.detector == "llse":
         model = _model(args, LlseModel)
-        s, neighbors = read_series(args.infile, model.target, modality,
+        s, neighbors = read_series(args.infile, _llse_target(args, model.target), modality,
                                    [fit.node_id for fit in model.neighbors])
         return llse_detect(s, neighbors, model)
     if args.detector == "short":
@@ -185,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--in", dest="infile", help="training series CSV")
     p.add_argument("--detector", required=True, choices=["short", "noise", "llse"])
-    p.add_argument("--node", help="node id (noise training)")
+    p.add_argument("--node", help="node id (noise training; llse: the --target)")
     p.add_argument("--target", help="target node id (llse training)")
     p.add_argument("--delta", type=float, help="jump threshold (short)")
 
@@ -194,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="input series CSV")
     p.add_argument("--model", help="model JSON from `train`")
     p.add_argument("--detector", required=True, choices=["short", "noise", "llse"])
-    p.add_argument("--node", help="node id (when the file holds several)")
+    p.add_argument("--node",
+                   help="node id (when the file holds several; llse: the model's target)")
     p.add_argument("--delta", type=float, help="jump threshold (short)")
     p.add_argument("--multiplier", type=float, help="allowed-band multiplier (noise)")
 

@@ -26,6 +26,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from io import StringIO
 from itertools import chain, compress, repeat
 from pathlib import Path
@@ -120,6 +121,11 @@ _BLOCK = 4096
 # small next to the per-line work, and with a chunk's UTF-8 bytes under
 # glibc's 128 KiB mmap threshold, so that its buffers reuse heap memory
 # instead of mapping and unmapping pages (chosen by measurement, CHANGES.md).
+# What a reader holds between chunks is a few large arrays per series
+# (`_MERGE`), not one small pair per chunk left among the chunks' freed
+# buffers, where glibc cannot return the heap. A change to the chunk size
+# changes both, so it must re-check peak RSS on a deployment-size file,
+# which no test or workload reaches.
 _CHUNK = 96 * 1024
 
 
@@ -467,26 +473,31 @@ def _stamps(cells: list[str]) -> np.ndarray:
 
 
 def _series_block(stamps: list[str], nodes: list[str], modalities: list[str],
-                  values: list[str]) -> dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]:
+                  values: list[str], keep: Callable[[tuple[str, str]], bool] | None = None
+                  ) -> dict[tuple[str, str], tuple[np.ndarray, np.ndarray | None]]:
     """{(node_id, modality): (times, values)} of a block's rows with a finite
     value, keys in order of first appearance (a key with no such row maps to
     empty arrays). A row's rules run in the order timestamp, modality,
-    node_id, value."""
+    node_id, value. When `keep` refuses every key of the block and every
+    value cell is `_plain`, every row is a present sample, its value is not
+    converted, and each key's values are None."""
     t = _stamps(stamps)
     keys, g = _row_keys(nodes, modalities)
-    # empty cells are missing samples
-    v = _floats([cell or "nan" for cell in values] if "" in values else values)
-    if v is None:  # and so are blank ones
-        v = _floats([cell.strip() or "nan" for cell in values])
-    if v is None:
-        raise _RowError(f"malformed row (bad value {values[0].strip()!r})")  # a row read alone
-    keep = np.isfinite(v)
-    if g is None:  # the writer's layout: one series after another
-        return {keys[0]: (t[keep], v[keep])}
-    rows = np.flatnonzero(keep)[np.argsort(g[keep], kind="stable")]  # grouped, in file order
-    cuts = np.searchsorted(g[rows], np.arange(1, len(keys)))
+    if keep is not None and not any(map(keep, keys)) and _plain(values):
+        v, rows = None, np.arange(t.size)
+    else:  # empty cells are missing samples
+        v = _floats([cell or "nan" for cell in values] if "" in values else values)
+        if v is None:  # and so are blank ones
+            v = _floats([cell.strip() or "nan" for cell in values])
+        if v is None:
+            raise _RowError(f"malformed row (bad value {values[0].strip()!r})")  # a row read alone
+        rows = np.flatnonzero(np.isfinite(v))
+    parts = [rows]  # the writer's layout: one series after another
+    if g is not None:
+        rows = rows[np.argsort(g[rows], kind="stable")]  # grouped, in file order
+        parts = np.split(rows, np.searchsorted(g[rows], np.arange(1, len(keys))))
     # A gather per key, not views of one array: a key's arrays go when it is repaired.
-    return {key: (t[r], v[r]) for key, r in zip(keys, np.split(rows, cuts))}
+    return {key: (t[r], None if v is None else v[r]) for key, r in zip(keys, parts)}
 
 
 def _row_keys(nodes: list[str], modalities: list[str]) -> tuple[list[tuple[str, str]],
@@ -535,7 +546,37 @@ def _column_codes(cells: list[str], key: Callable[[str], str]) -> tuple[np.ndarr
     return np.fromiter(map(spellings.__getitem__, cells), np.int64, len(cells)), list(keys)
 
 
-def ingest_csv(path: str | Path) -> IngestReport:
+# The byte pairs a `_plain` column may hold, each as (byte - 44) * 16 + (next
+# byte - 44) over ",-./0123456789": after "," comes "-" or a digit, after "-"
+# a digit, after "." a digit or ",", and after a digit a digit, "." or ",".
+_PLAIN_PAIRS = bytes((ord(first) - 44) * 16 + ord(then) - 44 for first, nexts in {
+    ",": "-0123456789", "-": "0123456789", ".": ",0123456789",
+    **dict.fromkeys("0123456789", ".,0123456789")}.items() for then in nexts)
+
+
+def _plain(cells: list[str]) -> bool:
+    """True when every cell is a plain decimal, `-?[0-9]{1,15}(\\.[0-9]*)?` in
+    ASCII digits, which `float` reads as finite and at most 1e15 in magnitude.
+
+    The cells are joined by commas, between two more, and read as bytes at
+    once: each pair of adjacent bytes must be one of `_PLAIN_PAIRS`, and
+    from the positions of the commas and points, no cell may hold a comma
+    (a quoted one could), two points, or 16 digits before its point.
+    """
+    text = f",{','.join(cells)},".encode()
+    c = np.frombuffer(text, np.uint8) - np.uint8(44)  # ",": 0, "-": 1, ".": 2, digits 4-13
+    if c.max() > 13 or (c[:-1] * np.uint8(16) + c[1:]).tobytes().translate(None, _PLAIN_PAIRS):
+        return False
+    marks = np.flatnonzero((c | 2) == 2)  # every "," and "."
+    kinds = c[marks]
+    commas = kinds[:-1] == 0
+    span = np.diff(marks) - (c[marks[:-1] + 1] == 1)  # a mark's next digits (past a sign), plus one
+    return (np.count_nonzero(commas) == len(cells) and not (kinds[1:] + kinds[:-1] == 4).any()
+            and span[commas].max() <= 16)
+
+
+def ingest_csv(path: str | Path, *,
+               keep: Callable[[tuple[str, str]], bool] | None = None) -> IngestReport:
     """Read a sensor-data CSV into evenly spaced Series.
 
     Rows are grouped by (node_id, modality). Within a group, timestamps must
@@ -544,20 +585,52 @@ def ingest_csv(path: str | Path) -> IngestReport:
     missing. Runs of up to 3 consecutive missing grid points are filled by
     linear interpolation (counted in the report); longer gaps split the
     series into separate pieces.
+
+    With `keep`, the report holds only the series of the (node_id, modality)
+    keys it accepts. Every row is still read and checked, and every key
+    repaired into Series and counted in `filled` and `splits`, so the errors
+    and counts are those of a full ingest. But a block of other keys' rows
+    whose values are all `_plain` skips `float`, and zeros stand in for its
+    values in the repair: next to a plain value, an interpolation overflows
+    only when the other value is above ~6e307 in magnitude, where the plain
+    one is below half an ulp, so the repair raises exactly where it would on
+    the values.
     """
     path = Path(path)
-    groups: dict[tuple[str, str], list] = {}  # each key's blocks, in order of first appearance
-    for block in _read(path, SERIES_COLUMNS, _series_block):
+    # Each key's merged arrays and pending blocks, in order of first appearance.
+    groups: dict[tuple[str, str], tuple[list, list]] = {}
+    for block in _read(path, SERIES_COLUMNS, partial(_series_block, keep=keep)):
         for key, arrays in block.items():
-            groups.setdefault(key, []).append(arrays)
+            merged, pending = groups.setdefault(key, ([], []))
+            pending.append(arrays)
+            if len(pending) == _MERGE:
+                merged.append(_joined(pending))
+                pending.clear()
     if not groups:
         raise DataError(f"{path}: no data rows")
 
     report = IngestReport(series=[])
-    for key in list(groups):  # each key's blocks are freed once it is repaired
-        t, v = (np.concatenate(column) for column in zip(*groups.pop(key)))
-        report.series.extend(_repair_group(key, t, v, report))
+    for key in list(groups):  # each key's arrays are freed once joined
+        t, v = _joined(chain(*groups.pop(key)))
+        series = _repair_group(key, t, np.zeros(t.size) if v is None else v, report)
+        if keep is None or keep(key):
+            report.series.extend(series)
     return report
+
+
+# Blocks of a key that ingest merges into one pair of arrays: a reader holds
+# a few large arrays per key, not one small pair per chunk.
+_MERGE = 64
+
+
+def _joined(blocks: Iterable[tuple]) -> tuple[np.ndarray, np.ndarray | None]:
+    """A key's (times, values) blocks, end to end: values None when every
+    block's are, and zeros standing in for those of a block whose are None."""
+    blocks = list(blocks)
+    t = np.concatenate([bt for bt, _ in blocks])
+    if all(bv is None for _, bv in blocks):
+        return t, None
+    return t, np.concatenate([np.zeros(bt.size) if bv is None else bv for bt, bv in blocks])
 
 
 def read_series(path: str | Path, node: str | None, modality: Modality | None,
@@ -565,8 +638,18 @@ def read_series(path: str | Path, node: str | None, modality: Modality | None,
     """The one unbroken series for (`node`, `modality`) of the sensor CSV at
     `path`, and one of its modality for each node of `neighbors` (None: every
     other node of that modality, sorted). A `node` or `modality` left as None
-    is inferred when the file (for the modality: the node's series) holds one."""
-    report = ingest_csv(path)  # looked up here by name: bench/spans.py meters it by rebinding it
+    is inferred when the file (for the modality: the node's series) holds one.
+
+    When `node` and `modality` are given, the ingest converts and keeps only
+    the series returned: that modality's series of `node` and `neighbors`,
+    or of every node when `neighbors` is None."""
+    keep = None
+    if node is not None and modality is not None:
+        neighbors = None if neighbors is None else list(neighbors)
+        nodes = None if neighbors is None else {node, *neighbors}
+        keep = lambda key: key[1] == modality and (nodes is None or key[0] in nodes)
+    # Looked up here by name: bench/spans.py meters it by rebinding it.
+    report = ingest_csv(path, keep=keep)
 
     def select(node: str | None, modality: Modality | None) -> Series:
         if node is None:

@@ -130,6 +130,24 @@ def test_llse_train_and_detect_three_nodes(tmp_path):
     assert (det_dir / "flags.csv").exists()
 
 
+@pytest.mark.parametrize("node, code", [("n1", 0), ("n2", 2)])
+def test_llse_node_must_name_the_target(tmp_path, capsys, node, code):
+    synth = dict(SYNTH_SMALL, nodes=[{"id": "n1"}, {"id": "n2"}, {"id": "n3"}])
+    main(["synth", "--config", write_cfg(tmp_path / "cfg.json", {"seed": 3, "synth": synth}),
+          "--out", str(tmp_path)])
+    series, model = str(tmp_path / "series.csv"), str(tmp_path / "model" / "model.json")
+    assert main(["train", "--detector", "llse", "--in", series, "--target", "n1",
+                 "--modality", "soil_moisture", "--out", str(tmp_path / "model")]) == 0
+    capsys.readouterr()
+    for argv in (["train", "--detector", "llse", "--target", "n1"],
+                 ["detect", "--detector", "llse", "--model", model]):
+        assert main([*argv, "--in", series, "--modality", "soil_moisture", "--node", node,
+                     "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        assert err == ("" if code == 0 else
+                       f"config error: --node {node!r} is not the llse target 'n1'\n")
+
+
 # Every command's output files, in the order it writes them and prints them.
 OUTPUTS = {
     "synth": ["series.csv", "series.csv.meta.json", "events.csv", "events.csv.meta.json",

@@ -4,6 +4,7 @@ import ast
 import csv
 import math
 import os
+import re
 import threading
 import tracemalloc
 from datetime import datetime, timedelta, timezone
@@ -1328,10 +1329,23 @@ def selection(fn, *args):
 SELECT_NODES = ["n1", "n2", "n3"]
 
 
+# What a series of `sensor_files` may carry at one of its samples, by
+# (stamp, value) of that sample and the two after it: None keeps a cell,
+# an int offsets the stamp. Odd values that read, values that overflow when
+# the hole between them is filled, and a value, a repeated stamp and an
+# off-grid stamp that are errors.
+HOSTILE = [[(None, cell)] for cell in ("", " ", "nan", "+0.5", " 0.2", "x")] + [
+    [(None, "1e308"), (None, ""), (None, "-1e308")],
+    [(None, None), (-600, None)],
+    [(7, None)],
+]
+
+
 @st.composite
 def sensor_files(draw):
     """A series CSV of 1-3 nodes x 1-2 modalities, 12 samples a series, some
-    split in two by a gap longer than MAX_INTERPOLATED_RUN."""
+    split in two by a gap longer than MAX_INTERPOLATED_RUN, and some with
+    `HOSTILE` cells."""
     keys = draw(st.lists(st.tuples(st.sampled_from(SELECT_NODES), st.sampled_from(list(Modality))),
                          min_size=1, max_size=6, unique=True))
     rows = []
@@ -1340,7 +1354,12 @@ def sensor_files(draw):
         if draw(st.booleans()):
             cut = draw(st.integers(1, 6))
             del steps[cut:cut + MAX_INTERPOLATED_RUN + 1]
-        rows += [f"{k * 600},{node},{modality.value},{len(rows) + k}\n" for k in steps]
+        cells = [[k * 600, len(rows) + k] for k in steps]
+        if draw(st.integers(0, 2)) == 0:
+            at = draw(st.integers(0, len(cells) - 3))
+            for (shift, value), cell in zip(draw(st.sampled_from(HOSTILE)), cells[at:]):
+                cell[:] = cell[0] + (shift or 0), cell[1] if value is None else value
+        rows += [f"{t},{node},{modality.value},{value}\n" for t, value in cells]
     return HEADER + "".join(rows)
 
 
@@ -1352,10 +1371,51 @@ def sensor_files(draw):
                                                max_size=3)))
 def test_read_series_matches_filtering_the_ingest_by_hand(tmp_path_factory, text, node,
                                                         modality, neighbors):
+    """Also at chunks of a line or a few, so that some blocks hold only
+    series the selection drops, and skip `float` when their values are plain."""
     path = str(tmp_path_factory.mktemp("select") / "s.csv")
     Path(path).write_text(text)
-    assert selection(read_series, path, node, modality, neighbors) == \
-        selection(oracle_read_series, path, node, modality, neighbors)
+    for chunk in (7, 64, fio._CHUNK):
+        with mock.patch.object(fio, "_CHUNK", chunk):
+            assert selection(read_series, path, node, modality, neighbors) == \
+                selection(oracle_read_series, path, node, modality, neighbors)
+
+
+# The plain-decimal rule of `io._plain`, as a regex (`[0-9]` is ASCII alone).
+PLAIN_RULE = re.compile(r"-?[0-9]{1,15}(\.[0-9]*)?")
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=st.lists(st.one_of(st.from_regex(PLAIN_RULE, fullmatch=True),
+                                st.text(st.sampled_from("0123456789.-+e_, \t\u0663\uff11"),
+                                        max_size=20)),
+                      min_size=1, max_size=6))
+def test_plain_cells_follow_the_rule_and_read_as_small_finite_floats(cells):
+    plain = fio._plain(cells)
+    assert plain == all(PLAIN_RULE.fullmatch(cell) for cell in cells)
+    if plain:
+        assert all(abs(float(cell)) <= 1e15 for cell in cells)
+
+
+@pytest.mark.parametrize("cell", [
+    "\u0663", "1\u0663", "\uff11", "1_0", "1e5", "1E5", "+1", " 1", "1 ", "\t1", "1\n",
+    "1234567890123456", "-1234567890123456.5", ".5", "-.5", "1.2.3", "", "-", "1,2",
+    "nan", "inf", "0x1"])
+def test_plain_refuses_what_float_reads_another_way_or_not_at_all(cell):
+    assert not fio._plain([cell]) and not fio._plain(["1", cell, "2"])
+    assert fio._plain(["123456789012345", "-0", "7.", "-999999999999999.999"])
+
+
+def test_a_one_node_read_holds_less_than_the_whole_ingest(tmp_path):
+    # A full ingest holds every series' times and values while it reads;
+    # reading one node of three, the others' times alone, and it keeps no
+    # Series of theirs. Selecting after a full ingest peaked at 0.999x of it.
+    rng = np.random.default_rng(5)
+    p = tmp_path / "three.csv"
+    write_series_csv(p, [Series(node, Modality.SOIL_MOISTURE, T0, 600.0,
+                                rng.normal(0.2, 0.01, 40_000)) for node in ("n1", "n2", "n3")])
+    assert traced_peak(read_series, p, "n1", Modality.SOIL_MOISTURE) <= \
+        0.95 * traced_peak(ingest_csv, p)
 
 
 def test_only_read_series_reads_a_sensor_csv():
