@@ -9,7 +9,9 @@ of every CSV reader, reads each block of `_blocks` column by column, and
 a time, and splits a chunk whose lines hold no `"` and have the header's
 width, checked at once with numpy, with `str.split`; the csv module reads
 any other chunk's rows, up to the first row that ends at or past its end.
-The first line holding a byte that does not decode is a data error.
+The first line holding a byte that does not decode is a data error. A number
+cell reads to the double Python's `float` reads: a column of JSON numbers by
+one orjson call (`_floats`), any other a cell at a time by `float`.
 
 A timestamp is a finite number of epoch seconds or a `_GRAMMAR` stamp, read
 alike on every Python: a `YYYY-MM-DD` date, optionally `T` or a space and
@@ -33,6 +35,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+import orjson
 
 from .errors import ConfigError, DataError
 from .series import EventWindow, Modality, PrecipRecord, Series, index_array
@@ -428,10 +431,53 @@ def _repair_group(key: tuple[str, str], t: np.ndarray, v: np.ndarray,
 DEFAULT_SINGLETON_INTERVAL = 900.0
 
 
-def _floats(cells: list[str]) -> np.ndarray | None:
-    """`cells` read by Python's `float`, or None when one of them is not a number."""
+# The bytes a column `_floats` hands to orjson may hold: no letter but the
+# exponent's and those of `nan`, which is read as `null`, so that no `true`,
+# `null`, `NaN` or bracket in a cell can parse.
+_NUMBER_BYTES = b"0123456789+-.eEna, \t"
+
+
+def _floats(cells: list[str], empty: bool = False) -> np.ndarray | None:
+    """`cells` read by Python's `float`, an empty cell as NaN when `empty`, or
+    None when one of them is not a number.
+
+    A column whose bytes are all `_NUMBER_BYTES` (the first cell's checked
+    first, so that a column of ISO stamps costs one cell) is parsed as one
+    JSON array by `orjson.loads`, each `nan` and, when `empty`, each empty
+    cell as `null`, which reads the NaN `float("nan")` gives. It is kept when
+    the array has one entry per cell, so no cell held a comma. A JSON number
+    reads to the double `float` reads, but JSON's `-0` is the integer 0, so
+    every zero of a column that holds a `-` is read again by `float`.
+    Integers alone (no point, no exponent) are cast through int64, exactly
+    and at half the cost. Any other column is read by `float`, a cell at a
+    time.
+    """
+    n = len(cells)
+    if not "".join(cells[:1]).encode().translate(None, _NUMBER_BYTES):
+        text = ",".join(cells)
+        if not text.encode().translate(None, _NUMBER_BYTES):
+            doc = ",".join([c or "null" for c in cells]) if empty and "" in cells else text
+            if "n" in text:  # one byte, found at memchr's speed
+                doc = doc.replace("nan", "null")
+            try:
+                parsed = orjson.loads(f"[{doc}]")
+            except orjson.JSONDecodeError:
+                parsed = ()
+            if len(parsed) == n:
+                v = None
+                if "." not in text and "e" not in text and "E" not in text:
+                    try:  # past int64 orjson gives a larger int or, past 2**64, a float
+                        v = np.fromiter(parsed, np.int64, n).astype(np.float64)
+                    except (OverflowError, TypeError):  # TypeError: a null
+                        pass
+                if v is None:
+                    v = np.fromiter(parsed, np.float64, n)
+                if "-" in text and (zeros := np.flatnonzero(v == 0).tolist()):
+                    v[zeros] = [float(cells[i]) for i in zeros]
+                return v
     try:
-        return np.fromiter(map(float, cells), np.float64, len(cells))
+        return np.fromiter(map(float, [c or "nan" for c in cells] if empty and "" in cells
+                               else cells), np.float64, n)
     except ValueError:
         return None
 
@@ -453,14 +499,17 @@ def _stamps(cells: list[str]) -> np.ndarray:
         distinct = list(dict.fromkeys(cells))
         seconds = _iso_seconds(distinct)
         rewritten = []  # (index, strict spelling, microseconds) of each grammar stamp
+        zones: dict[tuple, int] = {}  # microseconds to add, by the zone's fields
         for i in np.flatnonzero(np.isnan(seconds)).tolist():
             if not (match := _GRAMMAR.fullmatch(distinct[i])):
                 seconds[i] = float(distinct[i])  # ValueError when no number either
                 continue
-            date, hh, mm, ss, fraction, sign, oh, om, os_, ofraction = match.groups("00")
-            offset = (int(oh) * 3600 + int(om) * 60 + int(os_)) * 10**6 + int(ofraction)
-            rewritten.append((i, f"{date}T{hh}:{mm}:{ss}", int(fraction.ljust(6, "0"))
-                              + (offset if sign == "-" else -offset)))
+            date, hh, mm, ss, fraction, *zone = match.groups("00")
+            if (shift := zones.get(zone := tuple(zone))) is None:
+                sign, oh, om, os_, ofraction = zone
+                offset = (int(oh) * 3600 + int(om) * 60 + int(os_)) * 10**6 + int(ofraction)
+                shift = zones[zone] = offset if sign == "-" else -offset
+            rewritten.append((i, f"{date}T{hh}:{mm}:{ss}", int(fraction.ljust(6, "0")) + shift))
         if rewritten:  # a date or time out of range reads NaN, and int(NaN) raises ValueError
             at, strict, micros = zip(*rewritten)
             seconds[list(at)] = [(int(whole) * 10**6 + us) / 10**6
@@ -479,18 +528,18 @@ def _series_block(stamps: list[str], nodes: list[str], modalities: list[str],
     value, keys in order of first appearance (a key with no such row maps to
     empty arrays). A row's rules run in the order timestamp, modality,
     node_id, value. When `keep` refuses every key of the block and every
-    value cell is `_plain`, every row is a present sample, its value is not
-    converted, and each key's values are None."""
+    value is finite and at most 1e15 in magnitude, every row is a present
+    sample, its value is dropped, and each key's values are None."""
     t = _stamps(stamps)
     keys, g = _row_keys(nodes, modalities)
-    if keep is not None and not any(map(keep, keys)) and _plain(values):
+    v = _floats(values, empty=True)  # empty cells are missing samples
+    if v is None:  # and so are blank ones
+        v = _floats([cell.strip() for cell in values], empty=True)
+    if v is None:
+        raise _RowError(f"malformed row (bad value {values[0].strip()!r})")  # a row read alone
+    if keep is not None and not any(map(keep, keys)) and (np.abs(v) <= 1e15).all():
         v, rows = None, np.arange(t.size)
-    else:  # empty cells are missing samples
-        v = _floats([cell or "nan" for cell in values] if "" in values else values)
-        if v is None:  # and so are blank ones
-            v = _floats([cell.strip() or "nan" for cell in values])
-        if v is None:
-            raise _RowError(f"malformed row (bad value {values[0].strip()!r})")  # a row read alone
+    else:
         rows = np.flatnonzero(np.isfinite(v))
     parts = [rows]  # the writer's layout: one series after another
     if g is not None:
@@ -546,35 +595,6 @@ def _column_codes(cells: list[str], key: Callable[[str], str]) -> tuple[np.ndarr
     return np.fromiter(map(spellings.__getitem__, cells), np.int64, len(cells)), list(keys)
 
 
-# The byte pairs a `_plain` column may hold, each as (byte - 44) * 16 + (next
-# byte - 44) over ",-./0123456789": after "," comes "-" or a digit, after "-"
-# a digit, after "." a digit or ",", and after a digit a digit, "." or ",".
-_PLAIN_PAIRS = bytes((ord(first) - 44) * 16 + ord(then) - 44 for first, nexts in {
-    ",": "-0123456789", "-": "0123456789", ".": ",0123456789",
-    **dict.fromkeys("0123456789", ".,0123456789")}.items() for then in nexts)
-
-
-def _plain(cells: list[str]) -> bool:
-    """True when every cell is a plain decimal, `-?[0-9]{1,15}(\\.[0-9]*)?` in
-    ASCII digits, which `float` reads as finite and at most 1e15 in magnitude.
-
-    The cells are joined by commas, between two more, and read as bytes at
-    once: each pair of adjacent bytes must be one of `_PLAIN_PAIRS`, and
-    from the positions of the commas and points, no cell may hold a comma
-    (a quoted one could), two points, or 16 digits before its point.
-    """
-    text = f",{','.join(cells)},".encode()
-    c = np.frombuffer(text, np.uint8) - np.uint8(44)  # ",": 0, "-": 1, ".": 2, digits 4-13
-    if c.max() > 13 or (c[:-1] * np.uint8(16) + c[1:]).tobytes().translate(None, _PLAIN_PAIRS):
-        return False
-    marks = np.flatnonzero((c | 2) == 2)  # every "," and "."
-    kinds = c[marks]
-    commas = kinds[:-1] == 0
-    span = np.diff(marks) - (c[marks[:-1] + 1] == 1)  # a mark's next digits (past a sign), plus one
-    return (np.count_nonzero(commas) == len(cells) and not (kinds[1:] + kinds[:-1] == 4).any()
-            and span[commas].max() <= 16)
-
-
 def ingest_csv(path: str | Path, *,
                keep: Callable[[tuple[str, str]], bool] | None = None) -> IngestReport:
     """Read a sensor-data CSV into evenly spaced Series.
@@ -590,11 +610,11 @@ def ingest_csv(path: str | Path, *,
     keys it accepts. Every row is still read and checked, and every key
     repaired into Series and counted in `filled` and `splits`, so the errors
     and counts are those of a full ingest. But a block of other keys' rows
-    whose values are all `_plain` skips `float`, and zeros stand in for its
-    values in the repair: next to a plain value, an interpolation overflows
-    only when the other value is above ~6e307 in magnitude, where the plain
-    one is below half an ulp, so the repair raises exactly where it would on
-    the values.
+    whose values are all finite and at most 1e15 in magnitude drops them, and
+    zeros stand in for them in the repair: next to such a value, an
+    interpolation overflows only when the other value is above ~6e307 in
+    magnitude, where the dropped one is below half an ulp, so the repair
+    raises exactly where it would on the values.
     """
     path = Path(path)
     # Each key's merged arrays and pending blocks, in order of first appearance.
@@ -720,7 +740,10 @@ def write_series_csv(path: str | Path, series: Iterable[Series]) -> None:
 def read_precip_csv(path: str | Path) -> list[PrecipRecord]:
     """Read gauge records from a CSV with header ``timestamp,amount_mm``."""
     def read(stamps, amounts):
-        return list(map(PrecipRecord, _stamps(stamps).tolist(), map(float, amounts)))
+        t = _stamps(stamps)
+        if (mm := _floats(amounts)) is None:
+            raise ValueError("an amount is not a number")
+        return list(map(PrecipRecord, t.tolist(), mm.tolist()))
 
     return list(chain.from_iterable(_read(Path(path), ("timestamp", "amount_mm"), read)))
 

@@ -4,7 +4,6 @@ import ast
 import csv
 import math
 import os
-import re
 import threading
 import tracemalloc
 from datetime import datetime, timedelta, timezone
@@ -1372,7 +1371,8 @@ def sensor_files(draw):
 def test_read_series_matches_filtering_the_ingest_by_hand(tmp_path_factory, text, node,
                                                         modality, neighbors):
     """Also at chunks of a line or a few, so that some blocks hold only
-    series the selection drops, and skip `float` when their values are plain."""
+    series the selection drops, and drop their values when they are finite
+    and at most 1e15 in magnitude."""
     path = str(tmp_path_factory.mktemp("select") / "s.csv")
     Path(path).write_text(text)
     for chunk in (7, 64, fio._CHUNK):
@@ -1381,20 +1381,53 @@ def test_read_series_matches_filtering_the_ingest_by_hand(tmp_path_factory, text
                 selection(oracle_read_series, path, node, modality, neighbors)
 
 
-# The plain-decimal rule of `io._plain`, as a regex (`[0-9]` is ASCII alone).
-PLAIN_RULE = re.compile(r"-?[0-9]{1,15}(\.[0-9]*)?")
+def float_or_refused(cell, empty=False):
+    """`float(cell)`, NaN for an empty cell when `empty`, or None where `float` raises."""
+    if empty and cell == "":
+        return math.nan
+    try:
+        return float(cell)
+    except ValueError:
+        return None
 
 
-@settings(max_examples=300, deadline=None)
-@given(cells=st.lists(st.one_of(st.from_regex(PLAIN_RULE, fullmatch=True),
-                                st.text(st.sampled_from("0123456789.-+e_, \t\u0663\uff11"),
-                                        max_size=20)),
-                      min_size=1, max_size=6))
-def test_plain_cells_follow_the_rule_and_read_as_small_finite_floats(cells):
-    plain = fio._plain(cells)
-    assert plain == all(PLAIN_RULE.fullmatch(cell) for cell in cells)
-    if plain:
-        assert all(abs(float(cell)) <= 1e15 for cell in cells)
+def check_number_kernel(cells):
+    """`io._floats` reads each cell of `cells`, alone and in one column, to
+    the bits `float` reads, or refuses the column exactly where `float`
+    raises; also with `empty`, where an empty cell reads NaN."""
+    for empty in (False, True):
+        for column in [*([cell] for cell in cells), cells]:
+            expected = [float_or_refused(cell, empty) for cell in column]
+            got = fio._floats(column, empty=empty)
+            if None in expected:
+                assert got is None, (column, empty)
+            else:
+                assert got is not None, (column, empty)
+                assert got.tobytes() == np.array(expected, np.float64).tobytes(), (column, empty)
+
+
+BLANKS = st.sampled_from(["", "", " ", "\t"])
+
+
+@st.composite
+def decimal_cells(draw):
+    """A decimal of up to 30 digits, with a sign, a point, blanks and an
+    exponent in +-400 each drawn or not."""
+    digits = draw(st.text("0123456789", max_size=30))
+    point = draw(st.one_of(st.none(), st.integers(0, len(digits))))
+    mantissa = digits if point is None else f"{digits[:point]}.{digits[point:]}"
+    exponent = draw(st.one_of(st.none(), st.integers(-400, 400)))
+    if exponent is not None:
+        mantissa += draw(st.sampled_from("eE")) + draw(st.sampled_from(["", "+"])) + str(exponent)
+    return draw(BLANKS) + draw(st.sampled_from(["", "", "-", "+"])) + mantissa + draw(BLANKS)
+
+
+@settings(max_examples=500, deadline=None)
+@given(cells=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                                decimal_cells(), st.sampled_from(["", "nan", " nan", "-nan"])),
+                      min_size=1, max_size=8))
+def test_number_kernel_reads_drawn_cells_as_float_does(cells):
+    check_number_kernel(cells)
 
 
 @pytest.mark.parametrize("cell", [
@@ -1402,8 +1435,45 @@ def test_plain_cells_follow_the_rule_and_read_as_small_finite_floats(cells):
     "1234567890123456", "-1234567890123456.5", ".5", "-.5", "1.2.3", "", "-", "1,2",
     "nan", "inf", "0x1"])
 def test_plain_refuses_what_float_reads_another_way_or_not_at_all(cell):
-    assert not fio._plain([cell]) and not fio._plain(["1", cell, "2"])
-    assert fio._plain(["123456789012345", "-0", "7.", "-999999999999999.999"])
+    """Cells `float` reads another way than JSON does, or not at all: the
+    number kernel reads each as `float` does, alone and in a column, and a
+    block no selected series holds drops its values unread only when each
+    is finite and at most 1e15 in magnitude, as the plain decimals are."""
+    check_number_kernel([cell])
+    check_number_kernel(["1", cell, "2"])
+
+    def unread(values):
+        block = fio._series_block(["1", "2", "3", "4"][:len(values)], ["n1"] * len(values),
+                                  ["soil_moisture"] * len(values), values, keep=lambda key: False)
+        return block[("n1", "soil_moisture")][1]
+
+    plain = ["123456789012345", "-0", "7.", "-999999999999999.999"]
+    assert check_number_kernel(plain) is None and unread(plain) is None
+    read = float_or_refused(cell.strip(), empty=True)
+    if read is None:
+        with pytest.raises(fio._RowError):
+            unread(["1", cell, "2"])
+    elif math.isfinite(read) and abs(read) <= 1e15:
+        assert unread(["1", cell, "2"]) is None
+    else:
+        assert unread(["1", cell, "2"]).tolist() == [v for v in (1.0, read, 2.0) if math.isfinite(v)]
+
+
+@pytest.mark.parametrize("cell", list(dict.fromkeys([
+    # zeros, and past the range of a double
+    "-0", "0e5", "-0e-5", "1e400", "-1e400", "1e-400", "4.9e-324", "2.4703282292062328e-324",
+    # integers past 2**53, 2**64 and int64
+    "9007199254740993", "18446744073709551615", "18446744073709551616",
+    "-9223372036854775809",
+    " 1.5", "\t2", "5.", "00", "\u0661", "true", "null", "[1]", '""',
+    # near the `nan` that reads as JSON's null
+    " nan\t", "-nan", "+nan", "NaN", "nann", "nanan", "1nan", "nan1", "na", "an", "n",
+])) + [pytest.param("7" * 800, id="800-digit-mantissa"),
+       pytest.param("7" * 800 + "e-790", id="800-digit-mantissa-in-range"),
+       pytest.param("0." + "7" * 800, id="800-digit-fraction")])
+def test_number_kernel_reads_fixed_cells_as_float_does(cell):
+    check_number_kernel([cell])
+    check_number_kernel(["1", cell, "2"])
 
 
 def test_a_one_node_read_holds_less_than_the_whole_ingest(tmp_path):
